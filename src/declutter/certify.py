@@ -18,7 +18,6 @@ from .geometry import (
     GroundTruthRef,
     Metric,
     PointCloud,
-    min_cross_distances,
     nearest_cross,
     row_chunks,
     cross_distances,
@@ -47,7 +46,8 @@ class SamplingCertificate:
             "uniformity_c": None if self.uniformity_c is None else float(self.uniformity_c),
             "weak_uniform": bool(self.weak_uniform),
             "adaptive": bool(self.adaptive),
-            "conditions": {key: (float(v) if isinstance(v, (int, float, np.floating))
+            # counts such as nearest_reference_ties stay ints
+            "conditions": {key: (float(v) if isinstance(v, (float, np.floating))
                                  else v)
                            for key, v in self.conditions.items()},
         }
@@ -73,6 +73,45 @@ def _require_coordinate(cloud: PointCloud, kref: GroundTruthRef) -> None:
             "reference comparisons need coordinate-backed clouds on both sides")
 
 
+def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
+                  kind: DistanceKind, weak: bool, adaptive: bool, threads: int):
+    """Certificates at every k in one sweep, plus each cloud point's
+    distance to its nearest reference point.
+
+    cond1 is the largest robust distance at a reference point (density of
+    the reference), cond2 the largest excess of a cloud point's distance to
+    the reference over its own robust distance (sparsity of noise). The
+    adaptive variant divides both by the feature size at the relevant
+    reference point (the nearest one for cond2; ties resolved to lowest id).
+    """
+    _require_coordinate(cloud, kref)
+    if kref.cloud.n < 1:
+        raise GeometryError("empty reference")
+    if adaptive and not kref.has_feature_sizes:
+        raise GeometryError("adaptive certification needs feature sizes on the reference")
+    index = build_index(cloud, metric, AUTO)
+    ref_vals = values_at_scales(index, kref.points, ks, kind, threads=threads)
+    own_vals = values_at_scales(index, cloud.coords, ks, kind, threads=threads)
+    dist_to_ref, nearest = nearest_cross(metric, cloud.coords, kref.points,
+                                         threads=threads)
+    # dividing by 1.0 is exact, so the plain conditions come out unchanged
+    f_ref = kref.feature_sizes if adaptive else 1.0
+    f_near = kref.feature_sizes[nearest] if adaptive else 1.0
+    out: dict[int, SamplingCertificate] = {}
+    for k, own in own_vals.items():
+        cond1 = float((ref_vals[k] / f_ref).max())
+        cond2 = float(((dist_to_ref - own) / f_near).max())
+        epsilon = max(cond1, 0.0) if weak else max(cond1, cond2, 0.0)
+        lo = float(own.min())
+        uniformity = (float(epsilon) / lo) if (epsilon > 0 and lo > 0) else None
+        out[k] = SamplingCertificate(
+            k=k, kind=kind, epsilon_k=float(epsilon), uniformity_c=uniformity,
+            weak_uniform=bool(weak), adaptive=bool(adaptive),
+            conditions={"cond1_max": cond1, "cond2_max": cond2,
+                        "min_robust_distance": lo})
+    return out, dist_to_ref
+
+
 def estimate_epsilon_k(cloud: PointCloud, metric: Metric, kref: GroundTruthRef,
                        k: int, kind: DistanceKind = RMS_K,
                        threads: int = 1) -> float:
@@ -80,16 +119,8 @@ def estimate_epsilon_k(cloud: PointCloud, metric: Metric, kref: GroundTruthRef,
     evaluated sets: every reference point is densely covered (robust distance
     at most epsilon) and every cloud point within distance at most its robust
     distance plus epsilon of the reference."""
-    _require_coordinate(cloud, kref)
-    if kref.cloud.n < 1:
-        raise GeometryError("empty reference")
-    index = build_index(cloud, metric, AUTO)
-    cond1 = float(values_at(index, kref.points, k, kind, threads=threads).max())
-    dist_to_ref = min_cross_distances(metric, cloud.coords, kref.points,
-                                      threads=threads)
-    own = values_at(index, cloud.coords, k, kind, threads=threads)
-    cond2 = float((dist_to_ref - own).max())
-    return max(cond1, cond2, 0.0)
+    certs, _ = _certificates(cloud, metric, kref, [k], kind, False, False, threads)
+    return certs[k].epsilon_k
 
 
 def estimate_uniformity(cloud: PointCloud, metric: Metric, epsilon_k: float,
@@ -114,17 +145,8 @@ def estimate_adaptive_epsilon(cloud: PointCloud, metric: Metric,
                               threads: int = 1) -> float:
     """Adaptive variant: both conditions rescaled by the feature size at the
     relevant reference point (the nearest one; ties resolved to lowest id)."""
-    _require_coordinate(cloud, kref)
-    if not kref.has_feature_sizes:
-        raise GeometryError("adaptive certification needs feature sizes on the reference")
-    f = kref.feature_sizes
-    index = build_index(cloud, metric, AUTO)
-    cond1 = float((values_at(index, kref.points, k, kind, threads=threads) / f).max())
-    dist_to_ref, nearest = nearest_cross(metric, cloud.coords, kref.points,
-                                         threads=threads)
-    own = values_at(index, cloud.coords, k, kind, threads=threads)
-    cond2 = float(((dist_to_ref - own) / f[nearest]).max())
-    return max(cond1, cond2, 0.0)
+    certs, _ = _certificates(cloud, metric, kref, [k], kind, False, True, threads)
+    return certs[k].epsilon_k
 
 
 def certify(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, k: int,
@@ -132,63 +154,20 @@ def certify(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, k: int,
             adaptive: bool = False, threads: int = 1) -> SamplingCertificate:
     """Full certificate: epsilon (weak variants skip the sparsity-of-noise
     condition), the uniformity constant, and the per-condition values."""
-    _require_coordinate(cloud, kref)
-    index = build_index(cloud, metric, AUTO)
-    conditions: dict = {}
+    certs, dist_to_ref = _certificates(cloud, metric, kref, [k], kind, weak,
+                                       adaptive, threads)
+    cert = certs[k]
     if adaptive:
-        if not kref.has_feature_sizes:
-            raise GeometryError("adaptive certification needs feature sizes")
-        f = kref.feature_sizes
-        cond1 = float((values_at(index, kref.points, k, kind, threads=threads) / f).max())
-        dist_to_ref, nearest = nearest_cross(metric, cloud.coords, kref.points,
-                                             threads=threads)
-        own = values_at(index, cloud.coords, k, kind, threads=threads)
-        cond2 = float(((dist_to_ref - own) / f[nearest]).max())
-        tie_count = _nearest_tie_count(metric, cloud, kref, dist_to_ref)
-        conditions["nearest_reference_ties"] = int(tie_count)
-    else:
-        cond1 = float(values_at(index, kref.points, k, kind, threads=threads).max())
-        dist_to_ref = min_cross_distances(metric, cloud.coords, kref.points,
-                                          threads=threads)
-        own = values_at(index, cloud.coords, k, kind, threads=threads)
-        cond2 = float((dist_to_ref - own).max())
-    epsilon = max(cond1, 0.0) if weak else max(cond1, cond2, 0.0)
-    lo = float(own.min())
-    uniformity = (float(epsilon) / lo) if (epsilon > 0 and lo > 0) else None
-    conditions.update({
-        "cond1_max": cond1,
-        "cond2_max": cond2,
-        "min_robust_distance": lo,
-    })
-    return SamplingCertificate(k=int(k), kind=kind, epsilon_k=float(epsilon),
-                               uniformity_c=uniformity, weak_uniform=bool(weak),
-                               adaptive=bool(adaptive), conditions=conditions)
+        cert.conditions["nearest_reference_ties"] = _nearest_tie_count(
+            metric, cloud, kref, dist_to_ref)
+    return cert
 
 
 def certify_scales(cloud: PointCloud, metric: Metric, kref: GroundTruthRef,
                    ks, kind: DistanceKind = RMS_K, weak: bool = False,
                    threads: int = 1) -> dict[int, SamplingCertificate]:
     """Certificates for several k values in one sweep (shared distance work)."""
-    _require_coordinate(cloud, kref)
-    ks = sorted({int(k) for k in ks})
-    index = build_index(cloud, metric, AUTO)
-    ref_vals = values_at_scales(index, kref.points, ks, kind, threads=threads)
-    own_vals = values_at_scales(index, cloud.coords, ks, kind, threads=threads)
-    dist_to_ref = min_cross_distances(metric, cloud.coords, kref.points,
-                                      threads=threads)
-    out: dict[int, SamplingCertificate] = {}
-    for k in ks:
-        cond1 = float(ref_vals[k].max())
-        cond2 = float((dist_to_ref - own_vals[k]).max())
-        epsilon = max(cond1, 0.0) if weak else max(cond1, cond2, 0.0)
-        lo = float(own_vals[k].min())
-        uniformity = (float(epsilon) / lo) if (epsilon > 0 and lo > 0) else None
-        out[k] = SamplingCertificate(
-            k=k, kind=kind, epsilon_k=float(epsilon), uniformity_c=uniformity,
-            weak_uniform=bool(weak), adaptive=False,
-            conditions={"cond1_max": cond1, "cond2_max": cond2,
-                        "min_robust_distance": lo})
-    return out
+    return _certificates(cloud, metric, kref, ks, kind, weak, False, threads)[0]
 
 
 def _nearest_tie_count(metric: Metric, cloud: PointCloud, kref: GroundTruthRef,

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .certify import SamplingCertificate, certify, certify_scales
 from .decluttering import DeclutterResult, Rejection, declutter
-from .evaluation import BOUND_NAMES, hausdorff, verify_bound
+from .evaluation import BOUND_NAMES, BOUNDS, hausdorff, verify_bound
 from .figures import write_scatter_svg
 from .geometry import (
     EUCLIDEAN,
@@ -277,27 +277,27 @@ def _result_from_report(path) -> DeclutterResult:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)["result"]
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read declutter report {path}: {exc}") from exc
-    prof = RobustDistanceProfile(k=int(data["k"]), kind=parse_kind(data["kind"]),
-                                 values=np.asarray(data["profile_values"]))
-    rejected = {int(i): Rejection(witness=int(r["witness"]),
-                                  distance=float(r["distance"]))
-                for i, r in data["rejected"].items()}
-    return DeclutterResult(kept=np.asarray(data["kept_order"], dtype=np.intp),
-                           rejected=rejected,
-                           order=np.asarray(data["processing_order"], dtype=np.intp),
-                           profile=prof,
-                           vicinity_factor=float(data["vicinity_factor"]))
+        prof = RobustDistanceProfile(k=int(data["k"]), kind=parse_kind(data["kind"]),
+                                     values=np.asarray(data["profile_values"]))
+        rejected = {int(i): Rejection(witness=int(r["witness"]),
+                                      distance=float(r["distance"]))
+                    for i, r in data["rejected"].items()}
+        return DeclutterResult(kept=np.asarray(data["kept_order"], dtype=np.intp),
+                               rejected=rejected,
+                               order=np.asarray(data["processing_order"], dtype=np.intp),
+                               profile=prof,
+                               vicinity_factor=float(data["vicinity_factor"]))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"cannot read declutter report {path}: {exc!r}") from exc
 
 
 def _certs_from_file(path) -> dict[int, SamplingCertificate]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)["certificates"]
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read certificates {path}: {exc}") from exc
-    certs = [SamplingCertificate.from_dict(d) for d in data]
+        certs = [SamplingCertificate.from_dict(d) for d in data]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"cannot read certificates {path}: {exc!r}") from exc
     return {c.k: c for c in certs}
 
 
@@ -306,29 +306,39 @@ def _trace_from_dir(args) -> ParfreeTrace:
     try:
         with open(trace_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)["trace"]
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read trace {trace_path}: {exc}") from exc
+        scales = [(int(s["i"]), int(s["k"]), int(s["k_effective"]))
+                  for s in meta["iterations"]]
+        constant = float(meta["resampling_constant"])
+        kind = parse_kind(meta["kind"])
+        degenerate = bool(meta.get("degenerate", False))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"cannot read trace {trace_path}: {exc!r}") from exc
     iterations = []
     it_dir = os.path.join(args.trace_dir, "iterations")
-    for summary in meta["iterations"]:
-        i = int(summary["i"])
+    for i, k_target, k_effective in scales:
         stem = os.path.join(it_dir, f"iter_{i:02d}")
         try:
             input_ids = np.loadtxt(stem + "_input_ids.csv", dtype=np.intp, ndmin=1)
             kept_ids = np.loadtxt(stem + "_kept_ids.csv", dtype=np.intp, ndmin=1)
             resampled = np.loadtxt(stem + "_resampled_ids.csv", dtype=np.intp, ndmin=1)
             values = load_points(stem + "_profile.csv").ravel()
-        except OSError as exc:
-            raise CliError(
-                f"trace dumps missing (run parfree --dump-iterations): {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot read trace dumps {stem}_*.csv "
+                           f"(run parfree --dump-iterations): {exc!r}") from exc
         iterations.append(ParfreeIteration(
-            i=i, k_target=int(summary["k"]), k_effective=int(summary["k_effective"]),
+            i=i, k_target=k_target, k_effective=k_effective,
             input_ids=input_ids, kept_ids=kept_ids, resampled_ids=resampled,
             profile_values=values))
-    return ParfreeTrace(iterations=iterations,
-                        resampling_constant=float(meta["resampling_constant"]),
-                        kind=parse_kind(meta["kind"]),
-                        degenerate=bool(meta.get("degenerate", False)))
+    return ParfreeTrace(iterations=iterations, resampling_constant=constant,
+                        kind=kind, degenerate=degenerate)
+
+
+# the eval flag that supplies each verify_bound input named in BOUNDS
+_EVAL_FLAGS = {"cloud": "--points", "kref": "--reference", "result": "--report",
+               "certificate": "--certificates (holding the report's k)",
+               "certificates": "--certificates",
+               "trace": "--trace-dir", "resampled_ids": "--resampled-ids",
+               "C": "--C", "k": "--k", "i0": "--i0"}
 
 
 def _cmd_eval(args) -> int:
@@ -343,39 +353,24 @@ def _cmd_eval(args) -> int:
     trace = _trace_from_dir(args) if args.trace_dir else None
     resampled = None
     if args.resampled_ids:
-        resampled = np.loadtxt(args.resampled_ids, dtype=np.intp, ndmin=1)
+        try:
+            resampled = np.loadtxt(args.resampled_ids, dtype=np.intp, ndmin=1)
+        except (OSError, ValueError) as exc:
+            raise CliError(
+                f"cannot read resampled ids {args.resampled_ids}: {exc!r}") from exc
 
-    certificate = None
-    if result is not None and certs:
-        certificate = certs.get(result.profile.k)
-
+    supplied = dict(cloud=cloud, kref=kref, result=result,
+                    certificate=(None if result is None
+                                 else certs.get(result.profile.k)),
+                    certificates=certs or None, trace=trace,
+                    resampled_ids=resampled, C=args.C, k=args.k, i0=args.i0)
     rows = []
     failed = 0
     for name in names:
-        kwargs = dict(cloud=cloud, metric=metric, kref=kref, threads=args.threads)
-        if name in ("thm3.3", "lem3.1", "lem3.2", "prop3.4", "thm3.7", "thmD.2"):
-            if result is None or certificate is None:
-                raise CliError(f"{name} needs --report and --certificates")
-            kwargs.update(result=result, certificate=certificate)
-        elif name == "lem4.2":
-            if args.k is None:
-                raise CliError("lem4.2 needs --k")
-            kwargs.update(k=args.k)
-        elif name == "lem4.4":
-            if result is None or certificate is None or resampled is None or args.C is None:
-                raise CliError("lem4.4 needs --report, --certificates, "
-                               "--resampled-ids, and --C")
-            kwargs.update(result=result, certificate=certificate,
-                          resampled_ids=resampled, C=args.C)
-        elif name == "thm4.1":
-            if trace is None or not certs or args.i0 is None:
-                raise CliError("thm4.1 needs --trace-dir, --certificates, and --i0")
-            kwargs.update(trace=trace, certificates=certs, i0=args.i0)
-        elif name == "lem4.5":
-            if trace is None:
-                raise CliError("lem4.5 needs --trace-dir")
-            kwargs.update(trace=trace)
-        cert = verify_bound(name, **kwargs)
+        missing = [_EVAL_FLAGS[n] for n in BOUNDS[name].needs if supplied[n] is None]
+        if missing:
+            raise CliError(f"{name} needs {', '.join(missing)}")
+        cert = verify_bound(name, metric=metric, threads=args.threads, **supplied)
         rows.append(cert)
         if cert.applicable and not cert.passed:
             failed += 1

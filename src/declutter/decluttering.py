@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import GeometryError, Metric, PointCloud, cross_distances
-from .neighbors import AUTO, KDTREE, NeighborIndex, build_index
+from .neighbors import AUTO, KDTREE, NeighborIndex, _check_k, build_index
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, profile
 
 
@@ -152,8 +152,7 @@ def declutter(cloud: PointCloud, metric: Metric, k: int,
     distances (e.g. the parameter-free loop) avoid recomputing them; it must
     match k, kind, and the cloud size exactly.
     """
-    if not (1 <= k <= cloud.n):
-        raise GeometryError(f"k={k} out of range 1..{cloud.n}")
+    k = _check_k(k, cloud.n)
     if not (vicinity_factor > 0):
         raise GeometryError("vicinity factor must be positive")
     if index is None:

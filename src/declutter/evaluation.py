@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,10 +23,9 @@ from .geometry import (
     Metric,
     PointCloud,
     cross_distances,
-    min_cross_distances,
     nearest_cross,
 )
-from .neighbors import build_index
+from .neighbors import _check_k, build_index
 from .parfree import THEORETICAL_C, ParfreeTrace
 
 BOUND_TOLERANCE = 1e-9
@@ -35,9 +36,6 @@ KAPPA_CONSERVE = (18.0 + 17.0 * math.sqrt(2.0)) / 4.0
 
 # end-to-end factor of the parameter-free guarantee
 PARFREE_FACTOR = 87.0 + 16.0 * math.sqrt(2.0)
-
-BOUND_NAMES = ("thm3.3", "lem3.1", "lem3.2", "prop3.4", "thm3.7", "lem4.2",
-               "lem4.4", "thm4.1", "lem4.5", "thmD.2")
 
 
 @dataclass
@@ -60,19 +58,6 @@ class BoundCertificate:
         }
 
 
-def _finish(name: str, lhs: float, rhs: float, inputs: dict) -> BoundCertificate:
-    return BoundCertificate(bound_name=name, lhs=float(lhs), rhs=float(rhs),
-                            passed=bool(lhs <= rhs + BOUND_TOLERANCE),
-                            applicable=True, inputs=inputs)
-
-
-def _not_applicable(name: str, reason: str, inputs: dict) -> BoundCertificate:
-    inputs = dict(inputs)
-    inputs["reason"] = reason
-    return BoundCertificate(bound_name=name, lhs=float("nan"), rhs=float("nan"),
-                            passed=None, applicable=False, inputs=inputs)
-
-
 # ---------------------------------------------------------------------------
 # Hausdorff distances
 # ---------------------------------------------------------------------------
@@ -85,7 +70,7 @@ def directed_hausdorff(a, b, metric: Metric | None = None,
     b = np.atleast_2d(np.asarray(b)) if metric.kind != "precomputed" else np.atleast_1d(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise GeometryError("Hausdorff distance needs non-empty sets")
-    return float(min_cross_distances(metric, a, b, threads=threads).max())
+    return float(nearest_cross(metric, a, b, threads=threads)[0].max())
 
 
 def hausdorff(a, b, metric: Metric | None = None, threads: int = 1) -> float:
@@ -107,7 +92,7 @@ def adaptive_hausdorff(points, kref: GroundTruthRef,
     f = kref.feature_sizes
     d_to_ref, nearest = nearest_cross(metric, pts, kref.points, threads=threads)
     term1 = float((d_to_ref / f[nearest]).max())
-    d_from_ref = min_cross_distances(metric, kref.points, pts, threads=threads)
+    d_from_ref = nearest_cross(metric, kref.points, pts, threads=threads)[0]
     term2 = float((d_from_ref / f).max())
     return max(term1, term2)
 
@@ -133,30 +118,205 @@ def relaxed_bound(c_x: float, c_lip: float) -> float:
 # named guarantee checks
 # ---------------------------------------------------------------------------
 
-def _declutter_gate(name, result: DeclutterResult, metric: Metric,
-                    certificate: SamplingCertificate, inputs: dict,
-                    need_uniform: bool = False, need_adaptive: bool = False):
-    """Shared hypothesis checks for the single-pass bounds; returns a
-    not-applicable certificate or None when all hypotheses hold."""
-    if metric.relaxation != 1.0 or not metric.is_exact:
-        return _not_applicable(name, "requires an exact metric", inputs)
+class _NotApplicable(Exception):
+    """A hypothesis of the bound does not hold; the message names it."""
+
+
+class _Bound(NamedTuple):
+    """One named guarantee: the verify_bound inputs it cannot run without,
+    and its check. ``check(args, inputs)`` records what it used in
+    ``inputs``, raises _NotApplicable on a failed hypothesis, and otherwise
+    returns (lhs, rhs)."""
+
+    needs: tuple[str, ...]
+    check: Callable[[SimpleNamespace, dict], tuple[float, float]]
+
+
+def _declutter_gate(a, need_uniform: bool = False,
+                    need_adaptive: bool = False) -> None:
+    """Shared hypotheses of the single-pass bounds."""
+    result, certificate = a.result, a.certificate
+    if a.metric.relaxation != 1.0 or not a.metric.is_exact:
+        raise _NotApplicable("requires an exact metric")
     if result.vicinity_factor != 2.0:
-        return _not_applicable(name, "asserted only at vicinity factor 2", inputs)
+        raise _NotApplicable("asserted only at vicinity factor 2")
     if certificate.kind.name != result.profile.kind.name or certificate.k != result.profile.k:
-        return _not_applicable(name, "certificate does not match the run", inputs)
+        raise _NotApplicable("certificate does not match the run")
     if certificate.weak_uniform:
-        return _not_applicable(name, "needs the full noisy-sample conditions", inputs)
+        raise _NotApplicable("needs the full noisy-sample conditions")
     if need_adaptive != certificate.adaptive:
         kind = "an adaptive" if need_adaptive else "a non-adaptive"
-        return _not_applicable(name, f"needs {kind} certificate", inputs)
+        raise _NotApplicable(f"needs {kind} certificate")
     if need_uniform and certificate.uniformity_c is None:
-        return _not_applicable(name, "uniformity constant absent", inputs)
-    return None
+        raise _NotApplicable("uniformity constant absent")
 
 
-def _kept_points(cloud: PointCloud, result: DeclutterResult):
-    ids = result.kept_ids
+def _parfree_gate(trace: ParfreeTrace) -> None:
+    """Shared hypotheses of the parameter-free bounds."""
+    if trace.degenerate or not trace.iterations:
+        raise _NotApplicable("degenerate run")
+    if abs(trace.resampling_constant - THEORETICAL_C) > 1e-12:
+        raise _NotApplicable("asserted only at the theoretical resampling constant")
+    if trace.clamped:
+        raise _NotApplicable("k was clamped during the run")
+
+
+def _points(cloud: PointCloud, ids):
     return cloud.coords[ids] if cloud.is_coordinate else ids
+
+
+def _single_pass_inputs(a, inputs: dict) -> None:
+    inputs.update({"k": a.certificate.k, "kind": a.certificate.kind.name,
+                   "epsilon_k": a.certificate.epsilon_k, "n": a.cloud.n,
+                   "n_kept": int(a.result.kept.size)})
+
+
+_SINGLE_PASS = ("cloud", "kref", "result", "certificate")
+
+
+def _hausdorff_bound(lhs, factor: float, adaptive: bool = False) -> _Bound:
+    """A single-pass bound lhs(kept points, args) <= factor * epsilon_k."""
+    def check(a, inputs):
+        _single_pass_inputs(a, inputs)
+        _declutter_gate(a, need_adaptive=adaptive)
+        kept = _points(a.cloud, a.result.kept_ids)
+        return lhs(kept, a), factor * a.certificate.epsilon_k
+    return _Bound(_SINGLE_PASS, check)
+
+
+def _check_prop34(a, inputs):
+    # a lower bound: lhs is the required separation and rhs the measured
+    # minimum pairwise distance of the kept set
+    _single_pass_inputs(a, inputs)
+    _declutter_gate(a, need_uniform=True)
+    c = a.certificate.uniformity_c
+    inputs["uniformity_c"] = c
+    if a.result.kept.size < 2:
+        raise _NotApplicable("fewer than two kept points")
+    kept = _points(a.cloud, a.result.kept_ids)
+    block = cross_distances(a.metric, kept, kept)
+    block[np.diag_indices_from(block)] = np.inf
+    rhs = float(block.min())
+    inputs["min_pairwise_kept"] = rhs
+    return 2.0 * a.certificate.epsilon_k / c, rhs
+
+
+def _check_lem42(a, inputs):
+    cloud = a.cloud
+    k = _check_k(a.k, cloud.n)
+    inputs.update({"k": k, "n": cloud.n, "sample_limit": a.sample_limit})
+    index = build_index(cloud, a.metric)
+    rng = np.random.default_rng(a.seed)
+    m = min(cloud.n, a.sample_limit)
+    pick = rng.choice(cloud.n, size=m, replace=False)
+    rows = index.knn_distance_rows(_points(cloud, pick), k)
+    kk = float(k)
+    factors = np.sqrt(kk / (kk - np.arange(1, k + 1) + 1.0))
+    rms = np.sqrt(np.cumsum(rows * rows, axis=1)[:, -1] / kk)
+    return float((rows - factors[None, :] * rms[:, None]).max()), 0.0
+
+
+def _check_lem44(a, inputs):
+    eps = a.certificate.epsilon_k
+    inputs.update({"k": a.certificate.k, "epsilon_k": eps, "C": float(a.C),
+                   "n": a.cloud.n,
+                   "n_resampled": int(np.asarray(a.resampled_ids).size)})
+    _declutter_gate(a, need_uniform=True)
+    if a.certificate.uniformity_c > 2.0 + BOUND_TOLERANCE:
+        raise _NotApplicable("needs uniformity constant <= 2")
+    pts = _points(a.cloud, np.asarray(a.resampled_ids, dtype=np.intp))
+    lhs = hausdorff(pts, a.kref.points, a.metric, a.threads)
+    return lhs, (8.0 * a.C + 7.0) * eps
+
+
+def _check_thm41(a, inputs):
+    trace, i0, certificates = a.trace, a.i0, a.certificates
+    inputs.update({"i0": int(i0), "C": trace.resampling_constant})
+    _parfree_gate(trace)
+    i_star = trace.iterations[0].i
+    if not (1 <= i0 <= i_star):
+        raise _NotApplicable("i0 outside the executed scales")
+    cert0 = certificates.get(2 ** i0)
+    if cert0 is None or cert0.weak_uniform or cert0.uniformity_c is None:
+        raise _NotApplicable("missing full certificate at scale i0")
+    if cert0.uniformity_c > 2.0 + BOUND_TOLERANCE:
+        raise _NotApplicable("not uniform with c <= 2 at i0")
+    if cert0.kind.name != trace.kind.name:
+        raise _NotApplicable("certificate kind mismatch")
+    for i in range(i0 + 1, i_star + 1):
+        cert = certificates.get(2 ** i)
+        if cert is None or cert.uniformity_c is None:
+            raise _NotApplicable(f"missing weak certificate at scale {i}")
+        if cert.uniformity_c > 2.0 + BOUND_TOLERANCE:
+            raise _NotApplicable(f"not weak-uniform with c <= 2 at scale {i}")
+    final_ids = trace.iterations[-1].resampled_ids
+    eps0 = cert0.epsilon_k
+    inputs.update({"epsilon_i0": eps0, "n_final": int(final_ids.size)})
+    lhs = hausdorff(_points(a.cloud, final_ids), a.kref.points, a.metric, a.threads)
+    return lhs, PARFREE_FACTOR * eps0
+
+
+def _check_lem45(a, inputs):
+    trace = a.trace
+    inputs.update({"C": trace.resampling_constant, "kappa": KAPPA_CONSERVE})
+    _parfree_gate(trace)
+    final_pts = _points(a.cloud, trace.iterations[-1].resampled_ids)
+    rng = np.random.default_rng(a.seed)
+    lhs = -math.inf
+    for it in trace.iterations:
+        ids = it.input_ids
+        vals = it.profile_values
+        if ids.size > a.sample_limit:
+            pick = rng.choice(ids.size, size=a.sample_limit, replace=False)
+        else:
+            pick = np.arange(ids.size)
+        pts = _points(a.cloud, ids[pick])
+        d = nearest_cross(a.metric, pts, final_pts, threads=a.threads)[0]
+        lhs = max(lhs, float((d - KAPPA_CONSERVE * vals[pick]).max()))
+    return lhs, 0.0
+
+
+def _check_thmD2(a, inputs):
+    # relaxed-metric variant of the single-pass guarantee
+    cx = a.metric.relaxation if a.c_x is None else float(a.c_x)
+    clip = a.result.profile.kind.c_lip if a.c_lip is None else float(a.c_lip)
+    eps = a.certificate.epsilon_k
+    inputs.update({"c_x": cx, "c_lip": clip, "epsilon_k": eps, "k": a.certificate.k})
+    if a.result.vicinity_factor != 2.0:
+        raise _NotApplicable("asserted only at vicinity factor 2")
+    if a.certificate.weak_uniform or a.certificate.adaptive:
+        raise _NotApplicable("needs the plain noisy-sample certificate")
+    if cx >= 2:
+        raise _NotApplicable("bound undefined for triangle relaxation >= 2")
+    m = relaxed_bound(cx, clip)
+    inputs["m"] = m
+    kept = _points(a.cloud, a.result.kept_ids)
+    return hausdorff(kept, a.kref.points, a.metric, a.threads), m * eps
+
+
+# The lhs functions look hausdorff & co. up at call time, so a replaced
+# module attribute (e.g. a profiling wrapper) is what runs.
+BOUNDS: dict[str, _Bound] = {
+    "thm3.3": _hausdorff_bound(
+        lambda kept, a: hausdorff(kept, a.kref.points, a.metric, a.threads), 7.0),
+    "lem3.1": _hausdorff_bound(
+        lambda kept, a: directed_hausdorff(a.kref.points, kept, a.metric, a.threads),
+        5.0),
+    "lem3.2": _hausdorff_bound(
+        lambda kept, a: directed_hausdorff(kept, a.kref.points, a.metric, a.threads),
+        7.0),
+    "prop3.4": _Bound(_SINGLE_PASS, _check_prop34),
+    "thm3.7": _hausdorff_bound(
+        lambda kept, a: adaptive_hausdorff(kept, a.kref, a.metric, a.threads), 7.0,
+        adaptive=True),
+    "lem4.2": _Bound(("cloud", "k"), _check_lem42),
+    "lem4.4": _Bound(_SINGLE_PASS + ("resampled_ids", "C"), _check_lem44),
+    "thm4.1": _Bound(("cloud", "kref", "trace", "certificates", "i0"), _check_thm41),
+    "lem4.5": _Bound(("cloud", "trace"), _check_lem45),
+    "thmD.2": _Bound(_SINGLE_PASS, _check_thmD2),
+}
+
+BOUND_NAMES = tuple(BOUNDS)
 
 
 def verify_bound(bound_name: str, *, cloud: PointCloud | None = None,
@@ -175,166 +335,27 @@ def verify_bound(bound_name: str, *, cloud: PointCloud | None = None,
                  sample_limit: int = 512,
                  seed: int = 0,
                  threads: int = 1) -> BoundCertificate:
-    """Evaluate one named guarantee; see BOUND_NAMES for the vocabulary."""
-    metric = metric or Metric()
-    if bound_name not in BOUND_NAMES:
+    """Evaluate one named guarantee; see BOUND_NAMES for the vocabulary and
+    BOUNDS for the inputs each one needs."""
+    bound = BOUNDS.get(bound_name)
+    if bound is None:
         raise GeometryError(f"unknown bound name: {bound_name!r}")
-
-    if bound_name in ("thm3.3", "lem3.1", "lem3.2", "prop3.4", "thm3.7"):
-        if cloud is None or result is None or certificate is None or kref is None:
-            raise GeometryError(f"{bound_name} needs cloud, result, certificate, reference")
-        eps = certificate.epsilon_k
-        inputs = {"k": certificate.k, "kind": certificate.kind.name,
-                  "epsilon_k": eps, "n": cloud.n, "n_kept": int(result.kept.size)}
-        gate = _declutter_gate(bound_name, result, metric, certificate, inputs,
-                               need_uniform=(bound_name == "prop3.4"),
-                               need_adaptive=(bound_name == "thm3.7"))
-        if gate is not None:
-            return gate
-        kept = _kept_points(cloud, result)
-        if bound_name == "thm3.3":
-            lhs = hausdorff(kept, kref.points, metric, threads)
-            return _finish(bound_name, lhs, 7.0 * eps, inputs)
-        if bound_name == "lem3.1":
-            lhs = directed_hausdorff(kref.points, kept, metric, threads)
-            return _finish(bound_name, lhs, 5.0 * eps, inputs)
-        if bound_name == "lem3.2":
-            lhs = directed_hausdorff(kept, kref.points, metric, threads)
-            return _finish(bound_name, lhs, 7.0 * eps, inputs)
-        if bound_name == "thm3.7":
-            lhs = adaptive_hausdorff(kept, kref, metric, threads)
-            return _finish(bound_name, lhs, 7.0 * eps, inputs)
-        # prop3.4 is a lower bound: lhs is the required separation and rhs the
-        # measured minimum pairwise distance of the kept set
-        c = certificate.uniformity_c
-        inputs["uniformity_c"] = c
-        if result.kept.size < 2:
-            return _not_applicable(bound_name, "fewer than two kept points", inputs)
-        block = cross_distances(metric, kept, kept)
-        block[np.diag_indices_from(block)] = np.inf
-        rhs = float(block.min())
-        inputs["min_pairwise_kept"] = rhs
-        return _finish(bound_name, 2.0 * eps / c, rhs, inputs)
-
-    if bound_name == "lem4.2":
-        if cloud is None or k is None:
-            raise GeometryError("lem4.2 needs cloud and k")
-        inputs = {"k": int(k), "n": cloud.n, "sample_limit": sample_limit}
-        index = build_index(cloud, metric)
-        rng = np.random.default_rng(seed)
-        m = min(cloud.n, sample_limit)
-        pick = rng.choice(cloud.n, size=m, replace=False)
-        queries = cloud.coords[pick] if cloud.is_coordinate else pick
-        rows = index.knn_distance_rows(queries, int(k))
-        kk = float(k)
-        factors = np.sqrt(kk / (kk - np.arange(1, k + 1) + 1.0))
-        rms = np.sqrt(np.cumsum(rows * rows, axis=1)[:, -1] / kk)
-        lhs = float((rows - factors[None, :] * rms[:, None]).max())
-        return _finish(bound_name, lhs, 0.0, inputs)
-
-    if bound_name == "lem4.4":
-        if (cloud is None or result is None or certificate is None
-                or kref is None or resampled_ids is None or C is None):
-            raise GeometryError(
-                "lem4.4 needs cloud, result, certificate, reference, resampled ids, C")
-        eps = certificate.epsilon_k
-        inputs = {"k": certificate.k, "epsilon_k": eps, "C": float(C),
-                  "n": cloud.n, "n_resampled": int(np.asarray(resampled_ids).size)}
-        gate = _declutter_gate(bound_name, result, metric, certificate, inputs,
-                               need_uniform=True)
-        if gate is not None:
-            return gate
-        if certificate.uniformity_c > 2.0 + BOUND_TOLERANCE:
-            return _not_applicable(bound_name, "needs uniformity constant <= 2", inputs)
-        ids = np.asarray(resampled_ids, dtype=np.intp)
-        pts = cloud.coords[ids] if cloud.is_coordinate else ids
-        lhs = hausdorff(pts, kref.points, metric, threads)
-        return _finish(bound_name, lhs, (8.0 * C + 7.0) * eps, inputs)
-
-    if bound_name == "thm4.1":
-        if (trace is None or kref is None or certificates is None or i0 is None):
-            raise GeometryError("thm4.1 needs trace, reference, certificates, i0")
-        inputs = {"i0": int(i0), "C": trace.resampling_constant}
-        if trace.degenerate or not trace.iterations:
-            return _not_applicable(bound_name, "degenerate run", inputs)
-        if abs(trace.resampling_constant - THEORETICAL_C) > 1e-12:
-            return _not_applicable(bound_name,
-                                   "asserted only at the theoretical resampling constant",
-                                   inputs)
-        if trace.clamped:
-            return _not_applicable(bound_name, "k was clamped during the run", inputs)
-        i_star = trace.iterations[0].i
-        if not (1 <= i0 <= i_star):
-            return _not_applicable(bound_name, "i0 outside the executed scales", inputs)
-        cert0 = certificates.get(2 ** i0)
-        if cert0 is None or cert0.weak_uniform or cert0.uniformity_c is None:
-            return _not_applicable(bound_name, "missing full certificate at scale i0", inputs)
-        if cert0.uniformity_c > 2.0 + BOUND_TOLERANCE:
-            return _not_applicable(bound_name, "not uniform with c <= 2 at i0", inputs)
-        if cert0.kind.name != trace.kind.name:
-            return _not_applicable(bound_name, "certificate kind mismatch", inputs)
-        for i in range(i0 + 1, i_star + 1):
-            cert = certificates.get(2 ** i)
-            if cert is None or cert.uniformity_c is None:
-                return _not_applicable(bound_name,
-                                       f"missing weak certificate at scale {i}", inputs)
-            if cert.uniformity_c > 2.0 + BOUND_TOLERANCE:
-                return _not_applicable(bound_name,
-                                       f"not weak-uniform with c <= 2 at scale {i}", inputs)
-        if cloud is None:
-            raise GeometryError("thm4.1 needs the input cloud")
-        final_ids = trace.iterations[-1].resampled_ids
-        pts = cloud.coords[final_ids] if cloud.is_coordinate else final_ids
-        eps0 = cert0.epsilon_k
-        inputs.update({"epsilon_i0": eps0, "n_final": int(final_ids.size)})
-        lhs = hausdorff(pts, kref.points, metric, threads)
-        return _finish(bound_name, lhs, PARFREE_FACTOR * eps0, inputs)
-
-    if bound_name == "lem4.5":
-        if trace is None or cloud is None:
-            raise GeometryError("lem4.5 needs trace and cloud")
-        inputs = {"C": trace.resampling_constant, "kappa": KAPPA_CONSERVE}
-        if trace.degenerate or not trace.iterations:
-            return _not_applicable(bound_name, "degenerate run", inputs)
-        if abs(trace.resampling_constant - THEORETICAL_C) > 1e-12:
-            return _not_applicable(bound_name,
-                                   "asserted only at the theoretical resampling constant",
-                                   inputs)
-        if trace.clamped:
-            return _not_applicable(bound_name, "k was clamped during the run", inputs)
-        final_ids = trace.iterations[-1].resampled_ids
-        final_pts = cloud.coords[final_ids] if cloud.is_coordinate else final_ids
-        rng = np.random.default_rng(seed)
-        lhs = -math.inf
-        for it in trace.iterations:
-            ids = it.input_ids
-            vals = it.profile_values
-            if ids.size > sample_limit:
-                pick = rng.choice(ids.size, size=sample_limit, replace=False)
-            else:
-                pick = np.arange(ids.size)
-            sub = ids[pick]
-            pts = cloud.coords[sub] if cloud.is_coordinate else sub
-            d = min_cross_distances(metric, pts, final_pts, threads=threads)
-            lhs = max(lhs, float((d - KAPPA_CONSERVE * vals[pick]).max()))
-        return _finish(bound_name, lhs, 0.0, inputs)
-
-    # thmD.2: relaxed-metric variant of the single-pass guarantee
-    if cloud is None or result is None or certificate is None or kref is None:
-        raise GeometryError("thmD.2 needs cloud, result, certificate, reference")
-    cx = metric.relaxation if c_x is None else float(c_x)
-    clip = result.profile.kind.c_lip if c_lip is None else float(c_lip)
-    eps = certificate.epsilon_k
-    inputs = {"c_x": cx, "c_lip": clip, "epsilon_k": eps, "k": certificate.k}
-    if result.vicinity_factor != 2.0:
-        return _not_applicable(bound_name, "asserted only at vicinity factor 2", inputs)
-    if certificate.weak_uniform or certificate.adaptive:
-        return _not_applicable(bound_name, "needs the plain noisy-sample certificate", inputs)
-    if cx >= 2:
-        return _not_applicable(bound_name, "bound undefined for triangle relaxation >= 2",
-                               inputs)
-    m = relaxed_bound(cx, clip)
-    inputs["m"] = m
-    kept = _kept_points(cloud, result)
-    lhs = hausdorff(kept, kref.points, metric, threads)
-    return _finish(bound_name, lhs, m * eps, inputs)
+    args = SimpleNamespace(
+        cloud=cloud, metric=metric or Metric(), kref=kref, certificate=certificate,
+        result=result, resampled_ids=resampled_ids, trace=trace,
+        certificates=certificates, i0=i0, C=C, k=k, c_x=c_x, c_lip=c_lip,
+        sample_limit=sample_limit, seed=seed, threads=threads)
+    missing = [name for name in bound.needs if getattr(args, name) is None]
+    if missing:
+        raise GeometryError(f"{bound_name} needs {', '.join(missing)}")
+    inputs: dict = {}
+    try:
+        lhs, rhs = bound.check(args, inputs)
+    except _NotApplicable as exc:
+        inputs["reason"] = str(exc)
+        return BoundCertificate(bound_name=bound_name, lhs=float("nan"),
+                                rhs=float("nan"), passed=None, applicable=False,
+                                inputs=inputs)
+    return BoundCertificate(bound_name=bound_name, lhs=float(lhs), rhs=float(rhs),
+                            passed=bool(lhs <= rhs + BOUND_TOLERANCE),
+                            applicable=True, inputs=inputs)

@@ -228,26 +228,6 @@ def run_chunked(chunks, worker, threads: int = 1) -> None:
         list(pool.map(worker, chunks))
 
 
-def min_cross_distances(metric: Metric, queries, targets,
-                        threads: int = 1) -> np.ndarray:
-    """Distance from each query to the nearest target (chunked)."""
-    if metric.kind == PRECOMPUTED:
-        q = np.atleast_1d(np.asarray(queries)).astype(np.intp)
-        t = np.atleast_1d(np.asarray(targets)).astype(np.intp)
-        n_rows, n_cols = q.size, t.size
-    else:
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        n_rows, n_cols = q.shape[0], t.shape[0]
-    out = np.empty(n_rows)
-
-    def work(sl: slice) -> None:
-        out[sl] = cross_distances(metric, q[sl], t).min(axis=1)
-
-    run_chunked(row_chunks(n_rows, n_cols), work, threads)
-    return out
-
-
 def nearest_cross(metric: Metric, queries, targets,
                   threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per query: (distance to nearest target, its index, ties -> lowest)."""

@@ -32,6 +32,15 @@ AUTO = "auto"
 _RADIUS_SLACK = 1e-9
 
 
+def _check_k(k, n: int) -> int:
+    """k as a plain int, or GeometryError unless it is an integer in 1..n."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise GeometryError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= n:
+        raise GeometryError(f"k={k} out of range 1..{n}")
+    return int(k)
+
+
 def _tree_supported(cloud: PointCloud, metric: Metric) -> bool:
     return cloud.is_coordinate and metric.kind in (EUCLIDEAN, MANHATTAN)
 
@@ -87,10 +96,7 @@ class NeighborIndex:
         distance zero; member queries therefore count themselves.
         """
         n = self.cloud.n
-        if not isinstance(k, (int, np.integer)) or k <= 0:
-            raise GeometryError(f"k must be a positive integer, got {k!r}")
-        if k > n:
-            raise GeometryError(f"k={k} exceeds cloud size n={n}")
+        k = _check_k(k, n)
         q = self.cloud.query_array(query)
         if q.shape[0] != 1:
             raise GeometryError("k_nearest takes a single query point")
@@ -114,8 +120,7 @@ class NeighborIndex:
         """(m, k) array: per query, its k smallest member distances sorted
         ascending. Values are tie-insensitive, so this is strategy-free."""
         n = self.cloud.n
-        if k <= 0 or k > n:
-            raise GeometryError(f"k={k} out of range 1..{n}")
+        k = _check_k(k, n)
         q = self.cloud.query_array(queries)
         m = q.shape[0]
         members = self._members()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, Metric, PointCloud
-from .neighbors import AUTO, NeighborIndex, build_index
+from .neighbors import AUTO, NeighborIndex, _check_k, build_index
 
 RMS_NAME = "rms-k"
 AVG_NAME = "avg-k"
@@ -113,7 +113,7 @@ def values_at_scales(index: NeighborIndex, queries, ks,
     requested k off the running prefix sums; identical to calling
     :func:`values_at` per k, but one data sweep instead of len(ks).
     """
-    ks = sorted({int(k) for k in ks})
+    ks = sorted({_check_k(k, index.cloud.n) for k in ks})
     if not ks:
         return {}
     kmax = ks[-1]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, GroundTruthRef, Metric, PointCloud, min_cross_distances
+from .geometry import GeometryError, GroundTruthRef, Metric, PointCloud, nearest_cross
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ class SurfaceGrid(Shape):
 
     def point_distance(self, points: np.ndarray) -> np.ndarray:
         metric = Metric()
-        return min_cross_distances(metric, np.atleast_2d(points), self._flat())
+        return nearest_cross(metric, np.atleast_2d(points), self._flat())[0]
 
 
 def torus_grid(big_radius: float, tube_radius: float, nu: int = 96,
@@ -380,7 +380,7 @@ def add_ambient_noise(points: np.ndarray, box, m: int, seed: int,
     for _ in range(64):
         draw = rng.uniform(lo, hi, size=(max(m, 4 * (m - total)), lo.shape[0]))
         if min_clearance > 0 and clearance_points is not None:
-            d = min_cross_distances(Metric(), draw, clearance_points)
+            d = nearest_cross(Metric(), draw, clearance_points)[0]
             draw = draw[d >= min_clearance]
         if draw.shape[0]:
             accepted.append(draw)

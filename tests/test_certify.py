@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -177,3 +178,28 @@ def test_feature_size_checker_sampled_mode():
     report = dc.check_feature_size(kref, dc.Metric(), max_exhaustive=50,
                                    sample_pairs=20000)
     assert report.sampled and report.ok
+
+
+@pytest.mark.parametrize("call", [
+    lambda c, m, r: dc.certify(c, m, r, 2.0),
+    lambda c, m, r: dc.estimate_epsilon_k(c, m, r, True),
+    lambda c, m, r: dc.certify_scales(c, m, r, [2.5]),
+    lambda c, m, r: dc.certify_scales(c, m, r, [0, 3]),
+], ids=["certify-float", "epsilon-bool", "scales-fraction", "scales-zero"])
+def test_certify_rejects_invalid_k(call):
+    cloud, metric = line_cloud()
+    with pytest.raises(dc.GeometryError):
+        call(cloud, metric, _line_ref())
+
+
+def test_adaptive_certificate_json_keeps_tie_count_int():
+    cloud, metric, kref, k = uniform_instance(0)
+    f = dc.feature_from_anchor(kref.points[0], 1.0)
+    akref = dc.GroundTruthRef(kref.cloud, f(kref.points))
+    cert = dc.certify(cloud, metric, akref, k, adaptive=True)
+    data = json.loads(json.dumps(cert.to_dict()))
+    ties = data["conditions"]["nearest_reference_ties"]
+    assert type(ties) is int and ties == cert.conditions["nearest_reference_ties"]
+    back = dc.SamplingCertificate.from_dict(data)
+    assert back.to_dict() == cert.to_dict()
+    assert back.adaptive and back.conditions == cert.conditions

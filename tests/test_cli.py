@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -228,3 +229,70 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# flags each bound needs besides the input cloud (README, "eval flags")
+EVAL_FLAGS_NEEDED = {
+    "thm3.3": {"--reference", "--report", "--certificates"},
+    "lem3.1": {"--reference", "--report", "--certificates"},
+    "lem3.2": {"--reference", "--report", "--certificates"},
+    "prop3.4": {"--reference", "--report", "--certificates"},
+    "thm3.7": {"--reference", "--report", "--certificates"},
+    "lem4.2": {"--k"},
+    "lem4.4": {"--reference", "--report", "--certificates", "--resampled-ids",
+               "--C"},
+    "thm4.1": {"--reference", "--trace-dir", "--certificates", "--i0"},
+    "lem4.5": {"--trace-dir"},
+    "thmD.2": {"--reference", "--report", "--certificates"},
+}
+
+
+@pytest.mark.parametrize("name", dc.BOUND_NAMES)
+def test_eval_names_missing_flags(tmp_path, capsys, name):
+    pts = tmp_path / "points.csv"
+    _write_line_points(pts)
+    assert main(["eval", "--points", str(pts), "--bounds", name]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} needs ")
+    assert set(re.findall(r"--[A-Za-z0-9-]+", err)) == EVAL_FLAGS_NEEDED[name]
+
+
+def test_eval_malformed_artifacts_exit_1(tmp_path, capsys):
+    pts = tmp_path / "points.csv"
+    _write_line_points(pts)
+    ref = tmp_path / "ref.csv"
+    ref.write_text("0\n1\n2\n")
+    run = tmp_path / "run"
+    assert main(["declutter", "--points", str(pts), "--k", "2",
+                 "--out-dir", str(run)]) == 0
+    good_report = str(run / "report.json")
+    bad_certs = tmp_path / "certs.json"
+    bad_certs.write_text(json.dumps({"certificates": [{"k": 2}]}))
+    bad_report = tmp_path / "report.json"
+    bad_report.write_text(json.dumps({"result": {"k": 2}}))
+    bad_trace = tmp_path / "pf"
+    bad_trace.mkdir()
+    (bad_trace / "trace.json").write_text(json.dumps({"trace": {"iterations": [{}]}}))
+    bad_dumps = tmp_path / "pf-dumps"
+    (bad_dumps / "iterations").mkdir(parents=True)
+    (bad_dumps / "trace.json").write_text(json.dumps({"trace": {
+        "iterations": [{"i": 1, "k": 2, "k_effective": 2}],
+        "resampling_constant": dc.THEORETICAL_C, "kind": "rms-k"}}))
+    for part in ("input_ids", "kept_ids", "resampled_ids", "profile"):
+        (bad_dumps / "iterations" / f"iter_01_{part}.csv").write_text("x\n")
+    bad_ids = tmp_path / "ids.csv"
+    bad_ids.write_text("x\n")
+    base = ["eval", "--points", str(pts), "--reference", str(ref)]
+    cases = [
+        (["--bounds", "thm3.3", "--report", good_report,
+          "--certificates", str(bad_certs)], bad_certs),
+        (["--bounds", "thm3.3", "--report", str(bad_report),
+          "--certificates", str(bad_certs)], bad_report),
+        (["--bounds", "lem4.5", "--trace-dir", str(bad_trace)], bad_trace),
+        (["--bounds", "lem4.5", "--trace-dir", str(bad_dumps)], bad_dumps),
+        (["--bounds", "lem4.2", "--k", "2", "--resampled-ids", str(bad_ids)],
+         bad_ids),
+    ]
+    for extra, culprit in cases:
+        assert main(base + extra) == 1
+        assert str(culprit) in capsys.readouterr().err

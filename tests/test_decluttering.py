@@ -132,3 +132,10 @@ def test_result_roundtrip_dict():
     data = result.to_dict()
     assert data["kept_order"] == [0, 2]
     assert data["rejected"]["3"]["witness"] == 0
+
+
+@pytest.mark.parametrize("k", [2.0, True])
+def test_non_integer_k_rejected(k):
+    cloud, metric = line_cloud()
+    with pytest.raises(dc.GeometryError):
+        dc.declutter(cloud, metric, k)

@@ -151,3 +151,13 @@ def test_knn_distance_rows_match_k_nearest():
     for i in range(cloud.n):
         expect = [d for _, d in index.k_nearest(cloud.coords[i], 5)]
         assert rows[i].tolist() == expect
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5, True, np.bool_(True)])
+def test_non_integer_k_errors(k):
+    cloud, metric = random_cloud(5, n_max=20)
+    index = dc.build_index(cloud, metric)
+    with pytest.raises(dc.GeometryError):
+        index.k_nearest(cloud.coords[0], k)
+    with pytest.raises(dc.GeometryError):
+        index.knn_distance_rows(cloud.coords[:3], k)
