@@ -5,16 +5,21 @@ Points are processed in order of increasing robust distance (ties by id).
 The vicinity ball of p is the CLOSED ball of radius factor * d_k(p), with
 factor 2 by default: a boundary point blocks selection, which also makes the
 radius-zero coincident-point case well defined.
+
+The pass is one scan for every neighbor strategy: each point's canonical
+distances to the kept set, held in selection order, are computed in one
+:func:`geometry.cross_distances` call. The witness of a rejection is the
+first kept point inside the ball, i.e. the earliest kept one, and its
+recorded distance is that canonical value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import GeometryError, Metric, PointCloud, cross_distances
-from .neighbors import AUTO, KDTREE, NeighborIndex, _check_k, build_index
+from .neighbors import AUTO, NeighborIndex, _check_k, build_index
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, profile
 
 
@@ -56,90 +61,6 @@ class DeclutterResult:
         }
 
 
-class _KeptScan:
-    """Vectorized scan over the kept set (the straightforward route)."""
-
-    def __init__(self, cloud: PointCloud, metric: Metric):
-        self.cloud = cloud
-        self.metric = metric
-        if cloud.is_coordinate:
-            self.buf = np.empty((cloud.n, cloud.dim))
-        self.ids: list[int] = []
-
-    def add(self, pid: int) -> None:
-        if self.cloud.is_coordinate:
-            self.buf[len(self.ids)] = self.cloud.coords[pid]
-        self.ids.append(pid)
-
-    def earliest_within(self, pid: int, radius: float):
-        """(rank, witness id, distance) of the earliest kept point inside the
-        closed ball around pid, or None."""
-        m = len(self.ids)
-        if m == 0:
-            return None
-        if self.cloud.is_coordinate:
-            d = cross_distances(self.metric, self.cloud.coords[pid:pid + 1],
-                                self.buf[:m])[0]
-        else:
-            d = self.metric.matrix[pid, np.asarray(self.ids, dtype=np.intp)]
-        hits = np.flatnonzero(d <= radius)
-        if hits.size == 0:
-            return None
-        rank = int(hits[0])  # kept list is selection order, so first hit wins
-        return rank, self.ids[rank], float(d[rank])
-
-
-class _KeptTree:
-    """Kept-set range queries through a periodically rebuilt spatial tree.
-
-    Exactness is preserved by inflating tree radii and re-filtering with
-    canonical distances; points kept since the last rebuild sit in a linear
-    buffer that is scanned exactly.
-    """
-
-    def __init__(self, cloud: PointCloud, metric: Metric, p_norm: int):
-        self.cloud = cloud
-        self.metric = metric
-        self.p = p_norm
-        self.tree = None
-        self.tree_ids: np.ndarray = np.empty(0, dtype=np.intp)
-        self.pending: list[int] = []
-        self.rank: dict[int, int] = {}
-
-    def add(self, pid: int) -> None:
-        self.rank[pid] = len(self.rank)
-        self.pending.append(pid)
-        if len(self.pending) >= max(32, self.tree_ids.size):
-            self.tree_ids = np.concatenate(
-                [self.tree_ids, np.asarray(self.pending, dtype=np.intp)])
-            self.tree = cKDTree(self.cloud.coords[self.tree_ids])
-            self.pending = []
-
-    def earliest_within(self, pid: int, radius: float):
-        q = self.cloud.coords[pid]
-        best = None  # (rank, id, distance)
-        if self.tree is not None:
-            cand = self.tree.query_ball_point(q, radius * (1.0 + 1e-9), p=self.p)
-            if cand:
-                ids = self.tree_ids[np.asarray(cand, dtype=np.intp)]
-                d = cross_distances(self.metric, q[None, :],
-                                    self.cloud.coords[ids])[0]
-                ok = d <= radius
-                for i, dist in zip(ids[ok], d[ok]):
-                    r = self.rank[int(i)]
-                    if best is None or r < best[0]:
-                        best = (r, int(i), float(dist))
-        if self.pending:
-            ids = np.asarray(self.pending, dtype=np.intp)
-            d = cross_distances(self.metric, q[None, :], self.cloud.coords[ids])[0]
-            ok = d <= radius
-            for i, dist in zip(ids[ok], d[ok]):
-                r = self.rank[int(i)]
-                if best is None or r < best[0]:
-                    best = (r, int(i), float(dist))
-        return best
-
-
 def declutter(cloud: PointCloud, metric: Metric, k: int,
               kind: DistanceKind = RMS_K, vicinity_factor: float = 2.0,
               strategy: str = AUTO, precomputed_profile: RobustDistanceProfile | None = None,
@@ -166,23 +87,23 @@ def declutter(cloud: PointCloud, metric: Metric, k: int,
 
     values = prof.values
     order = np.lexsort((np.arange(cloud.n), values))
-    if index.strategy == KDTREE:
-        kept_store = _KeptTree(cloud, metric, 1 if metric.kind == "manhattan" else 2)
-    else:
-        kept_store = _KeptScan(cloud, metric)
-
+    members = cloud.coords if cloud.is_coordinate else cloud.ids()
+    kept_buf = np.empty_like(members)  # kept members, selection order
     kept: list[int] = []
     rejected: dict[int, Rejection] = {}
     for pid in order:
         pid = int(pid)
-        radius = vicinity_factor * values[pid]
-        hit = kept_store.earliest_within(pid, radius)
-        if hit is None:
-            kept.append(pid)
-            kept_store.add(pid)
-        else:
-            _, witness, dist = hit
-            rejected[pid] = Rejection(witness=witness, distance=dist)
+        m = len(kept)
+        if m:
+            d = cross_distances(metric, members[pid:pid + 1], kept_buf[:m])[0]
+            hits = np.flatnonzero(d <= vicinity_factor * values[pid])
+            if hits.size:
+                first = int(hits[0])
+                rejected[pid] = Rejection(witness=kept[first],
+                                          distance=float(d[first]))
+                continue
+        kept_buf[m] = members[pid]
+        kept.append(pid)
     return DeclutterResult(kept=np.asarray(kept, dtype=np.intp),
                            rejected=rejected,
                            order=order.astype(np.intp),

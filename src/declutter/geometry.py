@@ -184,9 +184,9 @@ def cross_distances(metric: Metric, queries, targets) -> np.ndarray:
     package, accelerated or not, funnels through it so results agree exactly.
     """
     if metric.kind == PRECOMPUTED:
-        q = np.atleast_1d(np.asarray(queries)).astype(np.intp)
-        t = np.atleast_1d(np.asarray(targets)).astype(np.intp)
-        return metric.matrix[np.ix_(q, t)]
+        q = np.asarray(queries, dtype=np.intp).reshape(-1)
+        t = np.asarray(targets, dtype=np.intp).reshape(-1)
+        return metric.matrix[q[:, None], t]
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if q.shape[1] != t.shape[1]:

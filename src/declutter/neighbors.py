@@ -76,17 +76,6 @@ class NeighborIndex:
         c = self.cloud
         return c.coords if c.is_coordinate else c.ids()
 
-    def row_blocks(self, queries, threads: int = 1):
-        """Canonical distance rows from queries to all members, chunked.
-
-        Yields (row_slice, block) pairs in order. ``threads`` only pays off
-        through :func:`geometry.run_chunked` callers; here generation is lazy.
-        """
-        q = self.cloud.query_array(queries)
-        members = self._members()
-        for sl in row_chunks(q.shape[0], self.cloud.n):
-            yield sl, cross_distances(self.metric, q[sl], members)
-
     # -- queries ------------------------------------------------------------
 
     def k_nearest(self, query, k: int) -> list[tuple[int, float]]:
@@ -138,23 +127,10 @@ class NeighborIndex:
 
     def ball_ids(self, query, radius: float) -> np.ndarray:
         """Ids of all members within the closed ball of the given radius."""
-        if radius < 0:
-            raise GeometryError("ball radius must be non-negative")
         q = self.cloud.query_array(query)
         if q.shape[0] != 1:
             raise GeometryError("ball_ids takes a single query point")
-        if self._tree is not None:
-            cand = np.asarray(
-                self._tree.query_ball_point(q[0], radius * (1.0 + _RADIUS_SLACK),
-                                            p=self._p),
-                dtype=np.intp)
-            if cand.size == 0:
-                return cand
-            d = cross_distances(self.metric, q, self.cloud.coords[cand])[0]
-            return np.sort(cand[d <= radius])
-        targets = self._members()
-        d = cross_distances(self.metric, q, targets)[0]
-        return np.flatnonzero(d <= radius).astype(np.intp)
+        return self.ball_ids_many(q, [radius])[0]
 
     def ball_ids_many(self, queries, radii) -> list[np.ndarray]:
         """Closed-ball memberships for several query points at once."""
@@ -177,11 +153,11 @@ class NeighborIndex:
                                     self.cloud.coords[cand])[0]
                 result.append(np.sort(cand[d <= radii[row]]))
             return result
+        members = self._members()
         result = []
-        for sl, block in self.row_blocks(q):
-            sub = radii[sl]
-            for row in range(block.shape[0]):
-                result.append(np.flatnonzero(block[row] <= sub[row]).astype(np.intp))
+        for sl in row_chunks(q.shape[0], self.cloud.n):
+            block = cross_distances(self.metric, q[sl], members)
+            result.extend(np.flatnonzero(row <= r) for row, r in zip(block, radii[sl]))
         return result
 
 

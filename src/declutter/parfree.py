@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decluttering import DeclutterResult, declutter
-from .geometry import GeometryError, Metric, PointCloud, cross_distances, row_chunks, subset_cloud
-from .neighbors import AUTO, KDTREE, build_index
+from .geometry import GeometryError, Metric, PointCloud, subset_cloud
+from .neighbors import AUTO, build_index
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, profile
 
 THEORETICAL_C = 10.0 + 2.0 * math.sqrt(2.0)
@@ -90,18 +90,10 @@ def resample_step(cloud: PointCloud, metric: Metric, kept_ids,
     if prof.n != cloud.n:
         raise GeometryError("profile does not cover this cloud")
     radii = C * prof.values[kept_ids]
+    queries = cloud.coords[kept_ids] if cloud.is_coordinate else kept_ids
     captured = np.zeros(cloud.n, dtype=bool)
-    index = build_index(cloud, metric, strategy)
-    if index.strategy == KDTREE:
-        queries = cloud.coords[kept_ids]
-        for ids in index.ball_ids_many(queries, radii):
-            captured[ids] = True
-    else:
-        queries = cloud.coords[kept_ids] if cloud.is_coordinate else kept_ids
-        members = cloud.coords if cloud.is_coordinate else cloud.ids()
-        for sl in row_chunks(kept_ids.size, cloud.n):
-            block = cross_distances(metric, queries[sl], members)
-            captured |= (block <= radii[sl, None]).any(axis=0)
+    for ids in build_index(cloud, metric, strategy).ball_ids_many(queries, radii):
+        captured[ids] = True
     captured[kept_ids] = True  # closed balls always recapture their centers
     return np.flatnonzero(captured).astype(np.intp)
 

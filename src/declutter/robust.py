@@ -80,28 +80,29 @@ class RobustDistanceProfile:
                    header="id,value")
 
 
-def _aggregate_sorted_rows(rows: np.ndarray, k: int, kind: DistanceKind) -> np.ndarray:
-    """Aggregate (m, >=k) rows of ascending distances into robust values."""
+def _prefix_values(rows: np.ndarray, ks, kind: DistanceKind) -> dict[int, np.ndarray]:
+    """Robust values at each k in ks from (m, >=max(ks)) rows of ascending
+    distances, read off running prefix sums."""
     if kind.name == KTH_NAME:
-        return rows[:, k - 1].copy()
+        return {k: rows[:, k - 1].copy() for k in ks}
     if kind.name == AVG_NAME:
-        return np.cumsum(rows[:, :k], axis=1)[:, -1] / k
-    sq = rows[:, :k]
-    return np.sqrt(np.cumsum(sq * sq, axis=1)[:, -1] / k)
+        cs = np.cumsum(rows, axis=1)
+        return {k: cs[:, k - 1] / k for k in ks}
+    cs = np.cumsum(rows * rows, axis=1)
+    return {k: np.sqrt(cs[:, k - 1] / k) for k in ks}
 
 
 def robust_distance_at(index: NeighborIndex, query, k: int,
                        kind: DistanceKind = RMS_K) -> float:
     """Robust distance from one query point to the indexed cloud."""
     dists = np.array([d for _, d in index.k_nearest(query, k)])
-    return float(_aggregate_sorted_rows(dists[None, :], k, kind)[0])
+    return float(_prefix_values(dists[None, :], [k], kind)[k][0])
 
 
 def values_at(index: NeighborIndex, queries, k: int,
               kind: DistanceKind = RMS_K, threads: int = 1) -> np.ndarray:
     """Robust distances for a batch of query points."""
-    rows = index.knn_distance_rows(queries, k, threads=threads)
-    return _aggregate_sorted_rows(rows, k, kind)
+    return values_at_scales(index, queries, [k], kind, threads)[k]
 
 
 def values_at_scales(index: NeighborIndex, queries, ks,
@@ -110,28 +111,14 @@ def values_at_scales(index: NeighborIndex, queries, ks,
     """Robust distances at several k values in one pass over the data.
 
     Sorts each query's k_max smallest distances once and reads every
-    requested k off the running prefix sums; identical to calling
-    :func:`values_at` per k, but one data sweep instead of len(ks).
+    requested k off the running prefix sums; each value is bit-identical to
+    a single-k call, but it takes one data sweep instead of len(ks).
     """
     ks = sorted({_check_k(k, index.cloud.n) for k in ks})
     if not ks:
         return {}
-    kmax = ks[-1]
-    rows = index.knn_distance_rows(queries, kmax, threads=threads)
-    out: dict[int, np.ndarray] = {}
-    if kind.name == KTH_NAME:
-        for k in ks:
-            out[k] = rows[:, k - 1].copy()
-        return out
-    if kind.name == AVG_NAME:
-        cs = np.cumsum(rows, axis=1)
-        for k in ks:
-            out[k] = cs[:, k - 1] / k
-        return out
-    cs = np.cumsum(rows * rows, axis=1)
-    for k in ks:
-        out[k] = np.sqrt(cs[:, k - 1] / k)
-    return out
+    rows = index.knn_distance_rows(queries, ks[-1], threads=threads)
+    return _prefix_values(rows, ks, kind)
 
 
 def profile(cloud: PointCloud, index: NeighborIndex, k: int,

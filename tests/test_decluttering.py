@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import declutter as dc
-from conftest import line_cloud, noisy_instance, oracle_declutter, random_cloud
+from conftest import (dist_euclidean, dist_manhattan, line_cloud, noisy_instance,
+                      oracle_declutter, random_cloud)
 
 
 def test_line_example_kept_and_witnesses():
@@ -66,14 +67,38 @@ def test_partition_and_witness_validity():
                 assert d > result.vicinity_factor * values[p]
 
 
-def test_matches_pure_python_oracle():
+def _oracle_cases():
+    """(points, metric, oracle distance, k, kind): random clouds plus
+    tie-heavy inputs where many robust values and distances coincide."""
     for seed in range(30):
         cloud, metric = random_cloud(seed + 200, n_max=70)
-        k = min(4, cloud.n)
-        result = dc.declutter(cloud, metric, k, strategy="brute")
-        kept, rejected, _ = oracle_declutter(cloud.coords, k)
-        assert result.kept.tolist() == kept
-        assert {p: r.witness for p, r in result.rejected.items()} == rejected
+        yield cloud.coords, metric, dist_euclidean, min(4, cloud.n), "rms-k"
+    grid = np.array([[x, y] for x in range(7) for y in range(5)], dtype=float)
+    for k, kind in ((2, "rms-k"), (4, "avg-k"), (5, "kth-nn"), (9, "rms-k")):
+        yield grid, dc.Metric("manhattan"), dist_manhattan, k, kind
+    rng = np.random.default_rng(7)
+    centres = rng.integers(-4, 5, size=(5, 2)).astype(float)
+    clusters = np.repeat(centres, [1, 3, 6, 9, 4], axis=0)
+    clusters = clusters[rng.permutation(clusters.shape[0])]
+    for k in (1, 3, 6, 12):
+        yield clusters, dc.Metric(), dist_euclidean, k, "rms-k"
+        yield clusters, dc.Metric("manhattan"), dist_manhattan, k, "avg-k"
+
+
+def test_matches_pure_python_oracle():
+    for pts, metric, dist, k, kind in _oracle_cases():
+        kept, rejected, _ = oracle_declutter(pts, k, kind, dist=dist)
+        cloud = dc.PointCloud.from_coords(pts)
+        matrix = dc.Metric("precomputed", matrix=dc.cross_distances(metric, pts, pts))
+        runs = ((cloud, metric, "brute"), (cloud, metric, "kdtree"),
+                (dc.PointCloud.matrix_backed(cloud.n), matrix, "auto"))
+        for run_cloud, run_metric, strategy in runs:
+            result = dc.declutter(run_cloud, run_metric, k, kind=dc.parse_kind(kind),
+                                  strategy=strategy)
+            assert result.kept.tolist() == kept
+            assert {p: r.witness for p, r in result.rejected.items()} == rejected
+            for p, r in result.rejected.items():
+                assert r.distance == dc.distance(metric, pts[p], pts[r.witness])
 
 
 def test_strategy_equivalence_id_for_id():
