@@ -74,15 +74,17 @@ def _require_coordinate(cloud: PointCloud, kref: GroundTruthRef) -> None:
 
 
 def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
-                  kind: DistanceKind, weak: bool, adaptive: bool, threads: int):
-    """Certificates at every k in one sweep, plus each cloud point's
-    distance to its nearest reference point.
+                  kind: DistanceKind, weak: bool, adaptive: bool, threads: int,
+                  count_ties: bool = False) -> dict[int, SamplingCertificate]:
+    """Certificates at every k in one sweep.
 
     cond1 is the largest robust distance at a reference point (density of
     the reference), cond2 the largest excess of a cloud point's distance to
     the reference over its own robust distance (sparsity of noise). The
     adaptive variant divides both by the feature size at the relevant
     reference point (the nearest one for cond2; ties resolved to lowest id).
+    ``count_ties`` adds, once for all k, how many cloud points have more
+    than one nearest reference point (``nearest_reference_ties``).
     """
     _require_coordinate(cloud, kref)
     if kref.cloud.n < 1:
@@ -97,6 +99,7 @@ def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
     # dividing by 1.0 is exact, so the plain conditions come out unchanged
     f_ref = kref.feature_sizes if adaptive else 1.0
     f_near = kref.feature_sizes[nearest] if adaptive else 1.0
+    ties = _nearest_tie_count(metric, cloud, kref, dist_to_ref) if count_ties else None
     out: dict[int, SamplingCertificate] = {}
     for k, own in own_vals.items():
         cond1 = float((ref_vals[k] / f_ref).max())
@@ -104,12 +107,15 @@ def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
         epsilon = max(cond1, 0.0) if weak else max(cond1, cond2, 0.0)
         lo = float(own.min())
         uniformity = (float(epsilon) / lo) if (epsilon > 0 and lo > 0) else None
+        conditions = {"cond1_max": cond1, "cond2_max": cond2,
+                      "min_robust_distance": lo}
+        if count_ties:
+            conditions["nearest_reference_ties"] = ties
         out[k] = SamplingCertificate(
             k=k, kind=kind, epsilon_k=float(epsilon), uniformity_c=uniformity,
             weak_uniform=bool(weak), adaptive=bool(adaptive),
-            conditions={"cond1_max": cond1, "cond2_max": cond2,
-                        "min_robust_distance": lo})
-    return out, dist_to_ref
+            conditions=conditions)
+    return out
 
 
 def estimate_epsilon_k(cloud: PointCloud, metric: Metric, kref: GroundTruthRef,
@@ -119,8 +125,8 @@ def estimate_epsilon_k(cloud: PointCloud, metric: Metric, kref: GroundTruthRef,
     evaluated sets: every reference point is densely covered (robust distance
     at most epsilon) and every cloud point within distance at most its robust
     distance plus epsilon of the reference."""
-    certs, _ = _certificates(cloud, metric, kref, [k], kind, False, False, threads)
-    return certs[k].epsilon_k
+    return _certificates(cloud, metric, kref, [k], kind, False, False,
+                         threads)[k].epsilon_k
 
 
 def estimate_uniformity(cloud: PointCloud, metric: Metric, epsilon_k: float,
@@ -145,8 +151,8 @@ def estimate_adaptive_epsilon(cloud: PointCloud, metric: Metric,
                               threads: int = 1) -> float:
     """Adaptive variant: both conditions rescaled by the feature size at the
     relevant reference point (the nearest one; ties resolved to lowest id)."""
-    certs, _ = _certificates(cloud, metric, kref, [k], kind, False, True, threads)
-    return certs[k].epsilon_k
+    return _certificates(cloud, metric, kref, [k], kind, False, True,
+                         threads)[k].epsilon_k
 
 
 def certify(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, k: int,
@@ -154,20 +160,19 @@ def certify(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, k: int,
             adaptive: bool = False, threads: int = 1) -> SamplingCertificate:
     """Full certificate: epsilon (weak variants skip the sparsity-of-noise
     condition), the uniformity constant, and the per-condition values."""
-    certs, dist_to_ref = _certificates(cloud, metric, kref, [k], kind, weak,
-                                       adaptive, threads)
-    cert = certs[k]
-    if adaptive:
-        cert.conditions["nearest_reference_ties"] = _nearest_tie_count(
-            metric, cloud, kref, dist_to_ref)
-    return cert
+    return _certificates(cloud, metric, kref, [k], kind, weak, adaptive,
+                         threads, count_ties=adaptive)[k]
 
 
 def certify_scales(cloud: PointCloud, metric: Metric, kref: GroundTruthRef,
                    ks, kind: DistanceKind = RMS_K, weak: bool = False,
+                   adaptive: bool = False,
                    threads: int = 1) -> dict[int, SamplingCertificate]:
-    """Certificates for several k values in one sweep (shared distance work)."""
-    return _certificates(cloud, metric, kref, ks, kind, weak, False, threads)[0]
+    """Certificates for several k values in one sweep (shared index, k-NN
+    rows, nearest-reference pass and, when adaptive, tie count); each equals
+    the :func:`certify` certificate at its k."""
+    return _certificates(cloud, metric, kref, ks, kind, weak, adaptive,
+                         threads, count_ties=adaptive)
 
 
 def _nearest_tie_count(metric: Metric, cloud: PointCloud, kref: GroundTruthRef,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .certify import SamplingCertificate, certify, certify_scales
+from .certify import SamplingCertificate, certify_scales
 from .decluttering import DeclutterResult, Rejection, declutter
 from .evaluation import BOUND_NAMES, BOUNDS, hausdorff, verify_bound
 from .figures import write_scatter_svg
@@ -247,16 +247,9 @@ def _cmd_certify(args) -> int:
         raise CliError(f"bad --k list: {exc}") from exc
     if not ks:
         raise CliError("--k needs at least one value")
-    certs = []
-    if args.adaptive:
-        for k in ks:
-            certs.append(certify(cloud, metric, kref, k, kind=kind,
-                                 weak=args.weak, adaptive=True,
-                                 threads=args.threads))
-    else:
-        by_k = certify_scales(cloud, metric, kref, ks, kind=kind,
-                              weak=args.weak, threads=args.threads)
-        certs = [by_k[k] for k in ks]
+    by_k = certify_scales(cloud, metric, kref, ks, kind=kind, weak=args.weak,
+                          adaptive=args.adaptive, threads=args.threads)
+    certs = [by_k[k] for k in ks]
     header = f"{'k':>6}  {'epsilon_k':>14}  {'uniformity_c':>14}"
     print(header)
     for cert in certs:

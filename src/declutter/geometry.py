@@ -10,6 +10,7 @@ regardless of acceleration strategy.
 """
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -76,9 +77,13 @@ class Metric:
         """Restrict a precomputed metric to a subset of indices."""
         if self.kind != PRECOMPUTED:
             return self
-        ids = np.asarray(ids, dtype=np.intp)
-        sub = self.matrix[np.ix_(ids, ids)]
-        return Metric(PRECOMPUTED, self.relaxation, sub)
+        ids = _member_ids(ids, self.matrix.shape[0])
+        # A restriction of a validated matrix to in-range ids is again square,
+        # finite, non-negative, zero on the diagonal and symmetric, so the
+        # copy skips __post_init__ instead of re-checking all of it.
+        restricted = copy.copy(self)
+        object.__setattr__(restricted, "matrix", self.matrix[np.ix_(ids, ids)])
+        return restricted
 
 
 @dataclass(frozen=True)
@@ -148,9 +153,21 @@ class PointCloud:
         return q
 
 
+def _member_ids(ids, n: int) -> np.ndarray:
+    """ids as an intp array, or GeometryError unless each is an integer in
+    0..n-1."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise GeometryError(f"subset ids must be integers, got dtype {ids.dtype}")
+    ids = ids.astype(np.intp, copy=False)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise GeometryError(f"subset ids out of range 0..{n - 1}")
+    return ids
+
+
 def subset_cloud(cloud: PointCloud, metric: Metric, ids) -> tuple[PointCloud, Metric]:
     """Sub-cloud (and restricted metric, in matrix mode) for the given ids."""
-    ids = np.asarray(ids, dtype=np.intp)
+    ids = _member_ids(ids, cloud.n)
     if ids.size < 1:
         raise GeometryError("subset must keep at least one point")
     if cloud.is_coordinate:

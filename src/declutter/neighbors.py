@@ -46,7 +46,14 @@ def _tree_supported(cloud: PointCloud, metric: Metric) -> bool:
 
 
 class NeighborIndex:
-    """Immutable query object over one cloud; safe for concurrent readers."""
+    """Query object over one cloud; safe for concurrent readers.
+
+    The cloud, metric and tree never change. The one piece of state is a
+    memo of the members' own sorted k-NN distance rows at the largest k asked
+    so far (:meth:`member_rows`); every smaller k is a column prefix of it.
+    Filling the memo twice gives the same values, so concurrent readers stay
+    safe.
+    """
 
     def __init__(self, cloud: PointCloud, metric: Metric, strategy: str = AUTO):
         if metric.kind == PRECOMPUTED:
@@ -68,6 +75,7 @@ class NeighborIndex:
         self.strategy = strategy
         self._p = 1 if metric.kind == MANHATTAN else 2
         self._tree = cKDTree(cloud.coords) if strategy == KDTREE else None
+        self._member_rows: np.ndarray | None = None
 
     # -- internals ----------------------------------------------------------
 
@@ -116,14 +124,31 @@ class NeighborIndex:
         out = np.empty((m, k))
 
         def work(sl: slice) -> None:
+            # a fresh array (never a view of a matrix), so it is partitioned in place
             block = cross_distances(self.metric, q[sl], members)
             if k < n:
-                block = np.partition(block, k - 1, axis=1)[:, :k]
-            block.sort(axis=1)
+                block.partition(k - 1, axis=1)
             out[sl] = block[:, :k]
+            out[sl].sort(axis=1)
 
         run_chunked(row_chunks(m, n), work, threads)
         return out
+
+    def member_rows(self, k: int, threads: int = 1) -> np.ndarray:
+        """Read-only (n, k) view: each member's k smallest member
+        distances, sorted.
+
+        The table is computed once at the largest k asked so far and every
+        smaller k reads its first k columns, which are the same values a
+        fresh :meth:`knn_distance_rows` call at that k returns.
+        """
+        k = _check_k(k, self.cloud.n)
+        rows = self._member_rows
+        if rows is None or rows.shape[1] < k:
+            rows = self.knn_distance_rows(self._members(), k, threads=threads)
+            rows.flags.writeable = False  # shared by every later reader
+            self._member_rows = rows
+        return rows[:, :k]
 
     def ball_ids(self, query, radius: float) -> np.ndarray:
         """Ids of all members within the closed ball of the given radius."""

@@ -1,11 +1,16 @@
 """Parameter-free decluttering: iterative declutter-and-resample with k
 halving from 2^floor(log2 n) down to 2.
 
-Each iteration recomputes the robust distances over the CURRENT surviving
+Each iteration computes the robust distances over the CURRENT surviving
 set, declutters it, then re-admits every surviving point that falls inside
 the closed ball of radius C * d_k(q) around some kept point q. The
 theoretical resampling constant is C = 10 + 2*sqrt(2); C = 4 is the
 practical preset.
+
+Resampling returns a subset of its input, so a round that keeps the size
+keeps the set. The loop then keeps its sub-cloud and index, and the profile
+at the halved k reads the index's sorted k-NN table: one table per distinct
+surviving set, computed at that set's first (largest) k.
 """
 from __future__ import annotations
 
@@ -115,13 +120,15 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
         return cloud.ids(), trace
 
     current = cloud.ids()
+    index = None
     iterations: list[ParfreeIteration] = []
     i_star = int(math.floor(math.log2(cloud.n)))
     for i in range(i_star, 0, -1):
         k_target = 2 ** i
         k_eff = min(k_target, int(current.size))
-        sub_cloud, sub_metric = subset_cloud(cloud, metric, current)
-        index = build_index(sub_cloud, sub_metric, strategy)
+        if index is None:  # a new surviving set: its first k is its largest
+            sub_cloud, sub_metric = subset_cloud(cloud, metric, current)
+            index = build_index(sub_cloud, sub_metric, strategy)
         prof = profile(sub_cloud, index, k_eff, kind, threads=threads)
         result: DeclutterResult = declutter(
             sub_cloud, sub_metric, k_eff, kind=kind, vicinity_factor=2.0,
@@ -140,6 +147,8 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
             rejected={int(current[p]): int(current[r.witness])
                       for p, r in result.rejected.items()},
         ))
+        if resampled_local.size != current.size:
+            index = None  # the set changed; drop its k-NN table
         current = current[resampled_local]
     trace = ParfreeTrace(iterations=iterations, resampling_constant=float(C),
                          kind=kind)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, Metric, PointCloud
+from .geometry import GeometryError, Metric, PointCloud, row_chunks
 from .neighbors import AUTO, NeighborIndex, _check_k, build_index
 
 RMS_NAME = "rms-k"
@@ -123,12 +123,25 @@ def values_at_scales(index: NeighborIndex, queries, ks,
 
 def profile(cloud: PointCloud, index: NeighborIndex, k: int,
             kind: DistanceKind = RMS_K, threads: int = 1) -> RobustDistanceProfile:
-    """Robust distance of every cloud member (eager, cached by callers)."""
-    if index.cloud is not cloud and index.cloud.n != cloud.n:
+    """Robust distance of every cloud member.
+
+    On the index's own cloud the sorted k-NN rows come from the index's
+    member table (:meth:`NeighborIndex.member_rows`), so profiles at several
+    k share one table. Rows are aggregated in blocks to bound the
+    temporaries; the values equal :func:`values_at`.
+    """
+    if index.cloud is cloud:
+        rows = index.member_rows(k, threads=threads)
+    elif index.cloud.n == cloud.n:
+        queries = cloud.coords if cloud.is_coordinate else cloud.ids()
+        rows = index.knn_distance_rows(queries, k, threads=threads)
+    else:
         raise GeometryError("index does not match the cloud")
-    queries = cloud.coords if cloud.is_coordinate else cloud.ids()
-    vals = values_at(index, queries, k, kind, threads=threads)
-    return RobustDistanceProfile(k=int(k), kind=kind, values=vals)
+    k = rows.shape[1]
+    vals = np.empty(cloud.n)
+    for sl in row_chunks(cloud.n, k):
+        vals[sl] = _prefix_values(rows[sl], [k], kind)[k]
+    return RobustDistanceProfile(k=k, kind=kind, values=vals)
 
 
 def profile_for(cloud: PointCloud, metric: Metric, k: int,

@@ -203,3 +203,17 @@ def test_adaptive_certificate_json_keeps_tie_count_int():
     back = dc.SamplingCertificate.from_dict(data)
     assert back.to_dict() == cert.to_dict()
     assert back.adaptive and back.conditions == cert.conditions
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_adaptive_certify_scales_matches_certify(weak):
+    cloud, metric, kref, _ = uniform_instance(4)
+    f = dc.feature_from_anchor(kref.points[0], 0.5)
+    akref = dc.GroundTruthRef(kref.cloud, f(kref.points))
+    many = dc.certify_scales(cloud, metric, akref, [8, 2, 5], weak=weak,
+                             adaptive=True)
+    assert sorted(many) == [2, 5, 8]
+    for k in (2, 5, 8):
+        one = dc.certify(cloud, metric, akref, k, weak=weak, adaptive=True)
+        assert json.dumps(many[k].to_dict()) == json.dumps(one.to_dict())
+        assert "nearest_reference_ties" in many[k].conditions

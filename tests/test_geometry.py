@@ -154,3 +154,32 @@ def test_subset_cloud_matrix_mode():
     sub, sub_metric = dc.subset_cloud(cloud, metric, [0, 2])
     assert sub.n == 2
     assert dc.distance(sub_metric, 0, 1) == 2.0
+
+
+@pytest.mark.parametrize("ids", [[-1], [0, 4], [9], [1.5], [True]])
+def test_subset_cloud_rejects_invalid_ids(ids):
+    coords = dc.PointCloud.from_coords(np.arange(8.0).reshape(4, 2))
+    m = dc.cross_distances(dc.Metric(), coords.coords, coords.coords)
+    metric = dc.Metric("precomputed", matrix=m)
+    with pytest.raises(dc.GeometryError):
+        dc.subset_cloud(coords, dc.Metric(), ids)
+    with pytest.raises(dc.GeometryError):
+        dc.subset_cloud(dc.PointCloud.matrix_backed(4), metric, ids)
+    with pytest.raises(dc.GeometryError):
+        metric.subset(ids)
+
+
+def test_subset_metric_equals_validated_slice():
+    cloud, _ = random_cloud(8, n_max=40)
+    m = dc.cross_distances(dc.Metric("manhattan"), cloud.coords, cloud.coords)
+    metric = dc.Metric("precomputed", relaxation=1.5, matrix=m)
+    ids = np.array([3, 0, 0, cloud.n - 1, 2])  # unsorted, with a repeat
+    sub, sub_metric = dc.subset_cloud(dc.PointCloud.matrix_backed(cloud.n),
+                                      metric, ids)
+    validated = dc.Metric("precomputed", relaxation=1.5, matrix=m[np.ix_(ids, ids)])
+    assert sub.n == ids.size
+    assert (sub_metric.kind, sub_metric.relaxation) == (validated.kind,
+                                                        validated.relaxation)
+    assert sub_metric.matrix.dtype == validated.matrix.dtype
+    assert sub_metric.matrix.tobytes() == validated.matrix.tobytes()
+    assert metric.matrix.tobytes() == m.tobytes()  # the source is not touched

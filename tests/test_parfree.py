@@ -147,3 +147,87 @@ def test_practical_constant_removes_at_least_as_much():
     p_theory, _ = dc.parfree_declutter(cloud, metric, C=dc.THEORETICAL_C)
     p_prac, _ = dc.parfree_declutter(cloud, metric, C=dc.PRACTICAL_C)
     assert p_prac.size <= p_theory.size
+
+
+def _count_knn_tables(monkeypatch):
+    """Count NeighborIndex.knn_distance_rows calls (the dense k-NN sweeps)."""
+    calls = []
+    original = dc.NeighborIndex.knn_distance_rows
+
+    def counted(self, queries, k, threads=1):
+        calls.append(int(k))
+        return original(self, queries, k, threads=threads)
+
+    monkeypatch.setattr(dc.NeighborIndex, "knn_distance_rows", counted)
+    return calls
+
+
+def test_one_knn_table_per_distinct_surviving_set(monkeypatch):
+    calls = _count_knn_tables(monkeypatch)
+    reused = 0
+    for seed in range(6):
+        cloud, metric, _, _ = noisy_instance(seed + 200, n_max=200)
+        for strategy in ("brute", "kdtree"):
+            calls.clear()
+            _, trace = dc.parfree_declutter(cloud, metric, strategy=strategy)
+            sets = {tuple(it.input_ids.tolist()) for it in trace.iterations}
+            assert len(calls) == len(sets)
+            # each table is computed at its set's first (largest) k
+            firsts = [it.k_effective for prev, it in
+                      zip([None] + trace.iterations, trace.iterations)
+                      if prev is None or prev.resampled_ids.size != prev.input_ids.size]
+            assert calls == firsts
+            reused += len(trace.iterations) - len(sets)
+    assert reused > 0  # the instances do exercise table reuse
+
+
+def _fresh_index_parfree(cloud, metric, kind, C, strategy):
+    """Reference loop: a fresh sub-cloud, index and profile every round."""
+    current = cloud.ids()
+    rounds = []
+    for i in range(int(math.floor(math.log2(cloud.n))), 0, -1):
+        k = min(2 ** i, int(current.size))
+        sub, sub_metric = dc.subset_cloud(cloud, metric, current)
+        prof = dc.profile_for(sub, sub_metric, k, kind, strategy=strategy)
+        result = dc.declutter(sub, sub_metric, k, kind=kind, strategy=strategy,
+                              precomputed_profile=prof)
+        local = dc.resample_step(sub, sub_metric, result.kept, prof, C,
+                                 strategy=strategy)
+        rounds.append((current, prof.values, current[result.kept], current[local],
+                       {int(current[p]): int(current[r.witness])
+                        for p, r in result.rejected.items()}))
+        current = current[local]
+    return current, rounds
+
+
+def _parfree_cases():
+    for seed in (300, 301):
+        cloud, metric, _, _ = noisy_instance(seed, n_max=160)
+        yield cloud, metric, "brute", dc.THEORETICAL_C
+        yield cloud, metric, "kdtree", dc.THEORETICAL_C
+        manhattan = dc.Metric("manhattan")
+        matrix = dc.cross_distances(manhattan, cloud.coords, cloud.coords)
+        yield (dc.PointCloud.matrix_backed(cloud.n),
+               dc.Metric("precomputed", matrix=matrix), "brute", dc.PRACTICAL_C)
+    grid = np.indices((9, 7)).reshape(2, -1).T.astype(float)
+    grid = dc.PointCloud.from_coords(np.concatenate([grid, [[30.0, 30.0], [4.0, 4.0]]]))
+    for strategy in ("brute", "kdtree"):  # integer grid: Manhattan ties everywhere
+        yield grid, dc.Metric("manhattan"), strategy, dc.PRACTICAL_C
+
+
+@pytest.mark.parametrize("kind", [dc.RMS_K, dc.AVG_K, dc.KTH_NN],
+                         ids=lambda k: k.name)
+def test_table_reuse_matches_fresh_index_loop(kind):
+    for cloud, metric, strategy, C in _parfree_cases():
+        ids, trace = dc.parfree_declutter(cloud, metric, kind=kind, C=C,
+                                          strategy=strategy)
+        want_ids, rounds = _fresh_index_parfree(cloud, metric, kind, C, strategy)
+        assert ids.tolist() == want_ids.tolist()
+        assert len(trace.iterations) == len(rounds)
+        for it, (inp, values, kept, resampled, rejected) in zip(trace.iterations,
+                                                                rounds):
+            assert it.input_ids.tolist() == inp.tolist()
+            assert it.profile_values.tobytes() == values.tobytes()
+            assert it.kept_ids.tolist() == kept.tolist()
+            assert it.resampled_ids.tolist() == resampled.tolist()
+            assert it.rejected == rejected

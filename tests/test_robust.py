@@ -136,3 +136,37 @@ def test_profile_export_csv(tmp_path):
     prof.export_csv(path)
     back = np.loadtxt(path, delimiter=",", comments="#")
     assert np.array_equal(back[:, 1], prof.values)
+
+
+def test_profile_reads_smaller_k_off_the_member_table():
+    cloud, _ = random_cloud(17, n_max=150)
+    n = cloud.n
+    clouds = [(cloud, dc.Metric(), s) for s in ("brute", "kdtree")]
+    matrix = dc.cross_distances(dc.Metric("manhattan"), cloud.coords, cloud.coords)
+    clouds.append((dc.PointCloud.matrix_backed(n),
+                   dc.Metric("precomputed", matrix=matrix), "brute"))
+    for c, metric, strategy in clouds:
+        queries = c.coords if c.is_coordinate else c.ids()
+        full = np.sort(dc.cross_distances(metric, queries, queries), axis=1)
+        for kind in (dc.RMS_K, dc.AVG_K, dc.KTH_NN):
+            index = dc.build_index(c, metric, strategy)
+            table = index.member_rows(n - 1)
+            for k in (n - 1, 9, 4, 1):
+                got = dc.profile(c, index, k, kind).values
+                fresh = dc.values_at(dc.build_index(c, metric, strategy),
+                                     queries, k, kind)
+                assert got.tobytes() == fresh.tobytes()
+                rows = index.member_rows(k)
+                assert rows.base is table.base  # no new table
+                assert rows.tolist() == full[:, :k].tolist()
+
+
+def test_member_rows_grow_to_a_larger_k():
+    cloud, metric = random_cloud(18, n_max=80)
+    index = dc.build_index(cloud, metric)
+    small = index.member_rows(3)
+    big = index.member_rows(7)
+    assert big.shape == (cloud.n, 7)
+    assert small.tolist() == big[:, :3].tolist()
+    assert big.tolist() == index.knn_distance_rows(cloud.coords, 7).tolist()
+    assert not big.flags.writeable  # callers cannot corrupt the shared table
