@@ -69,7 +69,6 @@ from .robust import (
 )
 from .synthgen import (
     Circle,
-    NoiseSpec,
     Polyline,
     Shape,
     SurfaceGrid,

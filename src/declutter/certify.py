@@ -137,8 +137,7 @@ def estimate_uniformity(cloud: PointCloud, metric: Metric, epsilon_k: float,
     if not (epsilon_k > 0):
         raise GeometryError("uniformity needs epsilon_k > 0")
     index = build_index(cloud, metric, AUTO)
-    queries = cloud.coords if cloud.is_coordinate else cloud.ids()
-    own = values_at(index, queries, k, kind, threads=threads)
+    own = values_at(index, cloud.points, k, kind, threads=threads)
     lo = float(own.min())
     if lo <= 0.0:
         return None

@@ -67,7 +67,9 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _report(config: dict, **extra) -> dict:
+def _report(args, **extra) -> dict:
+    """A JSON report: versions, the subcommand's arguments, and ``extra``."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
     return {"schema_version": SCHEMA_VERSION, "library_version": __version__,
             "config": config, **extra}
 
@@ -151,9 +153,8 @@ def _cmd_gen(args) -> int:
     if kref.has_feature_sizes:
         save_points(os.path.join(args.out_dir, "feature_sizes.csv"),
                     kref.feature_sizes.reshape(-1, 1))
-    config = {k: v for k, v in vars(args).items() if k != "func"}
     _write_json(os.path.join(args.out_dir, "spec.json"),
-                _report(config, n_points=int(noisy.shape[0]),
+                _report(args, n_points=int(noisy.shape[0]),
                         n_ambient=int(tags.sum()),
                         n_reference=int(kref.cloud.n)))
     _maybe_svg(args, os.path.join(args.out_dir, "input.svg"),
@@ -177,9 +178,8 @@ def _cmd_declutter(args) -> int:
     if cloud.is_coordinate:
         save_points(os.path.join(args.out_dir, "kept.csv"), cloud.coords[kept_sorted])
     np.savetxt(os.path.join(args.out_dir, "kept_ids.csv"), kept_sorted, fmt="%d")
-    config = {k: v for k, v in vars(args).items() if k != "func"}
     _write_json(os.path.join(args.out_dir, "report.json"),
-                _report(config, result=result.to_dict()))
+                _report(args, result=result.to_dict()))
     if args.resample_C is not None:
         resampled = resample_step(cloud, metric, result.kept, result.profile,
                                   args.resample_C, strategy=args.strategy)
@@ -208,9 +208,8 @@ def _cmd_parfree(args) -> int:
     if cloud.is_coordinate:
         save_points(os.path.join(args.out_dir, "p0.csv"), cloud.coords[final_ids])
     np.savetxt(os.path.join(args.out_dir, "p0_ids.csv"), final_ids, fmt="%d")
-    config = {k: v for k, v in vars(args).items() if k != "func"}
     _write_json(os.path.join(args.out_dir, "trace.json"),
-                _report(config, trace=trace.to_dict(),
+                _report(args, trace=trace.to_dict(),
                         n_final=int(final_ids.size)))
     if args.dump_iterations:
         it_dir = os.path.join(args.out_dir, "iterations")
@@ -256,8 +255,7 @@ def _cmd_certify(args) -> int:
         c_txt = "absent" if cert.uniformity_c is None else f"{cert.uniformity_c:.6g}"
         print(f"{cert.k:>6}  {cert.epsilon_k:>14.6g}  {c_txt:>14}")
     if args.out:
-        config = {k: v for k, v in vars(args).items() if k != "func"}
-        _write_json(args.out, _report(config,
+        _write_json(args.out, _report(args,
                                       certificates=[c.to_dict() for c in certs]))
     return 0
 
@@ -378,8 +376,7 @@ def _cmd_eval(args) -> int:
             status = "pass" if cert.passed else "FAIL"
             print(f"{cert.bound_name:<9} {status:<16} {cert.lhs:>14.6g} {cert.rhs:>14.6g}")
     if args.out:
-        config = {k: v for k, v in vars(args).items() if k != "func"}
-        _write_json(args.out, _report(config, bounds=[c.to_dict() for c in rows]))
+        _write_json(args.out, _report(args, bounds=[c.to_dict() for c in rows]))
     if args.strict and failed:
         print(f"{failed} hard assertion(s) failed", file=sys.stderr)
         return 2
@@ -414,9 +411,8 @@ def _repro_fig1(args) -> int:
                       ("declutter_k10", outputs[10]),
                       ("parfree", cloud.coords[final_ids])):
         write_scatter_svg(os.path.join(out, stem + ".svg"), [(pts, "#1f77b4")])
-    config = {k: v for k, v in vars(args).items() if k != "func"}
     _write_json(os.path.join(out, "report.json"),
-                _report(config, outputs={
+                _report(args, outputs={
                     "k2": int(outputs[2].shape[0]),
                     "k10": int(outputs[10].shape[0]),
                     "parfree": int(final_ids.size),
@@ -478,9 +474,8 @@ def _repro_pipeline(args, shape, n_curve, n_ambient, sigma, clearance,
         write_scatter_svg(os.path.join(out, "parfree.svg"),
                           [(cloud.coords[final_ids], "#1f77b4")])
     surviving_ambient = int(tags[final_ids].sum())
-    config = {k: v for k, v in vars(args).items() if k != "func"}
     _write_json(os.path.join(out, "report.json"),
-                _report(config, trace=trace.to_dict(),
+                _report(args, trace=trace.to_dict(),
                         n_final=int(final_ids.size),
                         surviving_ambient=surviving_ambient,
                         hausdorff_to_reference=hausdorff(

@@ -63,31 +63,23 @@ class DeclutterResult:
 
 def declutter(cloud: PointCloud, metric: Metric, k: int,
               kind: DistanceKind = RMS_K, vicinity_factor: float = 2.0,
-              strategy: str = AUTO, precomputed_profile: RobustDistanceProfile | None = None,
-              index: NeighborIndex | None = None,
+              strategy: str = AUTO, index: NeighborIndex | None = None,
               threads: int = 1) -> DeclutterResult:
     """Run the single-parameter declutter pass and return kept ids with a
     witness for every rejection.
 
-    ``precomputed_profile`` lets callers that already hold the robust
-    distances (e.g. the parameter-free loop) avoid recomputing them; it must
-    match k, kind, and the cloud size exactly.
+    A given ``index`` (over this cloud) supplies the profile from its k-NN
+    table, so callers that keep one across calls share that table.
     """
     k = _check_k(k, cloud.n)
     if not (vicinity_factor > 0):
         raise GeometryError("vicinity factor must be positive")
     if index is None:
         index = build_index(cloud, metric, strategy)
-    if precomputed_profile is None:
-        prof = profile(cloud, index, k, kind, threads=threads)
-    else:
-        prof = precomputed_profile
-        if prof.k != k or prof.kind.name != kind.name or prof.n != cloud.n:
-            raise GeometryError("supplied profile does not match this call")
-
+    prof = profile(cloud, index, k, kind, threads=threads)
     values = prof.values
     order = np.lexsort((np.arange(cloud.n), values))
-    members = cloud.coords if cloud.is_coordinate else cloud.ids()
+    members = cloud.points
     kept_buf = np.empty_like(members)  # kept members, selection order
     kept: list[int] = []
     rejected: dict[int, Rejection] = {}

@@ -161,10 +161,6 @@ def _parfree_gate(trace: ParfreeTrace) -> None:
         raise _NotApplicable("k was clamped during the run")
 
 
-def _points(cloud: PointCloud, ids):
-    return cloud.coords[ids] if cloud.is_coordinate else ids
-
-
 def _single_pass_inputs(a, inputs: dict) -> None:
     inputs.update({"k": a.certificate.k, "kind": a.certificate.kind.name,
                    "epsilon_k": a.certificate.epsilon_k, "n": a.cloud.n,
@@ -179,7 +175,7 @@ def _hausdorff_bound(lhs, factor: float, adaptive: bool = False) -> _Bound:
     def check(a, inputs):
         _single_pass_inputs(a, inputs)
         _declutter_gate(a, need_adaptive=adaptive)
-        kept = _points(a.cloud, a.result.kept_ids)
+        kept = a.cloud.points[a.result.kept_ids]
         return lhs(kept, a), factor * a.certificate.epsilon_k
     return _Bound(_SINGLE_PASS, check)
 
@@ -193,7 +189,7 @@ def _check_prop34(a, inputs):
     inputs["uniformity_c"] = c
     if a.result.kept.size < 2:
         raise _NotApplicable("fewer than two kept points")
-    kept = _points(a.cloud, a.result.kept_ids)
+    kept = a.cloud.points[a.result.kept_ids]
     block = cross_distances(a.metric, kept, kept)
     block[np.diag_indices_from(block)] = np.inf
     rhs = float(block.min())
@@ -209,7 +205,7 @@ def _check_lem42(a, inputs):
     rng = np.random.default_rng(a.seed)
     m = min(cloud.n, a.sample_limit)
     pick = rng.choice(cloud.n, size=m, replace=False)
-    rows = index.knn_distance_rows(_points(cloud, pick), k)
+    rows = index.knn_distance_rows(cloud.points[pick], k)
     kk = float(k)
     factors = np.sqrt(kk / (kk - np.arange(1, k + 1) + 1.0))
     rms = np.sqrt(np.cumsum(rows * rows, axis=1)[:, -1] / kk)
@@ -224,7 +220,7 @@ def _check_lem44(a, inputs):
     _declutter_gate(a, need_uniform=True)
     if a.certificate.uniformity_c > 2.0 + BOUND_TOLERANCE:
         raise _NotApplicable("needs uniformity constant <= 2")
-    pts = _points(a.cloud, np.asarray(a.resampled_ids, dtype=np.intp))
+    pts = a.cloud.points[np.asarray(a.resampled_ids, dtype=np.intp)]
     lhs = hausdorff(pts, a.kref.points, a.metric, a.threads)
     return lhs, (8.0 * a.C + 7.0) * eps
 
@@ -252,7 +248,7 @@ def _check_thm41(a, inputs):
     final_ids = trace.iterations[-1].resampled_ids
     eps0 = cert0.epsilon_k
     inputs.update({"epsilon_i0": eps0, "n_final": int(final_ids.size)})
-    lhs = hausdorff(_points(a.cloud, final_ids), a.kref.points, a.metric, a.threads)
+    lhs = hausdorff(a.cloud.points[final_ids], a.kref.points, a.metric, a.threads)
     return lhs, PARFREE_FACTOR * eps0
 
 
@@ -260,7 +256,7 @@ def _check_lem45(a, inputs):
     trace = a.trace
     inputs.update({"C": trace.resampling_constant, "kappa": KAPPA_CONSERVE})
     _parfree_gate(trace)
-    final_pts = _points(a.cloud, trace.iterations[-1].resampled_ids)
+    final_pts = a.cloud.points[trace.iterations[-1].resampled_ids]
     rng = np.random.default_rng(a.seed)
     lhs = -math.inf
     for it in trace.iterations:
@@ -270,7 +266,7 @@ def _check_lem45(a, inputs):
             pick = rng.choice(ids.size, size=a.sample_limit, replace=False)
         else:
             pick = np.arange(ids.size)
-        pts = _points(a.cloud, ids[pick])
+        pts = a.cloud.points[ids[pick]]
         d = nearest_cross(a.metric, pts, final_pts, threads=a.threads)[0]
         lhs = max(lhs, float((d - KAPPA_CONSERVE * vals[pick]).max()))
     return lhs, 0.0
@@ -290,7 +286,7 @@ def _check_thmD2(a, inputs):
         raise _NotApplicable("bound undefined for triangle relaxation >= 2")
     m = relaxed_bound(cx, clip)
     inputs["m"] = m
-    kept = _points(a.cloud, a.result.kept_ids)
+    kept = a.cloud.points[a.result.kept_ids]
     return hausdorff(kept, a.kref.points, a.metric, a.threads), m * eps
 
 

@@ -1,8 +1,11 @@
 """Point clouds, metrics (exact and relaxed), and ground-truth references.
 
-Clouds are immutable; they either carry real coordinates or act as an index
-set over a precomputed distance matrix. Everything downstream works from
-distances alone, so general-metric inputs flow through unchanged.
+Clouds are immutable and hold their points in the form
+:func:`cross_distances` takes: on a coordinate cloud a point is its row of
+coordinates, on a matrix-backed cloud it is its row id in the metric's
+distance matrix. A sub-cloud selects points and keeps the metric, so a
+matrix-backed sub-cloud reads its parent's matrix. Everything downstream works
+from distances alone, so general-metric inputs flow through unchanged.
 
 All dense distance blocks are produced by a single canonical routine
 (:func:`cross_distances`), which keeps every query path bit-identical
@@ -10,9 +13,8 @@ regardless of acceleration strategy.
 """
 from __future__ import annotations
 
-import copy
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -73,30 +75,19 @@ class Metric:
         """True for true coordinate metrics (triangle inequality exact)."""
         return self.kind in (EUCLIDEAN, MANHATTAN)
 
-    def subset(self, ids: np.ndarray) -> "Metric":
-        """Restrict a precomputed metric to a subset of indices."""
-        if self.kind != PRECOMPUTED:
-            return self
-        ids = _member_ids(ids, self.matrix.shape[0])
-        # A restriction of a validated matrix to in-range ids is again square,
-        # finite, non-negative, zero on the diagonal and symmetric, so the
-        # copy skips __post_init__ instead of re-checking all of it.
-        restricted = copy.copy(self)
-        object.__setattr__(restricted, "matrix", self.matrix[np.ix_(ids, ids)])
-        return restricted
-
 
 @dataclass(frozen=True)
 class PointCloud:
     """Finite indexed point set with stable ids 0..n-1.
 
-    Either coordinate-backed (``coords`` is an (n, d) float array) or
-    matrix-backed (``coords`` is None and points are bare indices into a
-    precomputed distance matrix).
+    ``points[i]`` is point i in the form :func:`cross_distances` takes: a
+    coordinate row on a coordinate cloud (``points`` is an (n, d) float
+    array), or a row id of the metric's distance matrix on a matrix-backed
+    cloud (``points`` is an int vector and ``matrix_size`` the matrix side).
     """
 
-    coords: np.ndarray | None
-    n: int
+    points: np.ndarray
+    matrix_size: int | None = None
 
     @staticmethod
     def from_coords(coords) -> "PointCloud":
@@ -107,36 +98,51 @@ class PointCloud:
             raise GeometryError("coordinates must form a nonempty 2-D array")
         if not np.all(np.isfinite(arr)):
             raise GeometryError("coordinates contain NaN/Inf")
-        return PointCloud(arr, arr.shape[0])
+        return PointCloud(arr)
 
     @staticmethod
     def matrix_backed(n: int) -> "PointCloud":
+        """All n rows of an n-by-n distance matrix."""
         if n < 1:
             raise GeometryError("cloud needs at least one point")
-        return PointCloud(None, int(n))
+        return PointCloud(np.arange(n, dtype=np.intp), int(n))
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
 
     @property
     def is_coordinate(self) -> bool:
-        return self.coords is not None
+        return self.matrix_size is None
+
+    @property
+    def coords(self) -> np.ndarray | None:
+        """The (n, d) coordinates, or None on a matrix-backed cloud."""
+        return self.points if self.matrix_size is None else None
 
     @property
     def dim(self) -> int:
-        if self.coords is None:
+        if not self.is_coordinate:
             raise GeometryError("matrix-backed cloud has no coordinate dimension")
-        return self.coords.shape[1]
+        return self.points.shape[1]
 
     def ids(self) -> np.ndarray:
         return np.arange(self.n, dtype=np.intp)
 
-    def point(self, i: int):
-        """The i-th point: a coordinate row, or the index itself."""
-        if not 0 <= i < self.n:
-            raise GeometryError(f"point id {i} out of range 0..{self.n - 1}")
-        return self.coords[i] if self.coords is not None else int(i)
+    def check_metric(self, metric: Metric) -> None:
+        """GeometryError unless the metric measures this cloud's points."""
+        if metric.kind == PRECOMPUTED:
+            if self.is_coordinate:
+                raise GeometryError("precomputed metric paired with coordinate cloud")
+            if metric.matrix.shape[0] != self.matrix_size:
+                raise GeometryError("distance matrix size does not match cloud")
+        elif not self.is_coordinate:
+            raise GeometryError("matrix-backed cloud needs a precomputed metric")
 
     def query_array(self, queries) -> np.ndarray:
-        """Normalize queries to an (m, d) coordinate block or an id vector."""
-        if self.coords is not None:
+        """Normalize queries to an (m, d) coordinate block or a vector of
+        matrix row ids (any row of the matrix, member or not)."""
+        if self.is_coordinate:
             q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
             if q.shape[1] != self.dim:
                 raise GeometryError(
@@ -146,9 +152,9 @@ class PointCloud:
             return q
         q = np.atleast_1d(np.asarray(queries))
         if q.dtype.kind not in "iu":
-            raise GeometryError("matrix-backed clouds only accept member ids as queries")
+            raise GeometryError("matrix-backed clouds only accept matrix row ids as queries")
         q = q.astype(np.intp)
-        if q.size and (q.min() < 0 or q.max() >= self.n):
+        if q.size and (q.min() < 0 or q.max() >= self.matrix_size):
             raise GeometryError("query id out of matrix range")
         return q
 
@@ -166,13 +172,12 @@ def _member_ids(ids, n: int) -> np.ndarray:
 
 
 def subset_cloud(cloud: PointCloud, metric: Metric, ids) -> tuple[PointCloud, Metric]:
-    """Sub-cloud (and restricted metric, in matrix mode) for the given ids."""
+    """The sub-cloud of the given member ids, renumbered 0..len(ids)-1, and
+    the unchanged metric (a matrix-backed sub-cloud shares the matrix)."""
     ids = _member_ids(ids, cloud.n)
     if ids.size < 1:
         raise GeometryError("subset must keep at least one point")
-    if cloud.is_coordinate:
-        return PointCloud.from_coords(cloud.coords[ids]), metric
-    return PointCloud.matrix_backed(ids.size), metric.subset(ids)
+    return replace(cloud, points=cloud.points[ids]), metric
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +321,7 @@ def estimate_triangle_constant(cloud: PointCloud, metric: Metric,
     at 1. Exhaustive for small clouds, seeded sampling otherwise; degenerate
     triples (zero denominator) are skipped.
     """
+    cloud.check_metric(metric)
     n = cloud.n
     if n < 3:
         raise GeometryError("need at least 3 points to probe triples")
@@ -332,14 +338,9 @@ def estimate_triangle_constant(cloud: PointCloud, metric: Metric,
         triples = draws[ok][: int(sample_count)]
         if triples.shape[0] == 0:
             raise GeometryError("could not sample distinct triples")
-    x, w, y = triples[:, 0], triples[:, 1], triples[:, 2]
-    if metric.kind == PRECOMPUTED:
-        dxy = metric.matrix[x, y]
-        denom = metric.matrix[x, w] + metric.matrix[w, y]
-    else:
-        c = cloud.coords
-        dxy = row_distances(metric, c[x], c[y])
-        denom = row_distances(metric, c[x], c[w]) + row_distances(metric, c[w], c[y])
+    x, w, y = (cloud.points[triples[:, j]] for j in range(3))
+    dxy = row_distances(metric, x, y)
+    denom = row_distances(metric, x, w) + row_distances(metric, w, y)
     valid = denom > 0
     if not np.any(valid):
         raise GeometryError("all sampled triples are degenerate (zero distances)")

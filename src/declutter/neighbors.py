@@ -13,7 +13,6 @@ from scipy.spatial import cKDTree
 from .geometry import (
     EUCLIDEAN,
     MANHATTAN,
-    PRECOMPUTED,
     GeometryError,
     Metric,
     PointCloud,
@@ -56,13 +55,7 @@ class NeighborIndex:
     """
 
     def __init__(self, cloud: PointCloud, metric: Metric, strategy: str = AUTO):
-        if metric.kind == PRECOMPUTED:
-            if cloud.is_coordinate:
-                raise GeometryError("precomputed metric paired with coordinate cloud")
-            if metric.matrix.shape[0] != cloud.n:
-                raise GeometryError("distance matrix size does not match cloud")
-        elif not cloud.is_coordinate:
-            raise GeometryError("matrix-backed cloud needs a precomputed metric")
+        cloud.check_metric(metric)
         if strategy == AUTO:
             strategy = KDTREE if _tree_supported(cloud, metric) else BRUTE
         if strategy not in (BRUTE, KDTREE):
@@ -77,20 +70,14 @@ class NeighborIndex:
         self._tree = cKDTree(cloud.coords) if strategy == KDTREE else None
         self._member_rows: np.ndarray | None = None
 
-    # -- internals ----------------------------------------------------------
-
-    def _members(self):
-        """All member points in query form (coords or ids)."""
-        c = self.cloud
-        return c.coords if c.is_coordinate else c.ids()
-
     # -- queries ------------------------------------------------------------
 
     def k_nearest(self, query, k: int) -> list[tuple[int, float]]:
         """The k nearest members of one query point, sorted by (distance, id).
 
-        A query that coincides with a member returns that member first at
-        distance zero; member queries therefore count themselves.
+        A query is a coordinate row or a matrix row id. One that coincides
+        with a member returns that member first at distance zero; member
+        queries therefore count themselves.
         """
         n = self.cloud.n
         k = _check_k(k, n)
@@ -108,8 +95,7 @@ class NeighborIndex:
                 cand = None
         if cand is None:
             cand = self.cloud.ids()
-        targets = self.cloud.coords[cand] if self.cloud.is_coordinate else cand
-        d = cross_distances(self.metric, q, targets)[0]
+        d = cross_distances(self.metric, q, self.cloud.points[cand])[0]
         order = np.lexsort((cand, d))[:k]
         return [(int(cand[i]), float(d[i])) for i in order]
 
@@ -120,12 +106,11 @@ class NeighborIndex:
         k = _check_k(k, n)
         q = self.cloud.query_array(queries)
         m = q.shape[0]
-        members = self._members()
         out = np.empty((m, k))
 
         def work(sl: slice) -> None:
             # a fresh array (never a view of a matrix), so it is partitioned in place
-            block = cross_distances(self.metric, q[sl], members)
+            block = cross_distances(self.metric, q[sl], self.cloud.points)
             if k < n:
                 block.partition(k - 1, axis=1)
             out[sl] = block[:, :k]
@@ -145,7 +130,7 @@ class NeighborIndex:
         k = _check_k(k, self.cloud.n)
         rows = self._member_rows
         if rows is None or rows.shape[1] < k:
-            rows = self.knn_distance_rows(self._members(), k, threads=threads)
+            rows = self.knn_distance_rows(self.cloud.points, k, threads=threads)
             rows.flags.writeable = False  # shared by every later reader
             self._member_rows = rows
         return rows[:, :k]
@@ -175,13 +160,12 @@ class NeighborIndex:
                     result.append(cand)
                     continue
                 d = cross_distances(self.metric, q[row:row + 1],
-                                    self.cloud.coords[cand])[0]
+                                    self.cloud.points[cand])[0]
                 result.append(np.sort(cand[d <= radii[row]]))
             return result
-        members = self._members()
         result = []
         for sl in row_chunks(q.shape[0], self.cloud.n):
-            block = cross_distances(self.metric, q[sl], members)
+            block = cross_distances(self.metric, q[sl], self.cloud.points)
             result.extend(np.flatnonzero(row <= r) for row, r in zip(block, radii[sl]))
         return result
 

@@ -10,7 +10,9 @@ practical preset.
 Resampling returns a subset of its input, so a round that keeps the size
 keeps the set. The loop then keeps its sub-cloud and index, and the profile
 at the halved k reads the index's sorted k-NN table: one table per distinct
-surviving set, computed at that set's first (largest) k.
+surviving set, computed at that set's first (largest) k. A sub-cloud selects
+points of the input, so every round measures with the input's metric (on a
+matrix-backed cloud, the input's matrix).
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ import numpy as np
 from .decluttering import DeclutterResult, declutter
 from .geometry import GeometryError, Metric, PointCloud, subset_cloud
 from .neighbors import AUTO, build_index
-from .robust import DistanceKind, RMS_K, RobustDistanceProfile, profile
+# profile stays a module attribute: perfbench's self-test looks it up here
+from .robust import DistanceKind, RMS_K, RobustDistanceProfile, profile  # noqa: F401
 
 THEORETICAL_C = 10.0 + 2.0 * math.sqrt(2.0)
 PRACTICAL_C = 4.0
@@ -95,9 +98,9 @@ def resample_step(cloud: PointCloud, metric: Metric, kept_ids,
     if prof.n != cloud.n:
         raise GeometryError("profile does not cover this cloud")
     radii = C * prof.values[kept_ids]
-    queries = cloud.coords[kept_ids] if cloud.is_coordinate else kept_ids
     captured = np.zeros(cloud.n, dtype=bool)
-    for ids in build_index(cloud, metric, strategy).ball_ids_many(queries, radii):
+    index = build_index(cloud, metric, strategy)
+    for ids in index.ball_ids_many(cloud.points[kept_ids], radii):
         captured[ids] = True
     captured[kept_ids] = True  # closed balls always recapture their centers
     return np.flatnonzero(captured).astype(np.intp)
@@ -127,14 +130,13 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
         k_target = 2 ** i
         k_eff = min(k_target, int(current.size))
         if index is None:  # a new surviving set: its first k is its largest
-            sub_cloud, sub_metric = subset_cloud(cloud, metric, current)
-            index = build_index(sub_cloud, sub_metric, strategy)
-        prof = profile(sub_cloud, index, k_eff, kind, threads=threads)
+            sub_cloud = subset_cloud(cloud, metric, current)[0]
+            index = build_index(sub_cloud, metric, strategy)
         result: DeclutterResult = declutter(
-            sub_cloud, sub_metric, k_eff, kind=kind, vicinity_factor=2.0,
-            strategy=strategy, precomputed_profile=prof, index=index,
-            threads=threads)
-        resampled_local = resample_step(sub_cloud, sub_metric, result.kept,
+            sub_cloud, metric, k_eff, kind=kind, vicinity_factor=2.0,
+            strategy=strategy, index=index, threads=threads)
+        prof = result.profile
+        resampled_local = resample_step(sub_cloud, metric, result.kept,
                                         prof, C, strategy=strategy)
         iterations.append(ParfreeIteration(
             i=i,

@@ -133,8 +133,7 @@ def profile(cloud: PointCloud, index: NeighborIndex, k: int,
     if index.cloud is cloud:
         rows = index.member_rows(k, threads=threads)
     elif index.cloud.n == cloud.n:
-        queries = cloud.coords if cloud.is_coordinate else cloud.ids()
-        rows = index.knn_distance_rows(queries, k, threads=threads)
+        rows = index.knn_distance_rows(cloud.points, k, threads=threads)
     else:
         raise GeometryError("index does not match the cloud")
     k = rows.shape[1]

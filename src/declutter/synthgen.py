@@ -294,21 +294,6 @@ def feature_from_anchor(anchor, floor: float):
 # sampling operations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    gaussian_sigma: float = 0.0
-    ambient_count: int = 0
-    ambient_box: tuple | None = None  # (lo, hi) arrays
-    rng_seed: int = 0
-    min_clearance: float = 0.0
-
-    def __post_init__(self):
-        if self.gaussian_sigma < 0:
-            raise GeometryError("sigma must be non-negative")
-        if self.ambient_count < 0:
-            raise GeometryError("ambient count must be non-negative")
-
-
 def sample_shape(shape: Shape, n: int, mode: str = "uniform", seed=None,
                  feature_fn=None,
                  reference_count: int | None = None) -> tuple[GroundTruthRef, np.ndarray]:

@@ -129,16 +129,6 @@ def test_k_out_of_range():
         dc.declutter(cloud, metric, 5)
 
 
-def test_precomputed_profile_must_match():
-    cloud, metric = line_cloud()
-    index = dc.build_index(cloud, metric)
-    prof = dc.profile(cloud, index, 2)
-    with pytest.raises(dc.GeometryError):
-        dc.declutter(cloud, metric, 3, precomputed_profile=prof)
-    result = dc.declutter(cloud, metric, 2, precomputed_profile=prof)
-    assert result.profile is prof
-
-
 def test_matrix_backed_declutter_matches_coordinate():
     cloud, metric, _, _ = noisy_instance(8, n_max=80)
     m = dc.cross_distances(metric, cloud.coords, cloud.coords)

@@ -153,7 +153,9 @@ def test_subset_cloud_matrix_mode():
     cloud = dc.PointCloud.matrix_backed(3)
     sub, sub_metric = dc.subset_cloud(cloud, metric, [0, 2])
     assert sub.n == 2
-    assert dc.distance(sub_metric, 0, 1) == 2.0
+    assert sub_metric is metric  # the sub-cloud shares the parent matrix
+    assert sub.points.tolist() == [0, 2]
+    assert dc.distance(sub_metric, sub.points[0], sub.points[1]) == 2.0
 
 
 @pytest.mark.parametrize("ids", [[-1], [0, 4], [9], [1.5], [True]])
@@ -165,8 +167,14 @@ def test_subset_cloud_rejects_invalid_ids(ids):
         dc.subset_cloud(coords, dc.Metric(), ids)
     with pytest.raises(dc.GeometryError):
         dc.subset_cloud(dc.PointCloud.matrix_backed(4), metric, ids)
+    # ids are member ids of the cloud, not matrix rows: a four-point
+    # sub-cloud of a six-row matrix rejects them too
+    six = dc.PointCloud.from_coords(np.arange(12.0).reshape(6, 2))
+    m6 = dc.cross_distances(dc.Metric(), six.coords, six.coords)
+    metric6 = dc.Metric("precomputed", matrix=m6)
+    sub, _ = dc.subset_cloud(dc.PointCloud.matrix_backed(6), metric6, [5, 0, 3, 1])
     with pytest.raises(dc.GeometryError):
-        metric.subset(ids)
+        dc.subset_cloud(sub, metric6, ids)
 
 
 def test_subset_metric_equals_validated_slice():
@@ -178,8 +186,9 @@ def test_subset_metric_equals_validated_slice():
                                       metric, ids)
     validated = dc.Metric("precomputed", relaxation=1.5, matrix=m[np.ix_(ids, ids)])
     assert sub.n == ids.size
-    assert (sub_metric.kind, sub_metric.relaxation) == (validated.kind,
-                                                        validated.relaxation)
-    assert sub_metric.matrix.dtype == validated.matrix.dtype
-    assert sub_metric.matrix.tobytes() == validated.matrix.tobytes()
+    assert sub_metric is metric  # selected points, unchanged metric
+    block = dc.cross_distances(sub_metric, sub.points, sub.points)
+    want = dc.cross_distances(validated, np.arange(ids.size), np.arange(ids.size))
+    assert block.dtype == want.dtype
+    assert block.tobytes() == want.tobytes()
     assert metric.matrix.tobytes() == m.tobytes()  # the source is not touched

@@ -68,6 +68,22 @@ def test_matrix_mode_rejects_external_query():
         index.k_nearest(np.array([0.5]), 1)
 
 
+def test_matrix_subcloud_queries_are_matrix_rows():
+    line = dc.PointCloud.from_coords(np.arange(6.0))
+    metric = dc.Metric("precomputed",
+                       matrix=dc.cross_distances(dc.Metric(), line.coords, line.coords))
+    sub, _ = dc.subset_cloud(dc.PointCloud.matrix_backed(6), metric, [5, 0, 3])
+    index = dc.build_index(sub, metric)
+    # row 4 is not a member; answers are member ids of the sub-cloud
+    assert index.k_nearest(4, 2) == [(0, 1.0), (2, 1.0)]
+    assert [b.tolist() for b in index.ball_ids_many([4, 0], [1.0, 0.0])] == [[0, 2], [1]]
+    for row in (-1, 6):
+        with pytest.raises(dc.GeometryError):
+            index.k_nearest(row, 1)
+    with pytest.raises(dc.GeometryError):  # the matrix must be n-by-n
+        dc.build_index(dc.PointCloud.matrix_backed(5), metric)
+
+
 def test_tie_break_by_lower_id():
     pts = np.array([[0.0], [1.0], [-1.0], [1.0]])  # ids 1 and 3 coincide
     cloud = dc.PointCloud.from_coords(pts)

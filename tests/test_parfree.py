@@ -101,7 +101,7 @@ def test_resample_step_matches_oracle():
         index = dc.build_index(cloud, metric)
         k = 3
         prof = dc.profile(cloud, index, k)
-        result = dc.declutter(cloud, metric, k, precomputed_profile=prof, index=index)
+        result = dc.declutter(cloud, metric, k, index=index)
         got = dc.resample_step(cloud, metric, result.kept, prof, dc.THEORETICAL_C)
         expect = oracle_resample(cloud.coords, range(cloud.n),
                                  result.kept.tolist(), prof.values,
@@ -188,9 +188,8 @@ def _fresh_index_parfree(cloud, metric, kind, C, strategy):
     for i in range(int(math.floor(math.log2(cloud.n))), 0, -1):
         k = min(2 ** i, int(current.size))
         sub, sub_metric = dc.subset_cloud(cloud, metric, current)
-        prof = dc.profile_for(sub, sub_metric, k, kind, strategy=strategy)
-        result = dc.declutter(sub, sub_metric, k, kind=kind, strategy=strategy,
-                              precomputed_profile=prof)
+        result = dc.declutter(sub, sub_metric, k, kind=kind, strategy=strategy)
+        prof = result.profile
         local = dc.resample_step(sub, sub_metric, result.kept, prof, C,
                                  strategy=strategy)
         rounds.append((current, prof.values, current[result.kept], current[local],
