@@ -17,7 +17,7 @@ from .certify import (
     estimate_epsilon_k,
     estimate_uniformity,
 )
-from .decluttering import DeclutterResult, Rejection, declutter
+from .decluttering import DeclutterResult, Rejection, declutter, greedy_declutter
 from .evaluation import (
     BOUND_NAMES,
     BoundCertificate,

@@ -11,6 +11,9 @@ distances to the kept set, held in selection order, are computed in one
 :func:`geometry.cross_distances` call. The witness of a rejection is the
 first kept point inside the ball, i.e. the earliest kept one, and its
 recorded distance is that canonical value.
+
+:func:`declutter` is the robust profile at one k followed by that pass;
+:func:`greedy_declutter` runs the pass on a profile the caller already has.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, Metric, PointCloud, cross_distances
-from .neighbors import AUTO, NeighborIndex, _check_k, build_index
+from .neighbors import AUTO, build_index
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, profile
 
 
@@ -63,20 +66,27 @@ class DeclutterResult:
 
 def declutter(cloud: PointCloud, metric: Metric, k: int,
               kind: DistanceKind = RMS_K, vicinity_factor: float = 2.0,
-              strategy: str = AUTO, index: NeighborIndex | None = None,
-              threads: int = 1) -> DeclutterResult:
+              strategy: str = AUTO, threads: int = 1) -> DeclutterResult:
     """Run the single-parameter declutter pass and return kept ids with a
-    witness for every rejection.
-
-    A given ``index`` (over this cloud) supplies the profile from its k-NN
-    table, so callers that keep one across calls share that table.
+    witness for every rejection: the robust profile at k
+    (:func:`robust.profile`) followed by :func:`greedy_declutter`.
     """
-    k = _check_k(k, cloud.n)
+    prof = profile(cloud, build_index(cloud, metric, strategy), k, kind,
+                   threads=threads)
+    return greedy_declutter(cloud, metric, prof, vicinity_factor)
+
+
+def greedy_declutter(cloud: PointCloud, metric: Metric,
+                     prof: RobustDistanceProfile,
+                     vicinity_factor: float = 2.0) -> DeclutterResult:
+    """The greedy pass over a given profile of the cloud's members: points in
+    order of increasing robust distance (ties by id), each kept unless an
+    earlier kept point lies in its closed vicinity ball."""
     if not (vicinity_factor > 0):
         raise GeometryError("vicinity factor must be positive")
-    if index is None:
-        index = build_index(cloud, metric, strategy)
-    prof = profile(cloud, index, k, kind, threads=threads)
+    cloud.check_metric(metric)
+    if prof.n != cloud.n:
+        raise GeometryError("profile does not cover this cloud")
     values = prof.values
     order = np.lexsort((np.arange(cloud.n), values))
     members = cloud.points

@@ -45,13 +45,12 @@ def _tree_supported(cloud: PointCloud, metric: Metric) -> bool:
 
 
 class NeighborIndex:
-    """Query object over one cloud; safe for concurrent readers.
+    """Immutable query object over one cloud.
 
-    The cloud, metric and tree never change. The one piece of state is a
-    memo of the members' own sorted k-NN distance rows at the largest k asked
-    so far (:meth:`member_rows`); every smaller k is a column prefix of it.
-    Filling the memo twice gives the same values, so concurrent readers stay
-    safe.
+    The cloud, metric and tree never change after construction and no query
+    result is kept, so concurrent readers need no locking. Callers that want
+    the members' k-NN rows at several k read them in row blocks
+    (:func:`robust.values_at_scales`) rather than from a stored table.
     """
 
     def __init__(self, cloud: PointCloud, metric: Metric, strategy: str = AUTO):
@@ -68,7 +67,6 @@ class NeighborIndex:
         self.strategy = strategy
         self._p = 1 if metric.kind == MANHATTAN else 2
         self._tree = cKDTree(cloud.coords) if strategy == KDTREE else None
-        self._member_rows: np.ndarray | None = None
 
     # -- queries ------------------------------------------------------------
 
@@ -118,22 +116,6 @@ class NeighborIndex:
 
         run_chunked(row_chunks(m, n), work, threads)
         return out
-
-    def member_rows(self, k: int, threads: int = 1) -> np.ndarray:
-        """Read-only (n, k) view: each member's k smallest member
-        distances, sorted.
-
-        The table is computed once at the largest k asked so far and every
-        smaller k reads its first k columns, which are the same values a
-        fresh :meth:`knn_distance_rows` call at that k returns.
-        """
-        k = _check_k(k, self.cloud.n)
-        rows = self._member_rows
-        if rows is None or rows.shape[1] < k:
-            rows = self.knn_distance_rows(self.cloud.points, k, threads=threads)
-            rows.flags.writeable = False  # shared by every later reader
-            self._member_rows = rows
-        return rows[:, :k]
 
     def ball_ids(self, query, radius: float) -> np.ndarray:
         """Ids of all members within the closed ball of the given radius."""

@@ -8,11 +8,13 @@ theoretical resampling constant is C = 10 + 2*sqrt(2); C = 4 is the
 practical preset.
 
 Resampling returns a subset of its input, so a round that keeps the size
-keeps the set. The loop then keeps its sub-cloud and index, and the profile
-at the halved k reads the index's sorted k-NN table: one table per distinct
-surviving set, computed at that set's first (largest) k. A sub-cloud selects
-points of the input, so every round measures with the input's metric (on a
-matrix-backed cloud, the input's matrix).
+keeps the set. A set's whole k schedule is therefore known when it first
+appears: min(2^j, |set|) for the rounds that remain. The loop runs one
+streaming sweep (:func:`robust.values_at_scales`) over the new set at that
+schedule and hands each round's profile to the greedy pass
+(:func:`decluttering.greedy_declutter`); no k-NN table is kept. A sub-cloud
+selects points of the input, so every round measures with the input's
+metric (on a matrix-backed cloud, the input's matrix).
 """
 from __future__ import annotations
 
@@ -21,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decluttering import DeclutterResult, declutter
+from .decluttering import greedy_declutter
 from .geometry import GeometryError, Metric, PointCloud, subset_cloud
 from .neighbors import AUTO, build_index
+from .robust import DistanceKind, RMS_K, RobustDistanceProfile, values_at_scales
 # profile stays a module attribute: perfbench's self-test looks it up here
-from .robust import DistanceKind, RMS_K, RobustDistanceProfile, profile  # noqa: F401
+from .robust import profile  # noqa: F401
 
 THEORETICAL_C = 10.0 + 2.0 * math.sqrt(2.0)
 PRACTICAL_C = 4.0
@@ -123,19 +126,20 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
         return cloud.ids(), trace
 
     current = cloud.ids()
-    index = None
+    values = None  # the current set's robust values at each k of its schedule
     iterations: list[ParfreeIteration] = []
     i_star = int(math.floor(math.log2(cloud.n)))
     for i in range(i_star, 0, -1):
         k_target = 2 ** i
         k_eff = min(k_target, int(current.size))
-        if index is None:  # a new surviving set: its first k is its largest
+        if values is None:  # a new surviving set: sweep its whole schedule
             sub_cloud = subset_cloud(cloud, metric, current)[0]
-            index = build_index(sub_cloud, metric, strategy)
-        result: DeclutterResult = declutter(
-            sub_cloud, metric, k_eff, kind=kind, vicinity_factor=2.0,
-            strategy=strategy, index=index, threads=threads)
-        prof = result.profile
+            schedule = [min(2 ** j, int(current.size)) for j in range(i, 0, -1)]
+            values = values_at_scales(build_index(sub_cloud, metric, strategy),
+                                      sub_cloud.points, schedule, kind,
+                                      threads=threads)
+        prof = RobustDistanceProfile(k=k_eff, kind=kind, values=values[k_eff])
+        result = greedy_declutter(sub_cloud, metric, prof)
         resampled_local = resample_step(sub_cloud, metric, result.kept,
                                         prof, C, strategy=strategy)
         iterations.append(ParfreeIteration(
@@ -150,7 +154,7 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
                       for p, r in result.rejected.items()},
         ))
         if resampled_local.size != current.size:
-            index = None  # the set changed; drop its k-NN table
+            values = None  # the set changed
         current = current[resampled_local]
     trace = ParfreeTrace(iterations=iterations, resampling_constant=float(C),
                          kind=kind)

@@ -4,6 +4,9 @@ All three are 1-Lipschitz under an exact metric and dominate the plain
 distance to the set, which is what the denoising guarantees rely on.
 Aggregations run over the sorted neighbor distances with sequential
 accumulation (cumsum), so every code path produces bit-identical values.
+
+Every batch of robust distances comes from one streaming sweep
+(:func:`values_at_scales`), so no (m, k) table outlives one row block.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, Metric, PointCloud, row_chunks
+from .geometry import GeometryError, Metric, PointCloud, row_chunks, run_chunked
 from .neighbors import AUTO, NeighborIndex, _check_k, build_index
 
 RMS_NAME = "rms-k"
@@ -81,15 +84,23 @@ class RobustDistanceProfile:
 
 
 def _prefix_values(rows: np.ndarray, ks, kind: DistanceKind) -> dict[int, np.ndarray]:
-    """Robust values at each k in ks from (m, >=max(ks)) rows of ascending
-    distances, read off running prefix sums."""
+    """Robust values at each k in ks (ascending) from (m, >=max(ks)) rows of
+    ascending distances, read off running prefix sums."""
     if kind.name == KTH_NAME:
-        return {k: rows[:, k - 1].copy() for k in ks}
-    if kind.name == AVG_NAME:
-        cs = np.cumsum(rows, axis=1)
-        return {k: cs[:, k - 1] / k for k in ks}
-    cs = np.cumsum(rows * rows, axis=1)
-    return {k: np.sqrt(cs[:, k - 1] / k) for k in ks}
+        vals = {k: rows[:, k - 1] for k in ks}
+    else:
+        with np.errstate(over="ignore"):  # reported below as a GeometryError
+            cs = np.cumsum(rows if kind.name == AVG_NAME else rows * rows, axis=1)
+        if kind.name == AVG_NAME:
+            vals = {k: cs[:, k - 1] / k for k in ks}
+        else:
+            vals = {k: np.sqrt(cs[:, k - 1] / k) for k in ks}
+    # values grow with k, so the largest k is the one that can overflow
+    if not np.all(np.isfinite(vals[ks[-1]])):
+        raise GeometryError(
+            f"{kind.name} distances overflow float64 at this scale of the "
+            "input; rescale the coordinates or the distance matrix")
+    return vals
 
 
 def robust_distance_at(index: NeighborIndex, query, k: int,
@@ -108,39 +119,41 @@ def values_at(index: NeighborIndex, queries, k: int,
 def values_at_scales(index: NeighborIndex, queries, ks,
                      kind: DistanceKind = RMS_K,
                      threads: int = 1) -> dict[int, np.ndarray]:
-    """Robust distances at several k values in one pass over the data.
+    """Robust distances at several k values in one streaming sweep.
 
-    Sorts each query's k_max smallest distances once and reads every
-    requested k off the running prefix sums; each value is bit-identical to
-    a single-k call, but it takes one data sweep instead of len(ks).
+    The queries are read in row blocks sized to the distance-cell budget
+    (:func:`geometry.row_chunks`). Each block takes its k_max smallest
+    distances sorted, runs one prefix sum, and keeps only the columns at the
+    requested ks, so memory is one block plus len(ks) values per query. Each
+    value is bit-identical to a single-k call. Raises GeometryError when the
+    values overflow float64.
     """
-    ks = sorted({_check_k(k, index.cloud.n) for k in ks})
+    n = index.cloud.n
+    ks = sorted({_check_k(k, n) for k in ks})
     if not ks:
         return {}
-    rows = index.knn_distance_rows(queries, ks[-1], threads=threads)
-    return _prefix_values(rows, ks, kind)
+    q = index.cloud.query_array(queries)
+    out = {k: np.empty(q.shape[0]) for k in ks}
+
+    def work(sl: slice) -> None:
+        rows = index.knn_distance_rows(q[sl], ks[-1])
+        for k, v in _prefix_values(rows, ks, kind).items():
+            out[k][sl] = v
+
+    run_chunked(row_chunks(q.shape[0], n), work, threads)
+    return out
 
 
 def profile(cloud: PointCloud, index: NeighborIndex, k: int,
             kind: DistanceKind = RMS_K, threads: int = 1) -> RobustDistanceProfile:
-    """Robust distance of every cloud member.
-
-    On the index's own cloud the sorted k-NN rows come from the index's
-    member table (:meth:`NeighborIndex.member_rows`), so profiles at several
-    k share one table. Rows are aggregated in blocks to bound the
-    temporaries; the values equal :func:`values_at`.
+    """Robust distance of every cloud member at one k, read through
+    :func:`values_at_scales` (the index covers this cloud or one of its size).
     """
-    if index.cloud is cloud:
-        rows = index.member_rows(k, threads=threads)
-    elif index.cloud.n == cloud.n:
-        rows = index.knn_distance_rows(cloud.points, k, threads=threads)
-    else:
+    if index.cloud.n != cloud.n:
         raise GeometryError("index does not match the cloud")
-    k = rows.shape[1]
-    vals = np.empty(cloud.n)
-    for sl in row_chunks(cloud.n, k):
-        vals[sl] = _prefix_values(rows[sl], [k], kind)[k]
-    return RobustDistanceProfile(k=k, kind=kind, values=vals)
+    k = _check_k(k, cloud.n)
+    values = values_at_scales(index, cloud.points, [k], kind, threads)[k]
+    return RobustDistanceProfile(k=k, kind=kind, values=values)
 
 
 def profile_for(cloud: PointCloud, metric: Metric, k: int,

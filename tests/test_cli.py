@@ -130,6 +130,16 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["eval", "--points", str(both), "--bounds", "bogus"]) == 1
 
 
+def test_overflowing_input_exits_1(tmp_path, capsys):
+    pts = np.random.default_rng(8).normal(size=(300, 2))
+    path = tmp_path / "huge.csv"
+    dc.save_points(path, pts / np.abs(pts).max() * 2.5e159)
+    assert main(["declutter", "--points", str(path), "--k", "8",
+                 "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "overflow float64" in err and "rescale" in err
+
+
 def test_eval_strict_failure_exits_2(tmp_path):
     # forge a certificate with epsilon too small: thm3.3 must fail hard
     pts = tmp_path / "points.csv"

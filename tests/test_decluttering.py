@@ -121,6 +121,22 @@ def test_vicinity_factor_sweep():
         dc.declutter(cloud, metric, 4, vicinity_factor=0.0)
 
 
+def test_greedy_pass_on_a_given_profile():
+    cloud, metric, _, _ = noisy_instance(5)
+    result = dc.declutter(cloud, metric, 4, vicinity_factor=1.5)
+    again = dc.greedy_declutter(cloud, metric, result.profile, vicinity_factor=1.5)
+    assert again.kept.tolist() == result.kept.tolist()
+    assert again.rejected == result.rejected
+    small = dc.subset_cloud(cloud, metric, np.arange(5))[0]
+    with pytest.raises(dc.GeometryError, match="profile does not cover"):
+        dc.greedy_declutter(small, metric, result.profile)
+    with pytest.raises(dc.GeometryError, match="vicinity"):
+        dc.greedy_declutter(cloud, metric, result.profile, vicinity_factor=0.0)
+    with pytest.raises(dc.GeometryError):
+        dc.greedy_declutter(cloud, dc.Metric("precomputed", matrix=np.zeros((2, 2))),
+                            result.profile)
+
+
 def test_k_out_of_range():
     cloud, metric = line_cloud()
     with pytest.raises(dc.GeometryError):

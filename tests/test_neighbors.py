@@ -1,7 +1,3 @@
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -183,38 +179,16 @@ def test_non_integer_k_errors(k):
         index.knn_distance_rows(cloud.coords[:3], k)
 
 
-def test_member_rows_leave_the_distance_matrix_untouched():
+def test_knn_rows_leave_the_distance_matrix_untouched():
     # knn_distance_rows partitions each block in place; on a matrix-backed
     # cloud that block must be a copy, not a view of the metric's matrix
     pts = np.random.default_rng(52).normal(size=(400, 2))
     matrix = dc.cross_distances(dc.Metric(), pts, pts)
     metric = dc.Metric("precomputed", matrix=matrix.copy())
-    index = dc.build_index(dc.PointCloud.matrix_backed(400), metric)
-    rows = index.member_rows(150)
+    cloud = dc.PointCloud.matrix_backed(400)
+    index = dc.build_index(cloud, metric)
+    rows = index.knn_distance_rows(cloud.points, 150)
     assert np.array_equal(metric.matrix, matrix)
     assert rows.tolist() == np.sort(matrix, axis=1)[:, :150].tolist()
-
-
-def test_member_rows_concurrent_readers():
-    # threads released together fill one fresh index's table at different k;
-    # each reader must get its own k, whichever table was stored last
-    cloud, metric = random_cloud(19, n_max=120)
-    expect = np.sort(dc.cross_distances(metric, cloud.coords, cloud.coords), axis=1)
-    ks = np.linspace(1, cloud.n, 8).astype(int)
-    gate = threading.Barrier(ks.size)
-
-    def read(index, k):
-        gate.wait(timeout=30)
-        assert index.member_rows(int(k)).tolist() == expect[:, :k].tolist()
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=ks.size) as pool:
-            for _ in range(40):
-                index = dc.build_index(cloud, metric)
-                futures = [pool.submit(read, index, k) for k in ks]
-                for f in futures:
-                    f.result(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
+    dc.values_at_scales(index, cloud.points, [150, 7], dc.RMS_K, threads=2)
+    assert np.array_equal(metric.matrix, matrix)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import declutter as dc
+import declutter.geometry as geometry
+import declutter.parfree as parfree_module
 from conftest import noisy_instance, oracle_parfree, oracle_resample, random_cloud
 
 
@@ -101,7 +103,7 @@ def test_resample_step_matches_oracle():
         index = dc.build_index(cloud, metric)
         k = 3
         prof = dc.profile(cloud, index, k)
-        result = dc.declutter(cloud, metric, k, index=index)
+        result = dc.declutter(cloud, metric, k)
         got = dc.resample_step(cloud, metric, result.kept, prof, dc.THEORETICAL_C)
         expect = oracle_resample(cloud.coords, range(cloud.n),
                                  result.kept.tolist(), prof.values,
@@ -149,36 +151,60 @@ def test_practical_constant_removes_at_least_as_much():
     assert p_prac.size <= p_theory.size
 
 
-def _count_knn_tables(monkeypatch):
-    """Count NeighborIndex.knn_distance_rows calls (the dense k-NN sweeps)."""
-    calls = []
-    original = dc.NeighborIndex.knn_distance_rows
-
-    def counted(self, queries, k, threads=1):
-        calls.append(int(k))
-        return original(self, queries, k, threads=threads)
-
-    monkeypatch.setattr(dc.NeighborIndex, "knn_distance_rows", counted)
-    return calls
+def _schedules(trace):
+    """(set size, remaining k schedule) of each distinct surviving set, in
+    order: a set's schedule runs from the round it appears down to k=2."""
+    out = []
+    for prev, it in zip([None] + trace.iterations, trace.iterations):
+        if prev is None or prev.resampled_ids.size != prev.input_ids.size:
+            n = int(it.input_ids.size)
+            out.append((n, sorted({min(2 ** j, n) for j in range(it.i, 0, -1)})))
+    return out
 
 
 def test_one_knn_table_per_distinct_surviving_set(monkeypatch):
-    calls = _count_knn_tables(monkeypatch)
+    # one sweep per distinct set, at that set's whole remaining k schedule
+    sweeps = []
+    original = parfree_module.values_at_scales
+
+    def counted(index, queries, ks, kind=dc.RMS_K, threads=1):
+        sweeps.append((len(queries), sorted(ks)))
+        return original(index, queries, ks, kind, threads)
+
+    monkeypatch.setattr(parfree_module, "values_at_scales", counted)
     reused = 0
     for seed in range(6):
         cloud, metric, _, _ = noisy_instance(seed + 200, n_max=200)
         for strategy in ("brute", "kdtree"):
-            calls.clear()
+            sweeps.clear()
             _, trace = dc.parfree_declutter(cloud, metric, strategy=strategy)
             sets = {tuple(it.input_ids.tolist()) for it in trace.iterations}
-            assert len(calls) == len(sets)
-            # each table is computed at its set's first (largest) k
-            firsts = [it.k_effective for prev, it in
-                      zip([None] + trace.iterations, trace.iterations)
-                      if prev is None or prev.resampled_ids.size != prev.input_ids.size]
-            assert calls == firsts
+            assert len(sweeps) == len(sets)
+            assert sweeps == _schedules(trace)
             reused += len(trace.iterations) - len(sets)
-    assert reused > 0  # the instances do exercise table reuse
+    assert reused > 0  # the instances do exercise sets that last several rounds
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_parfree_reads_knn_rows_one_block_at_a_time(monkeypatch, threads):
+    # no k-NN call may return more cells than one block of the sweep
+    cells = 1_000
+    monkeypatch.setattr(geometry, "_CHUNK_CELLS", cells)
+    sizes = []
+    original = dc.NeighborIndex.knn_distance_rows
+
+    def recorded(self, queries, k, threads=1):
+        rows = original(self, queries, k, threads=threads)
+        sizes.append(rows.size)
+        return rows
+
+    monkeypatch.setattr(dc.NeighborIndex, "knn_distance_rows", recorded)
+    cloud, metric, _, _ = noisy_instance(201, n_max=200)
+    assert cloud.n * 2 ** int(math.log2(cloud.n)) > 4 * cells  # one whole-set table
+    for strategy in ("brute", "kdtree"):
+        sizes.clear()
+        dc.parfree_declutter(cloud, metric, strategy=strategy, threads=threads)
+        assert sizes and max(sizes) <= cells
 
 
 def _fresh_index_parfree(cloud, metric, kind, C, strategy):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import declutter as dc
+import declutter.geometry as geometry
 from conftest import line_cloud, oracle_robust, random_cloud
 
 
@@ -138,35 +139,91 @@ def test_profile_export_csv(tmp_path):
     assert np.array_equal(back[:, 1], prof.values)
 
 
-def test_profile_reads_smaller_k_off_the_member_table():
+def test_profile_reads_smaller_k_off_the_sweep():
     cloud, _ = random_cloud(17, n_max=150)
     n = cloud.n
     clouds = [(cloud, dc.Metric(), s) for s in ("brute", "kdtree")]
     matrix = dc.cross_distances(dc.Metric("manhattan"), cloud.coords, cloud.coords)
     clouds.append((dc.PointCloud.matrix_backed(n),
                    dc.Metric("precomputed", matrix=matrix), "brute"))
+    schedule = [n - 1, 9, 4, 1]
     for c, metric, strategy in clouds:
-        queries = c.coords if c.is_coordinate else c.ids()
-        full = np.sort(dc.cross_distances(metric, queries, queries), axis=1)
+        full = np.sort(dc.cross_distances(metric, c.points, c.points), axis=1)
+        index = dc.build_index(c, metric, strategy)
+        for k in schedule:
+            assert index.knn_distance_rows(c.points, k).tolist() == full[:, :k].tolist()
         for kind in (dc.RMS_K, dc.AVG_K, dc.KTH_NN):
-            index = dc.build_index(c, metric, strategy)
-            table = index.member_rows(n - 1)
-            for k in (n - 1, 9, 4, 1):
+            sweep = dc.values_at_scales(index, c.points, schedule, kind)
+            for k in schedule:
                 got = dc.profile(c, index, k, kind).values
+                assert got.tobytes() == sweep[k].tobytes()
                 fresh = dc.values_at(dc.build_index(c, metric, strategy),
-                                     queries, k, kind)
+                                     c.points, k, kind)
                 assert got.tobytes() == fresh.tobytes()
-                rows = index.member_rows(k)
-                assert rows.base is table.base  # no new table
-                assert rows.tolist() == full[:, :k].tolist()
 
 
-def test_member_rows_grow_to_a_larger_k():
-    cloud, metric = random_cloud(18, n_max=80)
+def _full_sort_values(metric, points, k, kind):
+    """Robust values at k off each point's fully sorted distance row."""
+    rows = np.sort(dc.cross_distances(metric, points, points), axis=1)
+    if kind is dc.KTH_NN:
+        return rows[:, k - 1]
+    if kind is dc.AVG_K:
+        return np.cumsum(rows, axis=1)[:, k - 1] / k
+    return np.sqrt(np.cumsum(rows * rows, axis=1)[:, k - 1] / k)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blocked_sweep_matches_full_sort(monkeypatch, threads):
+    n, block = 97, 7  # 13 full blocks of 7 rows and a ragged one of 6
+    pts = np.random.default_rng(61).normal(size=(n, 3))
+    manhattan = dc.Metric("manhattan")
+    matrix = dc.cross_distances(manhattan, pts, pts)
+    coords = dc.PointCloud.from_coords(pts)
+    cases = [(coords, dc.Metric(), "brute"), (coords, manhattan, "kdtree"),
+             (dc.PointCloud.matrix_backed(n),
+              dc.Metric("precomputed", matrix=matrix), "brute")]
+    monkeypatch.setattr(geometry, "_CHUNK_CELLS", block * n)
+    shapes = []
+    original = dc.NeighborIndex.knn_distance_rows
+
+    def recorded(self, queries, k, threads=1):
+        rows = original(self, queries, k, threads=threads)
+        shapes.append(rows.shape)
+        return rows
+
+    monkeypatch.setattr(dc.NeighborIndex, "knn_distance_rows", recorded)
+    ks = [1, 2, 5, 16, 64, n]
+    for cloud, metric, strategy in cases:
+        index = dc.build_index(cloud, metric, strategy)
+        for kind in (dc.RMS_K, dc.AVG_K, dc.KTH_NN):
+            shapes.clear()
+            sweep = dc.values_at_scales(index, cloud.points, ks, kind,
+                                        threads=threads)
+            assert sorted(shapes) == sorted([(block, n)] * 13 + [(6, n)])
+            for k in ks:
+                want = _full_sort_values(metric, cloud.points, k, kind)
+                assert sweep[k].tobytes() == want.tobytes()
+                single = dc.values_at(index, cloud.points, k, kind,
+                                      threads=threads)
+                assert sweep[k].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("kind", [dc.RMS_K, dc.AVG_K, dc.KTH_NN],
+                         ids=lambda k: k.name)
+def test_overflowing_distances_name_the_cause(kind):
+    # finite coordinates whose canonical Euclidean distances overflow float64
+    pts = np.random.default_rng(8).normal(size=(300, 2))
+    cloud = dc.PointCloud.from_coords(pts / np.abs(pts).max() * 2.5e159)
+    with pytest.raises(dc.GeometryError, match="overflow float64"):
+        dc.declutter(cloud, dc.Metric(), 8, kind=kind)
+
+
+def test_overflowing_squares_name_the_cause():
+    # Manhattan distances near 1e200 are finite, but rms-k squares them
+    pts = np.random.default_rng(9).normal(size=(200, 2)) * 2.0 ** 660
+    cloud, metric = dc.PointCloud.from_coords(pts), dc.Metric("manhattan")
     index = dc.build_index(cloud, metric)
-    small = index.member_rows(3)
-    big = index.member_rows(7)
-    assert big.shape == (cloud.n, 7)
-    assert small.tolist() == big[:, :3].tolist()
-    assert big.tolist() == index.knn_distance_rows(cloud.coords, 7).tolist()
-    assert not big.flags.writeable  # callers cannot corrupt the shared table
+    for kind in (dc.AVG_K, dc.KTH_NN):
+        assert np.all(np.isfinite(dc.profile(cloud, index, 8, kind).values))
+    with pytest.raises(dc.GeometryError, match="rms-k distances overflow float64"):
+        dc.profile(cloud, index, 8, dc.RMS_K)
