@@ -18,7 +18,7 @@ from .geometry import (
     GroundTruthRef,
     Metric,
     PointCloud,
-    nearest_cross,
+    paired_distances,
     row_chunks,
     cross_distances,
 )
@@ -94,12 +94,15 @@ def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
     index = build_index(cloud, metric, AUTO)
     ref_vals = values_at_scales(index, kref.points, ks, kind, threads=threads)
     own_vals = values_at_scales(index, cloud.coords, ks, kind, threads=threads)
-    dist_to_ref, nearest = nearest_cross(metric, cloud.coords, kref.points,
-                                         threads=threads)
+    # each point's two nearest reference points by (distance, id): the first
+    # is its nearest (ties to the lowest id), an equally near second a tie
+    near_d, near_ids = build_index(kref.cloud, metric, AUTO)._nearest_rows(
+        cloud.coords, min(2, kref.cloud.n), threads)
+    dist_to_ref, nearest = near_d[:, 0], near_ids[:, 0]
     # dividing by 1.0 is exact, so the plain conditions come out unchanged
     f_ref = kref.feature_sizes if adaptive else 1.0
     f_near = kref.feature_sizes[nearest] if adaptive else 1.0
-    ties = _nearest_tie_count(metric, cloud, kref, dist_to_ref) if count_ties else None
+    ties = int((near_d[:, 1:] == near_d[:, :1]).sum()) if count_ties else None
     out: dict[int, SamplingCertificate] = {}
     for k, own in own_vals.items():
         cond1 = float((ref_vals[k] / f_ref).max())
@@ -174,18 +177,6 @@ def certify_scales(cloud: PointCloud, metric: Metric, kref: GroundTruthRef,
                          threads, count_ties=adaptive)
 
 
-def _nearest_tie_count(metric: Metric, cloud: PointCloud, kref: GroundTruthRef,
-                       dist_to_ref: np.ndarray) -> int:
-    """How many cloud points have more than one nearest reference point."""
-    ties = 0
-    pts = cloud.coords
-    ref = kref.points
-    for sl in row_chunks(pts.shape[0], ref.shape[0]):
-        block = cross_distances(metric, pts[sl], ref)
-        ties += int(((block == dist_to_ref[sl, None]).sum(axis=1) > 1).sum())
-    return ties
-
-
 @dataclass
 class FeatureSizeReport:
     positive_ok: bool
@@ -218,14 +209,13 @@ def check_feature_size(kref: GroundTruthRef, metric: Metric,
     worst_pair = None
     sampled = n > max_exhaustive
     if sampled:
-        from .geometry import row_distances
         rng = np.random.default_rng(seed)
         ii = rng.integers(0, n, size=sample_pairs)
         jj = rng.integers(0, n, size=sample_pairs)
         keep = ii != jj
         ii, jj = ii[keep], jj[keep]
         pairs_checked = int(ii.size)
-        d = row_distances(metric, pts[ii], pts[jj])
+        d = paired_distances(metric, pts[ii], pts[jj])
         excess = np.abs(f[ii] - f[jj]) - d
         arg = int(excess.argmax())
         worst_excess = float(excess[arg])

@@ -7,8 +7,10 @@ distance matrix. A sub-cloud selects points and keeps the metric, so a
 matrix-backed sub-cloud reads its parent's matrix. Everything downstream works
 from distances alone, so general-metric inputs flow through unchanged.
 
-All dense distance blocks are produced by a single canonical routine
-(:func:`cross_distances`), which keeps every query path bit-identical
+Every distance comes from one canonical kernel: dense blocks from
+:func:`cross_distances` and paired points (tree candidates, sampled pairs)
+from :func:`paired_distances`, which sums the coordinates in the same order
+and so agrees with it bit for bit. That keeps every query path bit-identical
 regardless of acceleration strategy.
 """
 from __future__ import annotations
@@ -202,8 +204,9 @@ def distance(metric: Metric, a, b) -> float:
 def cross_distances(metric: Metric, queries, targets) -> np.ndarray:
     """Dense block of distances from each query to each target.
 
-    This is the single canonical distance routine: every code path in the
-    package, accelerated or not, funnels through it so results agree exactly.
+    With :func:`paired_distances` this is the canonical distance kernel:
+    every code path in the package, accelerated or not, funnels through the
+    two so results agree exactly.
     """
     if metric.kind == PRECOMPUTED:
         q = np.asarray(queries, dtype=np.intp).reshape(-1)
@@ -216,18 +219,28 @@ def cross_distances(metric: Metric, queries, targets) -> np.ndarray:
     return cdist(q, t, _CDIST_NAME[metric.kind])
 
 
-def row_distances(metric: Metric, a, b) -> np.ndarray:
-    """Elementwise distances between paired rows of a and b."""
+def paired_distances(metric: Metric, a, b) -> np.ndarray:
+    """Distances between paired points of a and b, which broadcast against
+    each other: coordinate arrays whose last axis is the coordinate axis, or
+    matrix row ids under a precomputed metric.
+
+    The sum runs over the coordinate axis one column at a time, in order,
+    which is the order ``cdist`` sums in, so every value equals the matching
+    :func:`cross_distances` entry bit for bit.
+    """
     if metric.kind == PRECOMPUTED:
-        a = np.asarray(a, dtype=np.intp)
-        b = np.asarray(b, dtype=np.intp)
-        return metric.matrix[a, b]
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    diff = a - b
-    if metric.kind == MANHATTAN:
-        return np.abs(diff).sum(axis=1)
-    return np.sqrt((diff * diff).sum(axis=1))
+        return metric.matrix[np.asarray(a, dtype=np.intp),
+                             np.asarray(b, dtype=np.intp)]
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape[-1] != b.shape[-1]:
+        raise GeometryError("dimension mismatch")
+    acc = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    with np.errstate(over="ignore"):  # overflows to inf, as cdist does
+        for j in range(a.shape[-1]):
+            diff = a[..., j] - b[..., j]
+            acc += np.abs(diff) if metric.kind == MANHATTAN else diff * diff
+    return acc if metric.kind == MANHATTAN else np.sqrt(acc)
 
 
 def row_chunks(n_rows: int, n_cols: int) -> list[slice]:
@@ -252,17 +265,21 @@ def run_chunked(chunks, worker, threads: int = 1) -> None:
 
 def nearest_cross(metric: Metric, queries, targets,
                   threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Per query: (distance to nearest target, its index, ties -> lowest)."""
-    if metric.kind == PRECOMPUTED:
-        q = np.atleast_1d(np.asarray(queries)).astype(np.intp)
-        t = np.atleast_1d(np.asarray(targets)).astype(np.intp)
-        n_rows, n_cols = q.size, t.size
-    else:
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        n_rows, n_cols = q.shape[0], t.shape[0]
-    dist_out = np.empty(n_rows)
-    idx_out = np.empty(n_rows, dtype=np.intp)
+    """Per query: (distance to nearest target, its index, ties -> lowest).
+
+    Coordinate targets are answered by a
+    :class:`~declutter.neighbors.NeighborIndex` over them, which picks the
+    spatial tree or dense blocks; both give the dense result exactly.
+    """
+    if metric.kind != PRECOMPUTED:
+        from .neighbors import NeighborIndex  # neighbors is built on this module
+        t = PointCloud.from_coords(np.atleast_2d(targets))
+        dist, ids = NeighborIndex(t, metric)._nearest_rows(queries, 1, threads)
+        return dist[:, 0], ids[:, 0]
+    q = np.atleast_1d(np.asarray(queries)).astype(np.intp)
+    t = np.atleast_1d(np.asarray(targets)).astype(np.intp)
+    dist_out = np.empty(q.size)
+    idx_out = np.empty(q.size, dtype=np.intp)
 
     def work(sl: slice) -> None:
         block = cross_distances(metric, q[sl], t)
@@ -270,7 +287,7 @@ def nearest_cross(metric: Metric, queries, targets,
         idx_out[sl] = idx
         dist_out[sl] = block[np.arange(block.shape[0]), idx]
 
-    run_chunked(row_chunks(n_rows, n_cols), work, threads)
+    run_chunked(row_chunks(q.size, t.size), work, threads)
     return dist_out, idx_out
 
 
@@ -339,8 +356,8 @@ def estimate_triangle_constant(cloud: PointCloud, metric: Metric,
         if triples.shape[0] == 0:
             raise GeometryError("could not sample distinct triples")
     x, w, y = (cloud.points[triples[:, j]] for j in range(3))
-    dxy = row_distances(metric, x, y)
-    denom = row_distances(metric, x, w) + row_distances(metric, w, y)
+    dxy = paired_distances(metric, x, y)
+    denom = paired_distances(metric, x, w) + paired_distances(metric, w, y)
     valid = denom > 0
     if not np.any(valid):
         raise GeometryError("all sampled triples are degenerate (zero distances)")

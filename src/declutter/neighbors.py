@@ -1,9 +1,14 @@
 """Exact k-nearest-neighbor and fixed-radius queries over a point cloud.
 
-Two strategies: ``brute`` (the oracle) and ``kdtree`` (a spatial tree used
-only to generate candidate supersets; final distances are always recomputed
-with the canonical routine, so both strategies return identical results,
-id for id). Ties are broken by ascending point id everywhere.
+Two strategies: ``brute`` (the oracle, dense distance blocks) and ``kdtree``
+(a spatial tree that only proposes candidates). k-NN rows, ``k_nearest`` and
+nearest-point queries share one candidate-then-canonical path: the tree's
+k+1 nearest, canonical distances of the first k from
+:func:`geometry.paired_distances`, and a closed-ball recheck of rows tied at
+the k-th distance. The tree answers when ``k * 2**(d + 4) <= n`` (d the
+dimension) and dense blocks answer otherwise. Both strategies return
+identical results, id for id and byte for byte. Ties are broken by ascending
+point id everywhere.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ from .geometry import (
     Metric,
     PointCloud,
     cross_distances,
+    paired_distances,
     row_chunks,
     run_chunked,
 )
@@ -25,10 +31,15 @@ BRUTE = "brute"
 KDTREE = "kdtree"
 AUTO = "auto"
 
-# relative inflation applied to tree query radii so that candidate sets are
+# relative inflation applied to tree distances so that candidate sets are
 # guaranteed supersets despite last-ulp differences between the tree's
-# internal distances and the canonical ones
+# internal distances and the canonical ones (both square the same coordinate
+# differences and only sum them in another order)
 _RADIUS_SLACK = 1e-9
+
+# the tree answers k-NN queries when k * 2**(d + _TREE_SHIFT) <= n; above
+# that the dense blocks are faster (BENCH_tree_rows.json)
+_TREE_SHIFT = 4
 
 
 def _check_k(k, n: int) -> int:
@@ -70,6 +81,30 @@ class NeighborIndex:
 
     # -- queries ------------------------------------------------------------
 
+    def _tree_serves(self, k: int) -> bool:
+        """Whether k-NN queries at this k are answered from the tree: on the
+        kd-tree strategy, when k is small next to the cloud size. A dense row
+        costs n cells whatever k is, while a tree query costs about k times a
+        factor that grows up to twofold with each dimension the points fill,
+        so the tree may answer up to a fraction of n that halves per
+        dimension."""
+        return (self._tree is not None
+                and k * 2 ** (self.cloud.dim + _TREE_SHIFT) <= self.cloud.n)
+
+    def _row_cells(self, k: int) -> int:
+        """Cells one query row at this k holds while it is answered: a dense
+        row of n distances, or on the tree path about (k + 1) * (d + 7) (the
+        candidates, their coordinates, the canonical sums and the output)."""
+        if self._tree_serves(k):
+            return (k + 1) * (self.cloud.dim + 7)
+        return self.cloud.n
+
+    def _ball_cells(self) -> int:
+        """Cells one closed-ball query row may hold while it is answered from
+        the tree: up to n candidates, each with its id (a Python int first),
+        row, both coordinate rows and the canonical sums, about 2d + 12."""
+        return self.cloud.n * (2 * self.cloud.dim + 12)
+
     def k_nearest(self, query, k: int) -> list[tuple[int, float]]:
         """The k nearest members of one query point, sorted by (distance, id).
 
@@ -77,25 +112,105 @@ class NeighborIndex:
         with a member returns that member first at distance zero; member
         queries therefore count themselves.
         """
-        n = self.cloud.n
-        k = _check_k(k, n)
         q = self.cloud.query_array(query)
         if q.shape[0] != 1:
             raise GeometryError("k_nearest takes a single query point")
-        cand = None
-        if self._tree is not None and k < n:
-            internal = self._tree.query(q[0], k=k, p=self._p)[0]
-            dk = float(np.atleast_1d(internal)[-1])
-            radius = dk * (1.0 + _RADIUS_SLACK)
-            cand = np.asarray(
-                self._tree.query_ball_point(q[0], radius, p=self._p), dtype=np.intp)
-            if cand.size < k:  # paranoia against radius underflow
-                cand = None
-        if cand is None:
-            cand = self.cloud.ids()
-        d = cross_distances(self.metric, q, self.cloud.points[cand])[0]
-        order = np.lexsort((cand, d))[:k]
-        return [(int(cand[i]), float(d[i])) for i in order]
+        dist, ids = self._nearest_rows(q, k)
+        return [(int(i), float(d)) for i, d in zip(ids[0], dist[0])]
+
+    def _nearest_rows(self, queries, k: int,
+                      threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """(m, k) distances and ids of each query's k nearest members, sorted
+        by (distance, id)."""
+        k = _check_k(k, self.cloud.n)
+        q = self.cloud.query_array(queries)
+        if self._tree_serves(k):
+            return self._tree_rows(q, k, threads)
+        return self._dense_rows(q, k, threads)
+
+    def _dense_rows(self, q: np.ndarray, k: int,
+                    threads: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_nearest_rows` from dense blocks."""
+        dist = np.empty((q.shape[0], k))
+        ids = np.empty((q.shape[0], k), dtype=np.intp)
+
+        def work(sl: slice) -> None:
+            block = cross_distances(self.metric, q[sl], self.cloud.points)
+            # a stable sort keeps equal distances in ascending id order
+            ids[sl] = np.argsort(block, axis=1, kind="stable")[:, :k]
+            dist[sl] = np.take_along_axis(block, ids[sl], axis=1)
+
+        run_chunked(row_chunks(q.shape[0], self.cloud.n), work, threads)
+        return dist, ids
+
+    def _tree_rows(self, q: np.ndarray, k: int,
+                   threads: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_nearest_rows` from tree candidates: the tree's k+1 nearest
+        give the candidates and canonical distances of the first k decide.
+
+        A row is exact when its (k+1)-th tree distance is clear of the k-th by
+        twice the slack: every member outside the first k is then canonically
+        farther than every member inside. The other rows (ties at the k-th
+        distance) recompute over a closed ball that holds every member as
+        near as the k-th. With k = n there is nothing outside.
+        Rows whose tree distances overflow take the dense blocks.
+        """
+        n = self.cloud.n
+        pts = self.cloud.points
+        dist = np.empty((q.shape[0], k))
+        ids = np.empty((q.shape[0], k), dtype=np.intp)
+        for sl in row_chunks(q.shape[0], self._row_cells(k)):
+            m = sl.stop - sl.start
+            tree_d, cand = self._tree.query(q[sl], k=min(k + 1, n), p=self._p,
+                                            workers=threads)
+            tree_d, cand = tree_d.reshape(m, -1), cand.reshape(m, -1)
+            # the tree reports distances that overflow as missing neighbours
+            # (id n); those rows are answered from dense blocks below
+            overflow = ~np.isfinite(tree_d[:, -1])
+            cand[overflow] = 0
+            ids[sl] = cand[:, :k]
+            dist[sl] = paired_distances(self.metric, q[sl, None, :], pts[ids[sl]])
+            # the tree's order is the canonical one unless rounding swaps or
+            # ties two candidates; only those rows need sorting
+            d, c = dist[sl], ids[sl]
+            swapped = np.flatnonzero(~np.all(d[:, 1:] > d[:, :-1], axis=1))
+            order = np.lexsort((c[swapped], d[swapped]), axis=1)
+            d[swapped] = np.take_along_axis(d[swapped], order, axis=1)
+            c[swapped] = np.take_along_axis(c[swapped], order, axis=1)
+            reach = tree_d[:, k - 1] * (1.0 + 2 * _RADIUS_SLACK)
+            tied = ~(tree_d[:, k] > reach) if k < n else np.zeros(m, dtype=bool)
+            loose = sl.start + np.flatnonzero(tied & ~overflow)
+            for part in row_chunks(loose.size, self._ball_cells()):
+                rows = loose[part]
+                dist[rows], ids[rows] = self._ball_rows(
+                    q[rows], reach[rows - sl.start], k, threads)
+            rows = sl.start + np.flatnonzero(overflow)
+            if rows.size:
+                dist[rows], ids[rows] = self._dense_rows(q[rows], k, threads)
+        return dist, ids
+
+    def _ball_rows(self, q: np.ndarray, radii: np.ndarray, k: int,
+                   threads: int) -> tuple[np.ndarray, np.ndarray]:
+        """The k nearest by (distance, id) among each query's members within
+        its closed ball (which must hold at least k of them)."""
+        row, cand, d = self._ball_candidates(q, radii, threads)
+        order = np.lexsort((cand, d, row))
+        first = np.searchsorted(row[order], np.arange(q.shape[0]))
+        pick = order[first[:, None] + np.arange(k)]
+        return d[pick], cand[pick]
+
+    def _ball_candidates(self, q: np.ndarray, radii: np.ndarray, threads: int = 1):
+        """Flat (query row, member id, canonical distance) triples for the
+        tree's closed-ball supersets, grouped by row and ascending in id."""
+        raw = self._tree.query_ball_point(q, radii * (1.0 + _RADIUS_SLACK),
+                                          p=self._p, workers=threads,
+                                          return_sorted=True)
+        counts = np.fromiter((len(c) for c in raw), dtype=np.intp, count=len(raw))
+        cand = (np.concatenate(raw).astype(np.intp) if counts.sum()
+                else np.empty(0, dtype=np.intp))
+        row = np.repeat(np.arange(q.shape[0]), counts)
+        d = paired_distances(self.metric, q[row], self.cloud.points[cand])
+        return row, cand, d
 
     def knn_distance_rows(self, queries, k: int, threads: int = 1) -> np.ndarray:
         """(m, k) array: per query, its k smallest member distances sorted
@@ -103,6 +218,8 @@ class NeighborIndex:
         n = self.cloud.n
         k = _check_k(k, n)
         q = self.cloud.query_array(queries)
+        if self._tree_serves(k):
+            return self._tree_rows(q, k, threads)[0]
         m = q.shape[0]
         out = np.empty((m, k))
 
@@ -132,20 +249,14 @@ class NeighborIndex:
             raise GeometryError("one radius per query point required")
         if np.any(radii < 0):
             raise GeometryError("ball radius must be non-negative")
-        if self._tree is not None:
-            raw = self._tree.query_ball_point(q, radii * (1.0 + _RADIUS_SLACK),
-                                              p=self._p)
-            result = []
-            for row, cand in enumerate(raw):
-                cand = np.asarray(cand, dtype=np.intp)
-                if cand.size == 0:
-                    result.append(cand)
-                    continue
-                d = cross_distances(self.metric, q[row:row + 1],
-                                    self.cloud.points[cand])[0]
-                result.append(np.sort(cand[d <= radii[row]]))
-            return result
         result = []
+        if self._tree is not None:
+            for sl in row_chunks(q.shape[0], self._ball_cells()):
+                row, cand, d = self._ball_candidates(q[sl], radii[sl])
+                inside = d <= radii[sl][row]
+                ends = np.cumsum(np.bincount(row[inside], minlength=sl.stop - sl.start))
+                result.extend(np.split(cand[inside], ends)[:-1])
+            return result
         for sl in row_chunks(q.shape[0], self.cloud.n):
             block = cross_distances(self.metric, q[sl], self.cloud.points)
             result.extend(np.flatnonzero(row <= r) for row, r in zip(block, radii[sl]))

@@ -6,7 +6,10 @@ Aggregations run over the sorted neighbor distances with sequential
 accumulation (cumsum), so every code path produces bit-identical values.
 
 Every batch of robust distances comes from one streaming sweep
-(:func:`values_at_scales`), so no (m, k) table outlives one row block.
+(:func:`values_at_scales`), so no (m, k) table outlives one row block. The
+k-NN rows come from the kd-tree when it answers at the sweep's largest k
+(blocks sized by k) and from dense blocks otherwise (blocks sized by n); the
+values are the same bytes either way.
 """
 from __future__ import annotations
 
@@ -122,11 +125,12 @@ def values_at_scales(index: NeighborIndex, queries, ks,
     """Robust distances at several k values in one streaming sweep.
 
     The queries are read in row blocks sized to the distance-cell budget
-    (:func:`geometry.row_chunks`). Each block takes its k_max smallest
-    distances sorted, runs one prefix sum, and keeps only the columns at the
-    requested ks, so memory is one block plus len(ks) values per query. Each
-    value is bit-identical to a single-k call. Raises GeometryError when the
-    values overflow float64.
+    (:func:`geometry.row_chunks`) at what one query row costs the index at
+    k_max: n cells on dense blocks, about k_max * (d + 7) on the tree. Each
+    block takes its k_max smallest distances sorted, runs one prefix sum, and
+    keeps only the columns at the requested ks, so memory is one block plus
+    len(ks) values per query. Each value is bit-identical to a single-k call.
+    Raises GeometryError when the values overflow float64.
     """
     n = index.cloud.n
     ks = sorted({_check_k(k, n) for k in ks})
@@ -134,13 +138,16 @@ def values_at_scales(index: NeighborIndex, queries, ks,
         return {}
     q = index.cloud.query_array(queries)
     out = {k: np.empty(q.shape[0]) for k in ks}
+    # the tree query runs on the threads itself; dense blocks share them
+    tree = index._tree_serves(ks[-1])
 
     def work(sl: slice) -> None:
-        rows = index.knn_distance_rows(q[sl], ks[-1])
+        rows = index.knn_distance_rows(q[sl], ks[-1], threads if tree else 1)
         for k, v in _prefix_values(rows, ks, kind).items():
             out[k][sl] = v
 
-    run_chunked(row_chunks(q.shape[0], n), work, threads)
+    run_chunked(row_chunks(q.shape[0], index._row_cells(ks[-1])), work,
+                1 if tree else threads)
     return out
 
 

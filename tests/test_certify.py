@@ -217,3 +217,37 @@ def test_adaptive_certify_scales_matches_certify(weak):
         one = dc.certify(cloud, metric, akref, k, weak=weak, adaptive=True)
         assert json.dumps(many[k].to_dict()) == json.dumps(one.to_dict())
         assert "nearest_reference_ties" in many[k].conditions
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+def test_sampled_feature_size_check_uses_the_canonical_distances(kind):
+    # in 10 dimensions the sampled check's worst excess is computed from the
+    # same distance cross_distances gives for its worst pair
+    rng = np.random.default_rng(14)
+    pts = rng.normal(size=(300, 10))
+    f = rng.uniform(1.0, 4.0, size=300)
+    metric = dc.Metric(kind)
+    kref = dc.GroundTruthRef(dc.PointCloud.from_coords(pts), f)
+    report = dc.check_feature_size(kref, metric, max_exhaustive=50, sample_pairs=5000)
+    i, j = report.worst_pair
+    d = dc.cross_distances(metric, pts[[i]], pts[[j]])[0, 0]
+    assert report.sampled and report.worst_excess == abs(f[i] - f[j]) - d
+
+
+@pytest.mark.parametrize("side", [1, 16])
+def test_adaptive_tie_count_equals_the_dense_count(side):
+    # cloud points half a unit off an integer grid reference are equally near
+    # two or four reference points; the 16 x 16 grid is large enough for the
+    # 2-NN query to run on the kd-tree, a single point has no ties
+    ref = np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1).reshape(-1, 2)
+    ref = ref.astype(float)
+    rng = np.random.default_rng(15)
+    pts = np.vstack([ref + 0.5, ref[::3] + [0.5, 0.0],
+                     rng.uniform(-1.0, side, size=(200, 2))])
+    kref = dc.GroundTruthRef(dc.PointCloud.from_coords(ref), np.ones(len(ref)))
+    cert = dc.certify(dc.PointCloud.from_coords(pts), dc.Metric(), kref, 4,
+                      adaptive=True)
+    block = dc.cross_distances(dc.Metric(), pts, ref)
+    want = int(((block == block.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert cert.conditions["nearest_reference_ties"] == want
+    assert (want > 0) == (side > 1)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import declutter as dc
+from declutter.geometry import paired_distances
 from conftest import dist_euclidean, dist_manhattan, random_cloud
 
 
@@ -192,3 +194,55 @@ def test_subset_metric_equals_validated_slice():
     assert block.dtype == want.dtype
     assert block.tobytes() == want.tobytes()
     assert metric.matrix.tobytes() == m.tobytes()  # the source is not touched
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 64), kind=st.sampled_from(["euclidean", "manhattan"]),
+       exponent=st.sampled_from([-500, -10, 0, 10, 500]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_paired_distances_equal_cross_distances(d, kind, exponent, seed):
+    # the paired kernel is the canonical one: bit for bit what cdist returns,
+    # in every dimension and far from unit scale
+    rng = np.random.default_rng(seed)
+    scale = 2.0 ** exponent * rng.uniform(1e-3, 1e3)
+    a = rng.normal(size=(7, d)) * scale
+    b = rng.normal(size=(11, d)) * scale
+    metric = dc.Metric(kind)
+    want = dc.cross_distances(metric, a, b)
+    got = paired_distances(metric, a[:, None, :], b[None, :, :])
+    assert got.tobytes() == want.tobytes()
+    pick = rng.integers(0, 11, size=7)
+    got = paired_distances(metric, a, b[pick])
+    assert got.tobytes() == want[np.arange(7), pick].tobytes()
+
+
+def test_paired_distances_on_a_matrix_read_its_entries():
+    pts = np.random.default_rng(3).normal(size=(6, 2))
+    m = dc.cross_distances(dc.Metric(), pts, pts)
+    metric = dc.Metric("precomputed", matrix=m)
+    a, b = np.array([0, 5, 2]), np.array([[1], [3]])
+    assert paired_distances(metric, a, b).tolist() == m[a, b].tolist()
+
+
+def test_paired_distances_dimension_mismatch():
+    with pytest.raises(dc.GeometryError):
+        paired_distances(dc.Metric(), np.zeros((3, 2)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+def test_triangle_constant_uses_the_canonical_distances(kind):
+    # 12 collinear points in 10 dimensions, where rounding lifts some ratios
+    # just above 1: the exhaustive estimate is the largest ratio over the
+    # cross_distances matrix
+    rng = np.random.default_rng(0)
+    pts = rng.normal(size=10) + rng.uniform(-3, 3, size=(12, 1)) * rng.normal(size=10)
+    metric = dc.Metric(kind)
+    full = dc.cross_distances(metric, pts, pts)
+    best = 1.0
+    for x in range(12):
+        for w in range(12):
+            for y in range(12):
+                if len({x, w, y}) == 3:
+                    best = max(best, full[x, y] / (full[x, w] + full[w, y]))
+    est = dc.estimate_triangle_constant(dc.PointCloud.from_coords(pts), metric)
+    assert est == best

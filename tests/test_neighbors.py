@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import declutter as dc
+from declutter import geometry
+from declutter.geometry import nearest_cross
+from declutter.neighbors import NeighborIndex
 from conftest import dist_manhattan, line_cloud, oracle_knn_ids, random_cloud
 
 
@@ -192,3 +195,172 @@ def test_knn_rows_leave_the_distance_matrix_untouched():
     assert rows.tolist() == np.sort(matrix, axis=1)[:, :150].tolist()
     dc.values_at_scales(index, cloud.points, [150, 7], dc.RMS_K, threads=2)
     assert np.array_equal(metric.matrix, matrix)
+
+
+# -- the tree candidate path ----------------------------------------------------
+# The 2-D and 3-D clouds below are large enough that the crossover rule picks
+# the tree at the k used; the 9-D ones are not (the rule needs n >= k * 2**13
+# there), so their tree path is called directly.
+
+def _grid(side, dim):
+    axes = np.meshgrid(*[np.arange(side, dtype=float)] * dim)
+    return np.stack(axes, -1).reshape(-1, dim)
+
+
+def _tree_cases():
+    rng = np.random.default_rng(61)
+    clusters = np.repeat(rng.normal(size=(120, 3)), 11, axis=0)  # coincident points
+    clusters = clusters[rng.permutation(clusters.shape[0])]
+    gauss = rng.normal(size=(900, 9))
+    # one vector under 300 coordinate permutations: equally far from the
+    # origin, but summing in a different order rounds differently
+    v = rng.uniform(0.5, 2.0, size=9)
+    permuted = np.vstack([v[rng.permutation(9)] for _ in range(300)]
+                         + [rng.normal(size=(100, 9)) + 20.0])
+    huge = rng.normal(size=(600, 2))
+    huge *= 2.5e159 / np.abs(huge).max()  # the distances overflow float64
+    return {
+        "grid-euclidean-k3": (_grid(24, 2), "euclidean", 3),
+        "grid-manhattan-k3": (_grid(24, 2), "manhattan", 3),
+        "lattice3-manhattan-k6": (_grid(10, 3), "manhattan", 6),
+        "clusters-euclidean-k5": (clusters, "euclidean", 5),
+        "clusters-manhattan-k10": (clusters, "manhattan", 10),
+        "gauss9-euclidean-k14": (gauss, "euclidean", 14),
+        "gauss9-manhattan-k1": (gauss, "manhattan", 1),
+        "overflow-euclidean-k4": (huge, "euclidean", 4),
+        "permuted-euclidean-k5": (permuted, "euclidean", 5),
+        "permuted-manhattan-k5": (permuted, "manhattan", 5),
+    }
+
+
+def _tree_queries(pts):
+    # members, half-integer offsets (equidistant from several grid points)
+    # and fresh points
+    rng = np.random.default_rng(62)
+    return np.vstack([pts, pts[::7] + 0.5, np.zeros(pts.shape[1]),
+                      rng.normal(size=(40, pts.shape[1])) * np.abs(pts).max()])
+
+
+@pytest.mark.parametrize("case", sorted(_tree_cases()))
+def test_tree_rows_equal_dense_rows(case, monkeypatch):
+    pts, kind, k = _tree_cases()[case]
+    cloud, metric = dc.PointCloud.from_coords(pts), dc.Metric(kind)
+    brute = dc.build_index(cloud, metric, "brute")
+    tree = dc.build_index(cloud, metric, "kdtree")
+    assert tree._tree_serves(k) == (cloud.dim <= 3)
+    q = _tree_queries(pts)
+    ball_rows = []
+    real = NeighborIndex._ball_rows
+    monkeypatch.setattr(NeighborIndex, "_ball_rows", lambda self, qq, *rest: (
+        ball_rows.append(qq.shape[0]), real(self, qq, *rest))[1])
+    want_rows = brute.knn_distance_rows(q, k)
+    want_d, want_ids = brute._nearest_rows(q, k)
+    assert want_d.tobytes() == want_rows.tobytes()
+    for threads in (1, 2):
+        assert tree.knn_distance_rows(q, k, threads).tobytes() == want_rows.tobytes()
+        for got_d, got_ids in (tree._nearest_rows(q, k, threads),
+                               tree._tree_rows(q, k, threads)):
+            assert got_d.tobytes() == want_d.tobytes()
+            assert np.array_equal(got_ids, want_ids)
+    for i in range(0, q.shape[0], 29):
+        assert tree.k_nearest(q[i], k) == brute.k_nearest(q[i], k)
+    # ties at the k-th distance send rows to the ball fallback
+    tie_heavy = case.startswith(("grid", "lattice", "clusters", "permuted"))
+    assert (sum(ball_rows) > 0) == tie_heavy
+
+
+def test_tree_rows_recheck_rounding_near_ties():
+    # coordinate permutations of one vector are equally far from the origin,
+    # but the tree sums squares in another order than the canonical kernel:
+    # the tree's nearest group is not the canonical one, and only the slack
+    # around the k-th tree distance sends the row to the exact fallback
+    rng = np.random.default_rng(6)
+    v = rng.uniform(0.5, 2.0, size=12)
+    pts = np.vstack([v[rng.permutation(12)] for _ in range(40)]
+                    + [rng.normal(size=(60, 12)) + 20.0])
+    origin = np.zeros((1, 12))
+    tree = dc.build_index(dc.PointCloud.from_coords(pts), dc.Metric(), "kdtree")
+    tree_d = tree._tree.query(origin[0], k=pts.shape[0])[0]
+    k = int((tree_d == tree_d[0]).sum())
+    canonical = dc.cross_distances(dc.Metric(), origin, pts)[0]
+    want = np.lexsort((np.arange(pts.shape[0]), canonical))[:k]
+    assert set(want) != set(tree._tree.query(origin, k=k)[1].reshape(-1))
+    dist, ids = tree._tree_rows(origin, k, 1)
+    assert ids[0].tolist() == want.tolist()
+    assert dist[0].tobytes() == canonical[want].tobytes()
+
+
+@pytest.mark.parametrize("case", ["grid-manhattan-k3", "clusters-euclidean-k5",
+                                  "gauss9-euclidean-k14"])
+def test_tree_rows_at_k_equal_n(case):
+    # with k = n no (k+1)-th neighbour exists and every row is taken as is
+    pts, kind, _ = _tree_cases()[case]
+    pts = pts[:70]
+    cloud, metric = dc.PointCloud.from_coords(pts), dc.Metric(kind)
+    q = _tree_queries(pts)
+    want = dc.build_index(cloud, metric, "brute")._nearest_rows(q, cloud.n)
+    got = dc.build_index(cloud, metric, "kdtree")._tree_rows(q, cloud.n, 1)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("case", sorted(c for c, (pts, _, _) in _tree_cases().items()
+                                         if pts.shape[1] <= 3))
+def test_nearest_cross_on_the_tree_equals_dense(case):
+    targets, kind, _ = _tree_cases()[case]
+    metric = dc.Metric(kind)
+    assert dc.build_index(dc.PointCloud.from_coords(targets), metric)._tree_serves(1)
+    q = _tree_queries(targets)
+    block = dc.cross_distances(metric, q, targets)
+    for threads in (1, 2):
+        dist, idx = nearest_cross(metric, q, targets, threads=threads)
+        assert np.array_equal(idx, block.argmin(axis=1))  # ties -> lowest id
+        assert dist.tobytes() == block.min(axis=1).tobytes()
+    assert dc.directed_hausdorff(q, targets, metric, threads=2) == block.min(axis=1).max()
+
+
+@pytest.mark.parametrize("case", ["grid-euclidean-k3", "grid-manhattan-k3",
+                                  "clusters-manhattan-k10"])
+def test_ball_ids_many_on_the_tree_equal_dense(case):
+    pts, kind, _ = _tree_cases()[case]
+    cloud, metric = dc.PointCloud.from_coords(pts), dc.Metric(kind)
+    q = _tree_queries(pts)
+    # integer radii put grid points exactly on the closed boundary
+    radii = np.random.default_rng(63).integers(0, 4, size=q.shape[0]).astype(float)
+    want = dc.build_index(cloud, metric, "brute").ball_ids_many(q, radii)
+    got = dc.build_index(cloud, metric, "kdtree").ball_ids_many(q, radii)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+    assert dc.build_index(cloud, metric, "kdtree").ball_ids_many(q[:0], radii[:0]) == []
+
+
+@pytest.mark.parametrize("case", ["grid-manhattan-k3", "clusters-euclidean-k5"])
+def test_ball_ids_many_on_the_tree_in_row_blocks(case, monkeypatch):
+    # the tree's ball queries run in row blocks sized for balls that hold the
+    # whole cloud, and blocking changes no result
+    pts, kind, _ = _tree_cases()[case]
+    cloud, metric = dc.PointCloud.from_coords(pts), dc.Metric(kind)
+    tree = dc.build_index(cloud, metric, "kdtree")
+    q = _tree_queries(pts)
+    radii = np.random.default_rng(64).integers(0, 4, size=q.shape[0]).astype(float)
+    want = tree.ball_ids_many(q, radii)
+    monkeypatch.setattr(geometry, "_CHUNK_CELLS", 5 * tree._ball_cells())
+    blocks = []
+    real = NeighborIndex._ball_candidates
+    monkeypatch.setattr(NeighborIndex, "_ball_candidates", lambda self, qq, *rest: (
+        blocks.append(qq.shape[0]), real(self, qq, *rest))[1])
+    got = tree.ball_ids_many(q, radii)
+    assert max(blocks) == 5 and len(blocks) == -(-q.shape[0] // 5)
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
+@pytest.mark.parametrize("dim, n, k_max", [(1, 1000, 31), (2, 1000, 15),
+                                           (3, 1000, 7), (9, 50000, 6)])
+def test_tree_crossover_halves_per_dimension(dim, n, k_max):
+    # the tree answers while k * 2**(d + 4) <= n: the largest k it serves is
+    # a fraction of n that halves with each dimension
+    cloud = dc.PointCloud.from_coords(np.zeros((n, dim)))
+    tree = dc.build_index(cloud, dc.Metric(), "kdtree")
+    assert tree._tree_serves(k_max) and not tree._tree_serves(k_max + 1)
+    assert not dc.build_index(cloud, dc.Metric(), "brute")._tree_serves(1)

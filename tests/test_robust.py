@@ -5,6 +5,7 @@ import pytest
 
 import declutter as dc
 import declutter.geometry as geometry
+from declutter.neighbors import NeighborIndex
 from conftest import line_cloud, oracle_robust, random_cloud
 
 
@@ -227,3 +228,34 @@ def test_overflowing_squares_name_the_cause():
         assert np.all(np.isfinite(dc.profile(cloud, index, 8, kind).values))
     with pytest.raises(dc.GeometryError, match="rms-k distances overflow float64"):
         dc.profile(cloud, index, 8, dc.RMS_K)
+
+
+@pytest.mark.parametrize("strategy", ["brute", "kdtree"])
+def test_overflow_on_the_tree_path_names_the_cause(strategy):
+    # large enough that the kd-tree answers k=8 from the tree
+    pts = np.random.default_rng(10).normal(size=(600, 2))
+    cloud = dc.PointCloud.from_coords(pts / np.abs(pts).max() * 2.5e159)
+    assert dc.build_index(cloud, dc.Metric(), "kdtree")._tree_serves(8)
+    with pytest.raises(dc.GeometryError, match="overflow float64"):
+        dc.declutter(cloud, dc.Metric(), 8, strategy=strategy)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tree_sweep_blocks_hold_k_max_cells(threads, monkeypatch):
+    # on the tree path a block's rows are sized by k, not by n, and the
+    # blocked sweep equals the one-block sweep byte for byte
+    pts = np.random.default_rng(11).normal(size=(2000, 2))
+    cloud = dc.PointCloud.from_coords(pts)
+    index = dc.build_index(cloud, dc.Metric(), "kdtree")
+    ks = [2, 8, 16]
+    assert index._tree_serves(16)
+    want = dc.values_at_scales(index, cloud.points, ks, dc.RMS_K)
+    monkeypatch.setattr(geometry, "_CHUNK_CELLS", 5000)
+    sizes = []
+    real = NeighborIndex.knn_distance_rows
+    monkeypatch.setattr(NeighborIndex, "knn_distance_rows", lambda self, q, *a: (
+        sizes.append(len(q)), real(self, q, *a))[1])
+    got = dc.values_at_scales(index, cloud.points, ks, dc.RMS_K, threads=threads)
+    per_block = 5000 // index._row_cells(16)
+    assert max(sizes) == per_block and len(sizes) == -(-2000 // per_block)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in ks)
