@@ -6,11 +6,17 @@ The vicinity ball of p is the CLOSED ball of radius factor * d_k(p), with
 factor 2 by default: a boundary point blocks selection, which also makes the
 radius-zero coincident-point case well defined.
 
-The pass is one scan for every neighbor strategy: each point's canonical
-distances to the kept set, held in selection order, are computed in one
-:func:`geometry.cross_distances` call. The witness of a rejection is the
-first kept point inside the ball, i.e. the earliest kept one, and its
-recorded distance is that canonical value.
+The pass is one blocked scan for every neighbor strategy. It takes the next
+B points in processing order and makes one :func:`geometry.cross_distances`
+call of those points against the kept set so far, held in selection order.
+A point hit by a kept point from before its block is rejected, and its
+witness is the first hit. The rest resolve in order among themselves on one
+dense block of just those points. A pre-block kept point always precedes an
+in-block one in selection order, so the witness of a rejection is still the
+earliest kept point inside the ball, exactly as in a point-by-point scan,
+and its recorded distance is that canonical value. Blocks get fewer rows once
+the kept set is large, so neither dense block exceeds the cell budget of
+:func:`geometry.row_chunks`.
 
 :func:`declutter` is the robust profile at one k followed by that pass;
 :func:`greedy_declutter` runs the pass on a profile the caller already has.
@@ -21,9 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .geometry import GeometryError, Metric, PointCloud, cross_distances
 from .neighbors import AUTO, build_index
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, profile
+
+# points per block of the greedy scan, read from BENCH_greedy_blocks.json
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -89,24 +99,49 @@ def greedy_declutter(cloud: PointCloud, metric: Metric,
         raise GeometryError("profile does not cover this cloud")
     values = prof.values
     order = np.lexsort((np.arange(cloud.n), values))
+    radii = vicinity_factor * values
     members = cloud.points
     kept_buf = np.empty_like(members)  # kept members, selection order
-    kept: list[int] = []
-    rejected: dict[int, Rejection] = {}
-    for pid in order:
-        pid = int(pid)
-        m = len(kept)
+    kept = np.empty(cloud.n, dtype=np.intp)  # kept ids, selection order
+    witness = np.full(cloud.n, -1, dtype=np.intp)
+    witness_distance = np.zeros(cloud.n)
+    m = start = 0
+    while start < cloud.n:
+        rows = max(1, min(_BLOCK, geometry._CHUNK_CELLS // max(m, _BLOCK)))
+        block = order[start:start + rows]
+        start += rows
         if m:
-            d = cross_distances(metric, members[pid:pid + 1], kept_buf[:m])[0]
-            hits = np.flatnonzero(d <= vicinity_factor * values[pid])
-            if hits.size:
-                first = int(hits[0])
-                rejected[pid] = Rejection(witness=kept[first],
-                                          distance=float(d[first]))
-                continue
-        kept_buf[m] = members[pid]
-        kept.append(pid)
-    return DeclutterResult(kept=np.asarray(kept, dtype=np.intp),
+            # points hit by a kept point from before the block: the first
+            # hit is the earliest kept one
+            d = cross_distances(metric, members[block], kept_buf[:m])
+            hit = d <= radii[block, None]
+            first = hit.argmax(axis=1)
+            out = hit[np.arange(block.size), first]
+            witness[block[out]] = kept[first[out]]
+            witness_distance[block[out]] = d[out, first[out]]
+            block = block[~out]
+        if block.size > 1:
+            # the rest resolve in order among themselves: row i is hit by
+            # earlier rows j < i, and only kept ones block it
+            d = cross_distances(metric, members[block], members[block])
+            hit = np.tril(d <= radii[block, None], -1)
+            keep = np.ones(block.size, dtype=bool)
+            for i in np.flatnonzero(hit.any(axis=1)):
+                by_kept = hit[i] & keep
+                if by_kept.any():
+                    j = by_kept.argmax()
+                    keep[i] = False
+                    witness[block[i]] = block[j]
+                    witness_distance[block[i]] = d[i, j]
+            block = block[keep]
+        kept[m:m + block.size] = block
+        kept_buf[m:m + block.size] = members[block]
+        m += block.size
+    dropped = order[witness[order] >= 0]  # in processing order, as to_dict lists them
+    rejected = {p: Rejection(witness=w, distance=x) for p, w, x in zip(
+        dropped.tolist(), witness[dropped].tolist(),
+        witness_distance[dropped].tolist())}
+    return DeclutterResult(kept=kept[:m],
                            rejected=rejected,
                            order=order.astype(np.intp),
                            profile=prof,

@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import declutter as dc
+import declutter.decluttering as decluttering
+import declutter.geometry as geometry
 from conftest import (dist_euclidean, dist_manhattan, line_cloud, noisy_instance,
                       oracle_declutter, random_cloud)
 
@@ -170,3 +175,100 @@ def test_non_integer_k_rejected(k):
     cloud, metric = line_cloud()
     with pytest.raises(dc.GeometryError):
         dc.declutter(cloud, metric, k)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_blocked_pass_matches_oracle(monkeypatch, block):
+    # ragged blocks: witnesses fall both before and inside a point's block
+    monkeypatch.setattr(decluttering, "_BLOCK", block)
+    before = inside = contested = 0
+    for pts, metric, dist, k, kind in _oracle_cases():
+        cloud = dc.PointCloud.from_coords(pts)
+        matrix = dc.Metric("precomputed", matrix=dc.cross_distances(metric, pts, pts))
+        runs = ((cloud, metric), (dc.PointCloud.matrix_backed(cloud.n), matrix))
+        for factor in (0.5, 2.0, 4.0):
+            kept, rejected, values = oracle_declutter(pts, k, kind, factor, dist)
+            for run_cloud, run_metric in runs:
+                result = dc.declutter(run_cloud, run_metric, k, kind=dc.parse_kind(kind),
+                                      vicinity_factor=factor)
+                assert result.kept.tolist() == kept
+                assert {p: r.witness for p, r in result.rejected.items()} == rejected
+                for p, r in result.rejected.items():
+                    want = dc.cross_distances(run_metric, run_cloud.points[[p]],
+                                              run_cloud.points[[r.witness]])[0, 0]
+                    assert np.float64(r.distance).tobytes() == want.tobytes()
+            position = {p: i for i, p in enumerate(result.order.tolist())}
+            for p, w in rejected.items():
+                start = position[p] - position[p] % block
+                if position[w] >= start:
+                    inside += 1
+                    continue
+                before += 1
+                # a kept point of p's own block is also in the ball, but the
+                # earlier-kept pre-block witness wins
+                contested += any(start <= position[q] < position[p]
+                                 and dist(pts[p], pts[q]) <= factor * values[p]
+                                 for q in kept)
+    assert before > 0
+    if block > 1:
+        assert inside > 0 and contested > 0
+
+
+def _with_block(block, run):
+    """run() at the given block size; a hypothesis test runs many examples
+    per call, so it cannot use the function-scoped monkeypatch fixture."""
+    saved = decluttering._BLOCK
+    decluttering._BLOCK = block
+    try:
+        return run()
+    finally:
+        decluttering._BLOCK = saved
+
+
+@settings(max_examples=80, deadline=None)
+@given(coords=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       min_size=1, max_size=40),
+       copies=st.integers(0, 10),
+       kind=st.sampled_from(["euclidean", "manhattan"]),
+       factor=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+       data=st.data())
+def test_block_size_leaves_output_bytes_unchanged(coords, copies, kind, factor, data):
+    pts = np.array(coords + coords[:copies], dtype=float)  # duplicated points
+    cloud, metric = dc.PointCloud.from_coords(pts), dc.Metric(kind)
+    k = data.draw(st.integers(1, cloud.n))
+    prof = dc.declutter(cloud, metric, k).profile
+
+    def outcome():
+        result = dc.greedy_declutter(cloud, metric, prof, vicinity_factor=factor)
+        dist = np.array([r.distance for r in result.rejected.values()])
+        return json.dumps(result.to_dict()), dist.tobytes()
+
+    assert _with_block(1, outcome) == outcome()
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_greedy_pass_reads_one_block_at_a_time(monkeypatch, k):
+    # no cross_distances call of the pass may return more cells than the
+    # budget, also when nearly every point is kept (k = 1: radius 0)
+    cells = 400
+    cloud, metric, _, _ = noisy_instance(202)
+    assert cloud.n <= cells  # a single row always fits
+    prof = dc.declutter(cloud, metric, k).profile
+    want = dc.greedy_declutter(cloud, metric, prof)
+    monkeypatch.setattr(geometry, "_CHUNK_CELLS", cells)
+    shapes = []
+    original = decluttering.cross_distances
+
+    def recorded(metric, queries, targets):
+        out = original(metric, queries, targets)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(decluttering, "cross_distances", recorded)
+    result = dc.greedy_declutter(cloud, metric, prof)
+    assert result.kept.tolist() == want.kept.tolist()
+    assert result.rejected == want.rejected
+    if k == 1:
+        assert result.kept.size == cloud.n
+    assert max(r * c for r, c in shapes) <= cells
+    assert max(r for r, _ in shapes) > 1  # blocks of several rows ran
