@@ -19,7 +19,10 @@ the kept set is large, so neither dense block exceeds the cell budget of
 :func:`geometry.row_chunks`.
 
 :func:`declutter` is the robust profile at one k followed by that pass;
-:func:`greedy_declutter` runs the pass on a profile the caller already has.
+:func:`greedy_declutter` runs the pass on a profile the caller already has
+and records a :class:`Rejection` per dropped point. The pass itself works on
+arrays (kept order, processing order, dropped ids with their witnesses and
+witness distances), which the parameter-free loop reads directly.
 """
 from __future__ import annotations
 
@@ -97,16 +100,31 @@ def greedy_declutter(cloud: PointCloud, metric: Metric,
     cloud.check_metric(metric)
     if prof.n != cloud.n:
         raise GeometryError("profile does not cover this cloud")
-    values = prof.values
-    order = np.lexsort((np.arange(cloud.n), values))
+    kept, order, dropped, witness, witness_distance = _greedy_pass(
+        metric, cloud.points, prof.values, vicinity_factor)
+    rejected = {p: Rejection(witness=w, distance=x) for p, w, x in zip(
+        dropped.tolist(), witness.tolist(), witness_distance.tolist())}
+    return DeclutterResult(kept=kept,
+                           rejected=rejected,
+                           order=order,
+                           profile=prof,
+                           vicinity_factor=float(vicinity_factor))
+
+
+def _greedy_pass(metric: Metric, members: np.ndarray, values: np.ndarray,
+                 vicinity_factor: float):
+    """The blocked greedy pass on arrays: the members' points and robust
+    values. Returns (kept ids in selection order, processing order, dropped
+    ids in processing order, their witnesses, their witness distances)."""
+    n = members.shape[0]
+    order = np.lexsort((np.arange(n), values))
     radii = vicinity_factor * values
-    members = cloud.points
     kept_buf = np.empty_like(members)  # kept members, selection order
-    kept = np.empty(cloud.n, dtype=np.intp)  # kept ids, selection order
-    witness = np.full(cloud.n, -1, dtype=np.intp)
-    witness_distance = np.zeros(cloud.n)
+    kept = np.empty(n, dtype=np.intp)  # kept ids, selection order
+    witness = np.full(n, -1, dtype=np.intp)
+    witness_distance = np.zeros(n)
     m = start = 0
-    while start < cloud.n:
+    while start < n:
         rows = max(1, min(_BLOCK, geometry._CHUNK_CELLS // max(m, _BLOCK)))
         block = order[start:start + rows]
         start += rows
@@ -138,11 +156,4 @@ def greedy_declutter(cloud: PointCloud, metric: Metric,
         kept_buf[m:m + block.size] = members[block]
         m += block.size
     dropped = order[witness[order] >= 0]  # in processing order, as to_dict lists them
-    rejected = {p: Rejection(witness=w, distance=x) for p, w, x in zip(
-        dropped.tolist(), witness[dropped].tolist(),
-        witness_distance[dropped].tolist())}
-    return DeclutterResult(kept=kept[:m],
-                           rejected=rejected,
-                           order=order.astype(np.intp),
-                           profile=prof,
-                           vicinity_factor=float(vicinity_factor))
+    return kept[:m], order, dropped, witness[dropped], witness_distance[dropped]

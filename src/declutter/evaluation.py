@@ -22,6 +22,7 @@ from .geometry import (
     GroundTruthRef,
     Metric,
     PointCloud,
+    _check_threads,
     cross_distances,
     nearest_cross,
 )
@@ -336,6 +337,7 @@ def verify_bound(bound_name: str, *, cloud: PointCloud | None = None,
     bound = BOUNDS.get(bound_name)
     if bound is None:
         raise GeometryError(f"unknown bound name: {bound_name!r}")
+    threads = _check_threads(threads)
     args = SimpleNamespace(
         cloud=cloud, metric=metric or Metric(), kref=kref, certificate=certificate,
         result=result, resampled_ids=resampled_ids, trace=trace,

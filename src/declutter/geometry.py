@@ -62,8 +62,10 @@ class Metric:
                 raise GeometryError("distance matrix must be square")
             if not np.all(np.isfinite(m)):
                 raise GeometryError("distance matrix contains NaN/Inf")
-            if np.any(m < 0):
-                raise GeometryError("distance matrix has negative entries")
+            if np.any(np.signbit(m)):
+                if np.any(m < 0):
+                    raise GeometryError("distance matrix has negative entries")
+                m = m + 0.0  # -0.0 becomes +0.0, so sorting cannot flip a sign
             if np.any(np.diagonal(m) != 0.0):
                 raise GeometryError("distance matrix diagonal must be zero")
             if not np.array_equal(m, m.T):
@@ -249,6 +251,16 @@ def row_chunks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
 
+def _check_threads(threads) -> int:
+    """threads as a plain int, or GeometryError unless it is a positive
+    integer."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
+        raise GeometryError(f"threads must be an integer, got {threads!r}")
+    if threads < 1:
+        raise GeometryError(f"threads={threads} must be at least 1")
+    return int(threads)
+
+
 def run_chunked(chunks, worker, threads: int = 1) -> None:
     """Run ``worker(chunk)`` over all chunks, optionally on a thread pool.
 
@@ -271,6 +283,7 @@ def nearest_cross(metric: Metric, queries, targets,
     :class:`~declutter.neighbors.NeighborIndex` over them, which picks the
     spatial tree or dense blocks; both give the dense result exactly.
     """
+    threads = _check_threads(threads)
     if metric.kind != PRECOMPUTED:
         from .neighbors import NeighborIndex  # neighbors is built on this module
         t = PointCloud.from_coords(np.atleast_2d(targets))

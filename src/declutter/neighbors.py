@@ -6,9 +6,10 @@ nearest-point queries share one candidate-then-canonical path: the tree's
 k+1 nearest, canonical distances of the first k from
 :func:`geometry.paired_distances`, and a closed-ball recheck of rows tied at
 the k-th distance. The tree answers when ``k * 2**(d + 4) <= n`` (d the
-dimension) and dense blocks answer otherwise. Both strategies return
-identical results, id for id and byte for byte. Ties are broken by ascending
-point id everywhere.
+dimension) and dense blocks answer otherwise; a dense block's distance rows
+are sorted in the block itself and its k-prefix is the result. Both
+strategies return identical results, id for id and byte for byte. Ties are
+broken by ascending point id everywhere.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .geometry import (
     GeometryError,
     Metric,
     PointCloud,
+    _check_threads,
     cross_distances,
     paired_distances,
     row_chunks,
@@ -123,6 +125,7 @@ class NeighborIndex:
         """(m, k) distances and ids of each query's k nearest members, sorted
         by (distance, id)."""
         k = _check_k(k, self.cloud.n)
+        threads = _check_threads(threads)
         q = self.cloud.query_array(queries)
         if self._tree_serves(k):
             return self._tree_rows(q, k, threads)
@@ -214,25 +217,46 @@ class NeighborIndex:
 
     def knn_distance_rows(self, queries, k: int, threads: int = 1) -> np.ndarray:
         """(m, k) array: per query, its k smallest member distances sorted
-        ascending. Values are tie-insensitive, so this is strategy-free."""
+        ascending. Values are tie-insensitive, so this is strategy-free.
+
+        The rows are the caller's to overwrite. On dense blocks, queries that
+        fit one block get a view of that block's sorted prefix, no copy.
+        """
         n = self.cloud.n
         k = _check_k(k, n)
+        threads = _check_threads(threads)
         q = self.cloud.query_array(queries)
         if self._tree_serves(k):
             return self._tree_rows(q, k, threads)[0]
-        m = q.shape[0]
-        out = np.empty((m, k))
+        chunks = row_chunks(q.shape[0], n)
+        if len(chunks) == 1:
+            return self._sorted_block(q, k)
+        out = np.empty((q.shape[0], k))
 
         def work(sl: slice) -> None:
-            # a fresh array (never a view of a matrix), so it is partitioned in place
-            block = cross_distances(self.metric, q[sl], self.cloud.points)
-            if k < n:
-                block.partition(k - 1, axis=1)
-            out[sl] = block[:, :k]
-            out[sl].sort(axis=1)
+            out[sl] = self._sorted_block(q[sl], k)
 
-        run_chunked(row_chunks(m, n), work, threads)
+        run_chunked(chunks, work, threads)
         return out
+
+    def _sorted_block(self, q: np.ndarray, k: int) -> np.ndarray:
+        """The k-prefix of the queries' dense distance block, sorted ascending
+        inside the block itself: a view of the block, which the caller owns.
+
+        Below k/n = 0.6 the block is partitioned at k and only the prefix is
+        sorted; from there on sorting whole rows is faster
+        (BENCH_sweep_kernel.json). Both give the same bytes, since sorting the
+        same values orders them the same way (a distance is never -0.0).
+        """
+        n = self.cloud.n
+        # a fresh array (never a view of a matrix), so it is sorted in place
+        block = cross_distances(self.metric, q, self.cloud.points)
+        if 5 * k >= 3 * n:
+            block.sort(axis=1)
+        else:
+            block.partition(k - 1, axis=1)
+            block[:, :k].sort(axis=1)
+        return block[:, :k]
 
     def ball_ids(self, query, radius: float) -> np.ndarray:
         """Ids of all members within the closed ball of the given radius."""
@@ -261,6 +285,21 @@ class NeighborIndex:
             block = cross_distances(self.metric, q[sl], self.cloud.points)
             result.extend(np.flatnonzero(row <= r) for row, r in zip(block, radii[sl]))
         return result
+
+    def _captured(self, q: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """Boolean mask of the members inside some query's closed ball, the
+        union of :meth:`ball_ids_many`, marked block by block without
+        building any ball's id array."""
+        captured = np.zeros(self.cloud.n, dtype=bool)
+        if self._tree is not None:
+            for sl in row_chunks(q.shape[0], self._ball_cells()):
+                row, cand, d = self._ball_candidates(q[sl], radii[sl])
+                captured[cand[d <= radii[sl][row]]] = True
+            return captured
+        for sl in row_chunks(q.shape[0], self.cloud.n):
+            block = cross_distances(self.metric, q[sl], self.cloud.points)
+            captured |= (block <= radii[sl, None]).any(axis=0)
+        return captured
 
 
 def build_index(cloud: PointCloud, metric: Metric, strategy: str = AUTO) -> NeighborIndex:

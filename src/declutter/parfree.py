@@ -9,12 +9,14 @@ practical preset.
 
 Resampling returns a subset of its input, so a round that keeps the size
 keeps the set. A set's whole k schedule is therefore known when it first
-appears: min(2^j, |set|) for the rounds that remain. The loop runs one
-streaming sweep (:func:`robust.values_at_scales`) over the new set at that
-schedule and hands each round's profile to the greedy pass
-(:func:`decluttering.greedy_declutter`); no k-NN table is kept. A sub-cloud
-selects points of the input, so every round measures with the input's
-metric (on a matrix-backed cloud, the input's matrix).
+appears: min(2^j, |set|) for the rounds that remain. The loop builds one
+index per distinct set, runs one streaming sweep
+(:func:`robust.values_at_scales`) over it at that schedule, hands each
+round's profile to the greedy pass (the array form of
+:func:`decluttering.greedy_declutter`) and resamples on the same index; no
+k-NN table is kept. A sub-cloud selects points of the input, so every round
+measures with the input's metric (on a matrix-backed cloud, the input's
+matrix).
 """
 from __future__ import annotations
 
@@ -23,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decluttering import greedy_declutter
-from .geometry import GeometryError, Metric, PointCloud, subset_cloud
-from .neighbors import AUTO, build_index
+from .decluttering import _greedy_pass
+from .geometry import GeometryError, Metric, PointCloud, _check_threads, subset_cloud
+from .neighbors import AUTO, NeighborIndex, build_index
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, values_at_scales
 # profile stays a module attribute: perfbench's self-test looks it up here
 from .robust import profile  # noqa: F401
@@ -100,11 +102,15 @@ def resample_step(cloud: PointCloud, metric: Metric, kept_ids,
         raise GeometryError("kept ids outside the cloud")
     if prof.n != cloud.n:
         raise GeometryError("profile does not cover this cloud")
-    radii = C * prof.values[kept_ids]
-    captured = np.zeros(cloud.n, dtype=bool)
-    index = build_index(cloud, metric, strategy)
-    for ids in index.ball_ids_many(cloud.points[kept_ids], radii):
-        captured[ids] = True
+    return _resample(build_index(cloud, metric, strategy), kept_ids,
+                     C * prof.values[kept_ids])
+
+
+def _resample(index: NeighborIndex, kept_ids: np.ndarray,
+              radii: np.ndarray) -> np.ndarray:
+    """Ids of the index's members inside some closed ball of the given radii
+    around the kept members, marked on one mask."""
+    captured = index._captured(index.cloud.points[kept_ids], radii)
     captured[kept_ids] = True  # closed balls always recapture their centers
     return np.flatnonzero(captured).astype(np.intp)
 
@@ -120,6 +126,7 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
     """
     if not (C > 0):
         raise GeometryError("resampling constant must be positive")
+    threads = _check_threads(threads)
     if cloud.n < 2:
         trace = ParfreeTrace(iterations=[], resampling_constant=float(C),
                              kind=kind, degenerate=True)
@@ -134,24 +141,24 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
         k_eff = min(k_target, int(current.size))
         if values is None:  # a new surviving set: sweep its whole schedule
             sub_cloud = subset_cloud(cloud, metric, current)[0]
+            index = build_index(sub_cloud, metric, strategy)
             schedule = [min(2 ** j, int(current.size)) for j in range(i, 0, -1)]
-            values = values_at_scales(build_index(sub_cloud, metric, strategy),
-                                      sub_cloud.points, schedule, kind,
+            values = values_at_scales(index, sub_cloud.points, schedule, kind,
                                       threads=threads)
         prof = RobustDistanceProfile(k=k_eff, kind=kind, values=values[k_eff])
-        result = greedy_declutter(sub_cloud, metric, prof)
-        resampled_local = resample_step(sub_cloud, metric, result.kept,
-                                        prof, C, strategy=strategy)
+        kept, _, dropped, witness, _ = _greedy_pass(
+            metric, sub_cloud.points, prof.values, vicinity_factor=2.0)
+        resampled_local = _resample(index, kept, C * prof.values[kept])
         iterations.append(ParfreeIteration(
             i=i,
             k_target=k_target,
             k_effective=k_eff,
             input_ids=current,
-            kept_ids=current[result.kept],
+            kept_ids=current[kept],
             resampled_ids=current[resampled_local],
             profile_values=prof.values,
-            rejected={int(current[p]): int(current[r.witness])
-                      for p, r in result.rejected.items()},
+            rejected=dict(zip(current[dropped].tolist(),
+                              current[witness].tolist())),
         ))
         if resampled_local.size != current.size:
             values = None  # the set changed

@@ -9,7 +9,9 @@ Every batch of robust distances comes from one streaming sweep
 (:func:`values_at_scales`), so no (m, k) table outlives one row block. The
 k-NN rows come from the kd-tree when it answers at the sweep's largest k
 (blocks sized by k) and from dense blocks otherwise (blocks sized by n); the
-values are the same bytes either way.
+values are the same bytes either way. On dense blocks the rows are the sorted
+prefix of the distance block itself, and the aggregation squares and sums
+them in place, so a block costs its distance cells and nothing more.
 """
 from __future__ import annotations
 
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, Metric, PointCloud, row_chunks, run_chunked
+from .geometry import (GeometryError, Metric, PointCloud, _check_threads, row_chunks,
+                       run_chunked)
 from .neighbors import AUTO, NeighborIndex, _check_k, build_index
 
 RMS_NAME = "rms-k"
@@ -88,16 +91,23 @@ class RobustDistanceProfile:
 
 def _prefix_values(rows: np.ndarray, ks, kind: DistanceKind) -> dict[int, np.ndarray]:
     """Robust values at each k in ks (ascending) from (m, >=max(ks)) rows of
-    ascending distances, read off running prefix sums."""
+    ascending distances, read off running prefix sums.
+
+    Consumes the rows: they are squared and summed in place, which gives the
+    same bytes as fresh arrays (the running sum adds in the same order). The
+    kth-nn values are views of the rows.
+    """
     if kind.name == KTH_NAME:
         vals = {k: rows[:, k - 1] for k in ks}
     else:
         with np.errstate(over="ignore"):  # reported below as a GeometryError
-            cs = np.cumsum(rows if kind.name == AVG_NAME else rows * rows, axis=1)
+            if kind.name == RMS_NAME:
+                np.square(rows, out=rows)
+            np.cumsum(rows, axis=1, out=rows)
         if kind.name == AVG_NAME:
-            vals = {k: cs[:, k - 1] / k for k in ks}
+            vals = {k: rows[:, k - 1] / k for k in ks}
         else:
-            vals = {k: np.sqrt(cs[:, k - 1] / k) for k in ks}
+            vals = {k: np.sqrt(rows[:, k - 1] / k) for k in ks}
     # values grow with k, so the largest k is the one that can overflow
     if not np.all(np.isfinite(vals[ks[-1]])):
         raise GeometryError(
@@ -127,13 +137,15 @@ def values_at_scales(index: NeighborIndex, queries, ks,
     The queries are read in row blocks sized to the distance-cell budget
     (:func:`geometry.row_chunks`) at what one query row costs the index at
     k_max: n cells on dense blocks, about k_max * (d + 7) on the tree. Each
-    block takes its k_max smallest distances sorted, runs one prefix sum, and
+    block takes its k_max smallest distances sorted (on dense blocks, sorted
+    inside the distance block itself), squares and sums them in place, and
     keeps only the columns at the requested ks, so memory is one block plus
     len(ks) values per query. Each value is bit-identical to a single-k call.
     Raises GeometryError when the values overflow float64.
     """
     n = index.cloud.n
     ks = sorted({_check_k(k, n) for k in ks})
+    threads = _check_threads(threads)
     if not ks:
         return {}
     q = index.cloud.query_array(queries)

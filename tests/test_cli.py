@@ -224,6 +224,26 @@ def test_threads_flag_equals_single_thread(tmp_path):
     assert ra["profile_values"] == rb["profile_values"]
 
 
+
+@pytest.mark.parametrize("threads", ["0", "-1", "True", "1.5"])
+def test_bad_threads_flag_exits_1(tmp_path, capsys, threads):
+    # a kd-tree query used to die in scipy on 0 and run serially on dense
+    # blocks; every subcommand that reads --threads now refuses it
+    gen_dir = tmp_path / "gen"
+    assert main(["gen", "--shape", "circle", "--n", "150", "--sigma", "0.03",
+                 "--ambient", "20", "--seed", "3", "--out-dir", str(gen_dir)]) == 0
+    points = str(gen_dir / "points.csv")
+    reference = str(gen_dir / "reference.csv")
+    runs = [["declutter", "--points", points, "--k", "6", "--strategy", "kdtree",
+             "--out-dir", str(tmp_path / "run")],
+            ["parfree", "--points", points, "--out-dir", str(tmp_path / "pf")],
+            ["certify", "--points", points, "--reference", reference, "--k", "8"],
+            ["eval", "--points", points, "--bounds", "lem4.2", "--k", "8"]]
+    for argv in runs:
+        capsys.readouterr()
+        assert main([*argv, "--threads", threads]) == 1, argv[0]
+        assert "threads" in capsys.readouterr().err
+
 def test_emit_figures_flag(tmp_path):
     out = tmp_path / "gen"
     assert main(["gen", "--shape", "circle", "--n", "50", "--ambient", "5",

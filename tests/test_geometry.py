@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import declutter as dc
-from declutter.geometry import paired_distances
+from declutter.geometry import nearest_cross, paired_distances
 from conftest import dist_euclidean, dist_manhattan, random_cloud
 
 
@@ -246,3 +246,55 @@ def test_triangle_constant_uses_the_canonical_distances(kind):
                     best = max(best, full[x, y] / (full[x, w] + full[w, y]))
     est = dc.estimate_triangle_constant(dc.PointCloud.from_coords(pts), metric)
     assert est == best
+
+
+def test_negative_zeros_in_a_matrix_become_positive():
+    # -0.0 passes the negativity and diagonal checks; which zero a selection
+    # puts first would otherwise decide the sign of a profile value
+    plus = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    minus = np.where(plus == 0.0, -0.0, plus)
+    metric = dc.Metric("precomputed", matrix=minus)
+    assert not np.signbit(metric.matrix).any()
+    assert np.signbit(minus).sum() == 5  # the caller's matrix is left as it is
+    cloud = dc.PointCloud.matrix_backed(3)
+    for kind in (dc.KTH_NN, dc.AVG_K, dc.RMS_K):
+        for k in (1, 2, 3):
+            got = dc.declutter(cloud, metric, k, kind)
+            want = dc.declutter(cloud, dc.Metric("precomputed", matrix=plus), k, kind)
+            assert not np.signbit(got.profile.values).any()
+            assert got.profile.values.tobytes() == want.profile.values.tobytes()
+            assert got.to_dict() == want.to_dict()
+    with pytest.raises(dc.GeometryError, match="negative"):
+        dc.Metric("precomputed", matrix=np.where(plus == 1.0, -1.0, minus))
+
+
+@pytest.mark.parametrize("threads", [0, -1, True, 1.5])
+def test_threads_must_be_a_positive_integer(threads):
+    cloud, metric = dc.PointCloud.from_coords(
+        np.random.default_rng(9).normal(size=(300, 2))), dc.Metric()
+    ref = dc.GroundTruthRef(dc.PointCloud.from_coords(cloud.coords[:50]))
+    tree = dc.build_index(cloud, metric, "kdtree")
+    calls = [
+        lambda: dc.declutter(cloud, metric, 4, strategy="kdtree", threads=threads),
+        lambda: dc.declutter(cloud, metric, 200, strategy="brute", threads=threads),
+        lambda: dc.parfree_declutter(cloud, metric, threads=threads),
+        lambda: dc.parfree_declutter(dc.PointCloud.from_coords([[0.0]]), metric,
+                                     threads=threads),
+        lambda: tree.knn_distance_rows(cloud.coords, 4, threads),
+        lambda: dc.values_at(tree, cloud.coords, 4, threads=threads),
+        lambda: nearest_cross(metric, cloud.coords, ref.points, threads),
+        lambda: dc.hausdorff(cloud.coords, ref.points, metric, threads),
+        lambda: dc.certify(cloud, metric, ref, 4, threads=threads),
+        lambda: dc.verify_bound("lem4.2", cloud=cloud, metric=metric, k=4,
+                                threads=threads),
+    ]
+    for call in calls:
+        with pytest.raises(dc.GeometryError, match="threads"):
+            call()
+
+
+def test_threads_accepts_numpy_integers():
+    cloud, metric = dc.PointCloud.from_coords(
+        np.random.default_rng(9).normal(size=(300, 2))), dc.Metric()
+    want = dc.declutter(cloud, metric, 4).to_dict()
+    assert dc.declutter(cloud, metric, 4, threads=np.int64(2)).to_dict() == want

@@ -183,18 +183,19 @@ def test_non_integer_k_errors(k):
 
 
 def test_knn_rows_leave_the_distance_matrix_untouched():
-    # knn_distance_rows partitions each block in place; on a matrix-backed
+    # knn_distance_rows sorts each block in place; on a matrix-backed
     # cloud that block must be a copy, not a view of the metric's matrix
     pts = np.random.default_rng(52).normal(size=(400, 2))
     matrix = dc.cross_distances(dc.Metric(), pts, pts)
     metric = dc.Metric("precomputed", matrix=matrix.copy())
     cloud = dc.PointCloud.matrix_backed(400)
     index = dc.build_index(cloud, metric)
-    rows = index.knn_distance_rows(cloud.points, 150)
-    assert np.array_equal(metric.matrix, matrix)
-    assert rows.tolist() == np.sort(matrix, axis=1)[:, :150].tolist()
-    dc.values_at_scales(index, cloud.points, [150, 7], dc.RMS_K, threads=2)
-    assert np.array_equal(metric.matrix, matrix)
+    for k in (150, 300):  # a partition and a whole-row sort
+        rows = index.knn_distance_rows(cloud.points, k)
+        assert np.array_equal(metric.matrix, matrix)
+        assert rows.tolist() == np.sort(matrix, axis=1)[:, :k].tolist()
+        dc.values_at_scales(index, cloud.points, [k, 7], dc.RMS_K, threads=2)
+        assert np.array_equal(metric.matrix, matrix)
 
 
 # -- the tree candidate path ----------------------------------------------------

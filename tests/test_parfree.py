@@ -111,6 +111,63 @@ def test_resample_step_matches_oracle():
         assert got.tolist() == sorted(expect)
 
 
+
+def _resample_cases():
+    """(cloud, metric, strategy): coordinate clouds on both strategies under
+    both metrics, an integer grid with boundary ties, and a matrix-backed
+    cloud."""
+    cloud, _, _, _ = noisy_instance(41, n_max=150)
+    grid = dc.PointCloud.from_coords(
+        np.indices((8, 6)).reshape(2, -1).T.astype(float))
+    matrix = dc.cross_distances(dc.Metric("manhattan"), cloud.coords, cloud.coords)
+    for c in (cloud, grid):
+        for kind in ("euclidean", "manhattan"):
+            for strategy in ("brute", "kdtree"):
+                yield c, dc.Metric(kind), strategy
+    yield (dc.PointCloud.matrix_backed(cloud.n),
+           dc.Metric("precomputed", matrix=matrix), "brute")
+
+
+@pytest.mark.parametrize("C", [0.0, 1.0, 4.0, 1e6])
+def test_resample_marks_the_union_of_the_balls(C, monkeypatch):
+    # the captured mask equals the union of ball_ids_many, from radius 0
+    # (only the centers and their duplicates) to balls holding the whole cloud
+    for cloud, metric, strategy in _resample_cases():
+        index = dc.build_index(cloud, metric, strategy)
+        prof = dc.profile(cloud, index, 3)
+        kept = dc.greedy_declutter(cloud, metric, prof).kept
+        radii = C * prof.values[kept]
+        want = np.zeros(cloud.n, dtype=bool)
+        for ids in index.ball_ids_many(cloud.points[kept], radii):
+            want[ids] = True
+        want[kept] = True
+        got = parfree_module._resample(index, kept, radii)
+        assert got.dtype == np.intp and got.tolist() == np.flatnonzero(want).tolist()
+        if C > 0:
+            assert dc.resample_step(cloud, metric, kept, prof, C,
+                                    strategy=strategy).tolist() == got.tolist()
+        if C == 1e6:
+            assert got.size == cloud.n
+        if strategy == "kdtree":  # blocks of one ball that holds the whole cloud
+            monkeypatch.setattr(geometry, "_CHUNK_CELLS", 1)
+            assert parfree_module._resample(index, kept, radii).tolist() == got.tolist()
+            monkeypatch.undo()
+
+
+def test_parfree_builds_one_index_per_distinct_set(monkeypatch):
+    # the sweep's index also answers the resampling balls
+    built = []
+    original = parfree_module.build_index
+    monkeypatch.setattr(parfree_module, "build_index", lambda *a, **kw: (
+        built.append(a[0].n), original(*a, **kw))[1])
+    cloud, metric, _, _ = noisy_instance(203, n_max=200)
+    for strategy in ("brute", "kdtree"):
+        built.clear()
+        _, trace = dc.parfree_declutter(cloud, metric, strategy=strategy)
+        sizes = [it.input_ids.size for it in trace.iterations]
+        sets = [m for i, m in enumerate(sizes) if i == 0 or m != sizes[i - 1]]
+        assert built == sets and len(built) < len(sizes)
+
 def test_resample_step_validation():
     cloud, metric, _, _ = noisy_instance(2, n_max=50)
     index = dc.build_index(cloud, metric)

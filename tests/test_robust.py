@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import declutter as dc
 import declutter.geometry as geometry
@@ -259,3 +261,63 @@ def test_tree_sweep_blocks_hold_k_max_cells(threads, monkeypatch):
     per_block = 5000 // index._row_cells(16)
     assert max(sizes) == per_block and len(sizes) == -(-2000 // per_block)
     assert all(got[k].tobytes() == want[k].tobytes() for k in ks)
+
+
+def _crossover_ks(n):
+    """k around half the row and around the full-sort crossover, and n."""
+    at = -(-3 * n // 5)  # the smallest k the dense blocks sort whole rows at
+    return sorted({k for k in (n // 2 - 1, n // 2, n // 2 + 1, at - 1, at, n)
+                   if 1 <= k <= n})
+
+
+@settings(max_examples=80, deadline=None)
+@given(coords=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       min_size=2, max_size=40),
+       copies=st.integers(0, 12),
+       scale=st.sampled_from([1.0, 0.1]),
+       case=st.sampled_from(["euclidean-brute", "euclidean-kdtree",
+                             "manhattan-brute", "manhattan-kdtree", "matrix"]))
+def test_sweep_equals_a_full_sort_reference(coords, copies, scale, case):
+    # integer grids tie everywhere and the copies duplicate points; partition
+    # then prefix sort, whole-row sort and the tree must all give the bytes
+    # of one full sort
+    pts = np.array(coords + coords[:copies], dtype=float) * scale
+    n = pts.shape[0]
+    kind, _, strategy = case.partition("-")
+    if kind == "matrix":
+        matrix = dc.cross_distances(dc.Metric("manhattan"), pts, pts)
+        cloud = dc.PointCloud.matrix_backed(n)
+        metric, strategy = dc.Metric("precomputed", matrix=matrix), "brute"
+    else:
+        cloud, metric = dc.PointCloud.from_coords(pts), dc.Metric(kind)
+    index = dc.build_index(cloud, metric, strategy)
+    full = np.sort(dc.cross_distances(metric, cloud.points, cloud.points), axis=1)
+    ks = _crossover_ks(n)
+    for k in ks:
+        rows = index.knn_distance_rows(cloud.points, k)
+        assert rows.shape == (n, k) and rows.tobytes() == full[:, :k].tobytes()
+    for robust in (dc.RMS_K, dc.AVG_K, dc.KTH_NN):
+        sweep = dc.values_at_scales(index, cloud.points, ks, robust)
+        for k in ks:
+            want = _full_sort_values(metric, cloud.points, k, robust)
+            assert sweep[k].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", [dc.RMS_K, dc.AVG_K, dc.KTH_NN], ids=lambda k: k.name)
+def test_dense_sweep_holds_one_distance_block(kind):
+    # the rows are sorted and reduced inside the distance block, so a one-block
+    # sweep near k = n costs that block and its output, not copies of it
+    n = 1200
+    assert n * n <= geometry._CHUNK_CELLS
+    cloud = dc.PointCloud.from_coords(np.random.default_rng(12).normal(size=(n, 2)))
+    index = dc.build_index(cloud, dc.Metric(), "brute")
+    block = n * n * 8
+    for ks in ([n - 1], [n // 2], [n - 1, 300, 17, 2]):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dc.values_at_scales(index, cloud.points, ks, kind)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * block + len(ks) * n * 8, (ks, peak / block)
