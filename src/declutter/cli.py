@@ -25,6 +25,7 @@ from .geometry import (
     GroundTruthRef,
     Metric,
     PointCloud,
+    _check_threads,
     load_matrix,
     load_points,
     save_points,
@@ -636,6 +637,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_threads(args.threads)  # every subcommand takes --threads
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

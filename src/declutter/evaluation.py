@@ -206,7 +206,7 @@ def _check_lem42(a, inputs):
     rng = np.random.default_rng(a.seed)
     m = min(cloud.n, a.sample_limit)
     pick = rng.choice(cloud.n, size=m, replace=False)
-    rows = index.knn_distance_rows(cloud.points[pick], k)
+    rows = index.knn_distance_rows(cloud.points[pick], k, a.threads)
     kk = float(k)
     factors = np.sqrt(kk / (kk - np.arange(1, k + 1) + 1.0))
     rms = np.sqrt(np.cumsum(rows * rows, axis=1)[:, -1] / kk)

@@ -10,13 +10,17 @@ practical preset.
 Resampling returns a subset of its input, so a round that keeps the size
 keeps the set. A set's whole k schedule is therefore known when it first
 appears: min(2^j, |set|) for the rounds that remain. The loop builds one
-index per distinct set, runs one streaming sweep
-(:func:`robust.values_at_scales`) over it at that schedule, hands each
+index per distinct set and takes the set's robust values at that schedule
+from one streaming sweep (:func:`robust.values_at_scales`), hands each
 round's profile to the greedy pass (the array form of
 :func:`decluttering.greedy_declutter`) and resamples on the same index; no
-k-NN table is kept. A sub-cloud selects points of the input, so every round
-measures with the input's metric (on a matrix-backed cloud, the input's
-matrix).
+k-NN table is kept. Resampling removes points, mostly ambient ones far from
+the rest, so most members of a shrunk set keep their K nearest distances (K
+the schedule's largest k): the sweep covers only the members with a removed
+point inside their previous K-ball, and every other member's values are
+copied from the previous set's, byte for byte. A sub-cloud selects points of
+the input, so every round measures with the input's metric (on a
+matrix-backed cloud, the input's matrix).
 """
 from __future__ import annotations
 
@@ -26,9 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decluttering import _greedy_pass
-from .geometry import GeometryError, Metric, PointCloud, _check_threads, subset_cloud
+from .geometry import (GeometryError, Metric, PointCloud, _check_threads,
+                       nearest_cross, subset_cloud)
 from .neighbors import AUTO, NeighborIndex, build_index
-from .robust import DistanceKind, RMS_K, RobustDistanceProfile, values_at_scales
+from .robust import DistanceKind, RMS_K, RobustDistanceProfile, _sweep
 # profile stays a module attribute: perfbench's self-test looks it up here
 from .robust import profile  # noqa: F401
 
@@ -115,6 +120,49 @@ def _resample(index: NeighborIndex, kept_ids: np.ndarray,
     return np.flatnonzero(captured).astype(np.intp)
 
 
+@dataclass(frozen=True)
+class _Shrink:
+    """A set change S -> S': the survivors' positions in S, the removed
+    points, and S's robust values and k-th nearest distances per k."""
+
+    survivors: np.ndarray
+    removed: np.ndarray
+    values: dict[int, np.ndarray]
+    radii: dict[int, np.ndarray]
+
+
+def _set_values(index: NeighborIndex, schedule, kind: DistanceKind, threads: int,
+                shrunk: _Shrink | None) -> tuple[dict, dict]:
+    """Robust values and k-th nearest distances of the index's members at
+    each k of the schedule, as :func:`robust.values_at_scales` computes them.
+
+    Only the dirty members are swept. On a set that shrank from S, a member
+    p is clean when every removed point lies strictly farther than rho_K(p),
+    its K-th nearest distance in S (K the schedule's largest k): its K
+    smallest distances are then the same multiset in both sets, so every
+    k <= K reads the same sorted prefix and running sum, and p's values and
+    distances are copied from S. Every member of the first set is dirty, and
+    so is every member when K is not on S's schedule (K clamped to the new
+    set's size).
+    """
+    n = index.cloud.n
+    ks = sorted(set(schedule))
+    dirty = np.arange(n)
+    if shrunk is not None and ks[-1] in shrunk.radii:
+        near = nearest_cross(index.metric, index.cloud.points, shrunk.removed,
+                             threads)[0]
+        dirty = np.flatnonzero(near <= shrunk.radii[ks[-1]][shrunk.survivors])
+    swept = _sweep(index, index.cloud.points[dirty], ks, kind, threads)
+    if dirty.size == n:
+        return swept
+    carried = tuple({k: table[k][shrunk.survivors] for k in ks}
+                    for table in (shrunk.values, shrunk.radii))
+    for table, part in zip(carried, swept):
+        for k in ks:
+            table[k][dirty] = part[k]
+    return carried
+
+
 def parfree_declutter(cloud: PointCloud, metric: Metric,
                       kind: DistanceKind = RMS_K, C: float = THEORETICAL_C,
                       strategy: str = AUTO,
@@ -133,18 +181,18 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
         return cloud.ids(), trace
 
     current = cloud.ids()
-    values = None  # the current set's robust values at each k of its schedule
+    index = None  # the current set's index, built when the set first appears
+    shrunk = None  # how the current set came from the previous one
     iterations: list[ParfreeIteration] = []
     i_star = int(math.floor(math.log2(cloud.n)))
     for i in range(i_star, 0, -1):
         k_target = 2 ** i
         k_eff = min(k_target, int(current.size))
-        if values is None:  # a new surviving set: sweep its whole schedule
+        if index is None:  # a new surviving set: its whole schedule
             sub_cloud = subset_cloud(cloud, metric, current)[0]
             index = build_index(sub_cloud, metric, strategy)
             schedule = [min(2 ** j, int(current.size)) for j in range(i, 0, -1)]
-            values = values_at_scales(index, sub_cloud.points, schedule, kind,
-                                      threads=threads)
+            values, radii = _set_values(index, schedule, kind, threads, shrunk)
         prof = RobustDistanceProfile(k=k_eff, kind=kind, values=values[k_eff])
         kept, _, dropped, witness, _ = _greedy_pass(
             metric, sub_cloud.points, prof.values, vicinity_factor=2.0)
@@ -160,8 +208,11 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
             rejected=dict(zip(current[dropped].tolist(),
                               current[witness].tolist())),
         ))
-        if resampled_local.size != current.size:
-            values = None  # the set changed
+        if resampled_local.size != current.size:  # the set changed
+            index = None
+            lost = np.ones(current.size, dtype=bool)
+            lost[resampled_local] = False
+            shrunk = _Shrink(resampled_local, sub_cloud.points[lost], values, radii)
         current = current[resampled_local]
     trace = ParfreeTrace(iterations=iterations, resampling_constant=float(C),
                          kind=kind)

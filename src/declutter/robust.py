@@ -11,7 +11,10 @@ k-NN rows come from the kd-tree when it answers at the sweep's largest k
 (blocks sized by k) and from dense blocks otherwise (blocks sized by n); the
 values are the same bytes either way. On dense blocks the rows are the sorted
 prefix of the distance block itself, and the aggregation squares and sums
-them in place, so a block costs its distance cells and nothing more.
+them in place, so a block costs its distance cells and nothing more. The
+sweep can also return each query's k-th nearest distance at every k (the
+rows' column k-1), which lets ``parfree`` tell which members of a shrunk set
+have the same k-NN rows as before.
 """
 from __future__ import annotations
 
@@ -143,24 +146,35 @@ def values_at_scales(index: NeighborIndex, queries, ks,
     len(ks) values per query. Each value is bit-identical to a single-k call.
     Raises GeometryError when the values overflow float64.
     """
+    return _sweep(index, queries, ks, kind, threads)[0]
+
+
+def _sweep(index: NeighborIndex, queries, ks, kind: DistanceKind,
+           threads: int) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """:func:`values_at_scales` and, per k, each query's k-th nearest
+    distance (the rows' column k-1, read before the aggregation consumes
+    them): (values, radii)."""
     n = index.cloud.n
     ks = sorted({_check_k(k, n) for k in ks})
     threads = _check_threads(threads)
     if not ks:
-        return {}
+        return {}, {}
     q = index.cloud.query_array(queries)
     out = {k: np.empty(q.shape[0]) for k in ks}
+    radii = {k: np.empty(q.shape[0]) for k in ks}
     # the tree query runs on the threads itself; dense blocks share them
     tree = index._tree_serves(ks[-1])
 
     def work(sl: slice) -> None:
         rows = index.knn_distance_rows(q[sl], ks[-1], threads if tree else 1)
+        for k in ks:
+            radii[k][sl] = rows[:, k - 1]
         for k, v in _prefix_values(rows, ks, kind).items():
             out[k][sl] = v
 
     run_chunked(row_chunks(q.shape[0], index._row_cells(ks[-1])), work,
                 1 if tree else threads)
-    return out
+    return out, radii
 
 
 def profile(cloud: PointCloud, index: NeighborIndex, k: int,

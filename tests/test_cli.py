@@ -228,7 +228,7 @@ def test_threads_flag_equals_single_thread(tmp_path):
 @pytest.mark.parametrize("threads", ["0", "-1", "True", "1.5"])
 def test_bad_threads_flag_exits_1(tmp_path, capsys, threads):
     # a kd-tree query used to die in scipy on 0 and run serially on dense
-    # blocks; every subcommand that reads --threads now refuses it
+    # blocks; every subcommand refuses it, also those that never read it
     gen_dir = tmp_path / "gen"
     assert main(["gen", "--shape", "circle", "--n", "150", "--sigma", "0.03",
                  "--ambient", "20", "--seed", "3", "--out-dir", str(gen_dir)]) == 0
@@ -238,7 +238,9 @@ def test_bad_threads_flag_exits_1(tmp_path, capsys, threads):
              "--out-dir", str(tmp_path / "run")],
             ["parfree", "--points", points, "--out-dir", str(tmp_path / "pf")],
             ["certify", "--points", points, "--reference", reference, "--k", "8"],
-            ["eval", "--points", points, "--bounds", "lem4.2", "--k", "8"]]
+            ["eval", "--points", points, "--bounds", "lem4.2", "--k", "8"],
+            ["gen", "--n", "50", "--out-dir", str(tmp_path / "gen2")],
+            ["repro", "fig1", "--n", "60", "--out-dir", str(tmp_path / "fig1")]]
     for argv in runs:
         capsys.readouterr()
         assert main([*argv, "--threads", threads]) == 1, argv[0]

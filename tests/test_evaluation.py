@@ -162,6 +162,24 @@ def test_lem42_bound_random_clouds():
         assert got.applicable and got.passed
 
 
+def test_lem42_reads_its_rows_on_the_bound_threads(monkeypatch):
+    seen = []
+    original = dc.NeighborIndex.knn_distance_rows
+
+    def recorded(self, queries, k, threads=1):
+        seen.append(threads)
+        return original(self, queries, k, threads)
+
+    monkeypatch.setattr(dc.NeighborIndex, "knn_distance_rows", recorded)
+    cloud, metric = random_cloud(3, n_max=150)
+    single = dc.verify_bound("lem4.2", cloud=cloud, metric=metric, k=5)
+    assert seen == [1]
+    seen.clear()
+    assert dc.verify_bound("lem4.2", cloud=cloud, metric=metric, k=5,
+                           threads=2) == single
+    assert seen == [2]
+
+
 def test_lem44_single_step_bound():
     cloud, metric, kref, k = uniform_instance(4)
     cert = dc.certify(cloud, metric, kref, k)

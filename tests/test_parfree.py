@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import declutter as dc
 import declutter.geometry as geometry
@@ -219,27 +220,49 @@ def _schedules(trace):
     return out
 
 
-def test_one_knn_table_per_distinct_surviving_set(monkeypatch):
-    # one sweep per distinct set, at that set's whole remaining k schedule
-    sweeps = []
-    original = parfree_module.values_at_scales
+def _dirty_rows(cloud, metric, before, after, K):
+    """Brute force: positions in ``after`` of the points that some point of
+    ``before`` not in ``after`` lies within rho_K(p) of, rho_K(p) being p's
+    K-th nearest distance in ``before``."""
+    pts = cloud.points
+    removed = np.setdiff1d(before, after)
+    rho = np.sort(dc.cross_distances(metric, pts[after], pts[before]), axis=1)[:, K - 1]
+    near = dc.cross_distances(metric, pts[after], pts[removed]).min(axis=1)
+    return np.flatnonzero(near <= rho)
 
-    def counted(index, queries, ks, kind=dc.RMS_K, threads=1):
-        sweeps.append((len(queries), sorted(ks)))
+
+def test_one_knn_table_per_distinct_surviving_set(monkeypatch):
+    # one sweep per distinct set, at that set's whole remaining k schedule:
+    # over every member of the first set, and over exactly the members of a
+    # shrunk set whose K-ball (K the largest k) in the previous set lost a point
+    sweeps = []
+    original = parfree_module._sweep
+
+    def counted(index, queries, ks, kind, threads):
+        sweeps.append((index.cloud.n, sorted(set(ks)), np.array(queries)))
         return original(index, queries, ks, kind, threads)
 
-    monkeypatch.setattr(parfree_module, "values_at_scales", counted)
-    reused = 0
+    monkeypatch.setattr(parfree_module, "_sweep", counted)
+    swept = reused = 0
     for seed in range(6):
         cloud, metric, _, _ = noisy_instance(seed + 200, n_max=200)
         for strategy in ("brute", "kdtree"):
             sweeps.clear()
             _, trace = dc.parfree_declutter(cloud, metric, strategy=strategy)
-            sets = {tuple(it.input_ids.tolist()) for it in trace.iterations}
-            assert len(sweeps) == len(sets)
-            assert sweeps == _schedules(trace)
-            reused += len(trace.iterations) - len(sets)
-    assert reused > 0  # the instances do exercise sets that last several rounds
+            sizes = [it.input_ids.size for it in trace.iterations]
+            sets = [it.input_ids for i, it in enumerate(trace.iterations)
+                    if i == 0 or sizes[i] != sizes[i - 1]]
+            assert [(n, ks) for n, ks, _ in sweeps] == _schedules(trace)
+            previous_ks = []
+            for before, after, (_, ks, queries) in zip([None] + sets, sets, sweeps):
+                rows = np.arange(after.size)
+                if before is not None and ks[-1] in previous_ks:
+                    rows = _dirty_rows(cloud, metric, before, after, ks[-1])
+                assert queries.tobytes() == cloud.points[after[rows]].tobytes()
+                previous_ks = ks
+                swept += rows.size
+                reused += after.size - rows.size
+    assert reused > swept  # most rows of a shrunk set are copied, not swept
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -282,6 +305,19 @@ def _fresh_index_parfree(cloud, metric, kind, C, strategy):
     return current, rounds
 
 
+def _assert_same_rounds(ids, trace, want_ids, rounds):
+    """The run's ids and every round (input, profile bytes, kept, resampled,
+    witnesses) equal the reference loop's."""
+    assert ids.tolist() == want_ids.tolist()
+    assert len(trace.iterations) == len(rounds)
+    for it, (inp, values, kept, resampled, rejected) in zip(trace.iterations, rounds):
+        assert it.input_ids.tolist() == inp.tolist()
+        assert it.profile_values.tobytes() == values.tobytes()
+        assert it.kept_ids.tolist() == kept.tolist()
+        assert it.resampled_ids.tolist() == resampled.tolist()
+        assert it.rejected == rejected
+
+
 def _parfree_cases():
     for seed in (300, 301):
         cloud, metric, _, _ = noisy_instance(seed, n_max=160)
@@ -304,12 +340,66 @@ def test_table_reuse_matches_fresh_index_loop(kind):
         ids, trace = dc.parfree_declutter(cloud, metric, kind=kind, C=C,
                                           strategy=strategy)
         want_ids, rounds = _fresh_index_parfree(cloud, metric, kind, C, strategy)
-        assert ids.tolist() == want_ids.tolist()
-        assert len(trace.iterations) == len(rounds)
-        for it, (inp, values, kept, resampled, rejected) in zip(trace.iterations,
-                                                                rounds):
-            assert it.input_ids.tolist() == inp.tolist()
-            assert it.profile_values.tobytes() == values.tobytes()
-            assert it.kept_ids.tolist() == kept.tolist()
-            assert it.resampled_ids.tolist() == resampled.tolist()
-            assert it.rejected == rejected
+        _assert_same_rounds(ids, trace, want_ids, rounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(core=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                     min_size=2, max_size=50),
+       far=st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+                    max_size=10),
+       copies=st.integers(1, 3),
+       case=st.sampled_from(["euclidean", "manhattan", "matrix"]),
+       kind=st.sampled_from([dc.RMS_K, dc.AVG_K, dc.KTH_NN]),
+       C=st.sampled_from([dc.PRACTICAL_C, dc.THEORETICAL_C, 1.0]))
+def test_reused_rows_match_a_full_sweep_of_every_set(core, far, copies, case,
+                                                     kind, C):
+    # integer grids tie everywhere, the copies make coincident clusters and
+    # the far points are removed by resampling; every run path must give the
+    # ids, witnesses and profile bytes of a loop that sweeps each set in full
+    pts = np.array(core * copies + far, dtype=float)
+    if case == "matrix":
+        matrix = dc.cross_distances(dc.Metric("manhattan"), pts, pts)
+        cloud = dc.PointCloud.matrix_backed(pts.shape[0])
+        metric = dc.Metric("precomputed", matrix=matrix)
+        runs = [("brute", 1), ("brute", 2)]
+    else:
+        cloud, metric = dc.PointCloud.from_coords(pts), dc.Metric(case)
+        runs = [("brute", 1), ("kdtree", 1), ("kdtree", 2)]
+    want_ids, rounds = _fresh_index_parfree(cloud, metric, kind, C, "brute")
+    for strategy, threads in runs:
+        ids, trace = dc.parfree_declutter(cloud, metric, kind=kind, C=C,
+                                          strategy=strategy, threads=threads)
+        _assert_same_rounds(ids, trace, want_ids, rounds)
+
+
+def test_a_point_removed_at_exactly_the_kth_distance_is_reswept(monkeypatch):
+    # on the line, 0's 2nd nearest distance in S is 1 (itself, then 1.0) and
+    # 1.0 is removed: the row of 0 must be swept again, since its 2nd nearest
+    # distance in S' is 2 (so is the row of 2.0); 8 and 9 keep their 2-balls
+    swept = []
+    original = parfree_module._sweep
+
+    def recorded(index, queries, ks, kind, threads):
+        swept.append(np.array(queries).ravel().tolist())
+        return original(index, queries, ks, kind, threads)
+
+    monkeypatch.setattr(parfree_module, "_sweep", recorded)
+    metric = dc.Metric()
+    points = np.array([0.0, 1.0, 2.0, 8.0, 9.0]).reshape(-1, 1)
+    before = dc.build_index(dc.PointCloud.from_coords(points), metric)
+    values, radii = original(before, points, [1, 2, 4], dc.RMS_K, 1)
+    survivors = np.array([0, 2, 3, 4])
+    after = dc.build_index(dc.PointCloud.from_coords(points[survivors]), metric)
+    shrunk = parfree_module._Shrink(survivors, points[[1]], values, radii)
+    assert radii[2][0] == 1.0  # the removed point sits exactly at rho_2(0)
+    got = parfree_module._set_values(after, [1, 2], dc.RMS_K, 1, shrunk)
+    assert swept == [[0.0, 2.0]]
+    want = original(after, points[survivors], [1, 2], dc.RMS_K, 1)
+    for table, full in zip(got, want):
+        assert all(table[k].tobytes() == full[k].tobytes() for k in (1, 2))
+    assert got[0][2][0] != values[2][0]  # the copy would have been wrong
+    # a largest k that is not on the previous schedule sweeps every row
+    swept.clear()
+    parfree_module._set_values(after, [1, 2, 3], dc.RMS_K, 1, shrunk)
+    assert swept == [[0.0, 2.0, 8.0, 9.0]]
