@@ -639,10 +639,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_threads(args.threads)  # every subcommand takes --threads
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GeometryError as exc:
+    except (CliError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,10 +23,9 @@ from .geometry import (
     Metric,
     PointCloud,
     _check_threads,
-    cross_distances,
-    nearest_cross,
+    subset_cloud,
 )
-from .neighbors import _check_k, build_index
+from .neighbors import _check_k, build_index, nearest_cross
 from .parfree import THEORETICAL_C, ParfreeTrace
 
 BOUND_TOLERANCE = 1e-9
@@ -190,10 +189,10 @@ def _check_prop34(a, inputs):
     inputs["uniformity_c"] = c
     if a.result.kept.size < 2:
         raise _NotApplicable("fewer than two kept points")
-    kept = a.cloud.points[a.result.kept_ids]
-    block = cross_distances(a.metric, kept, kept)
-    block[np.diag_indices_from(block)] = np.inf
-    rhs = float(block.min())
+    # a kept point's k = 2 row is itself at 0, then its nearest other point
+    kept, metric = subset_cloud(a.cloud, a.metric, a.result.kept_ids)
+    rows = build_index(kept, metric).knn_distance_rows(kept.points, 2, a.threads)
+    rhs = float(rows[:, 1].min())
     inputs["min_pairwise_kept"] = rhs
     return 2.0 * a.certificate.epsilon_k / c, rhs
 

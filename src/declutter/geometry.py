@@ -11,7 +11,8 @@ Every distance comes from one canonical kernel: dense blocks from
 :func:`cross_distances` and paired points (tree candidates, sampled pairs)
 from :func:`paired_distances`, which sums the coordinates in the same order
 and so agrees with it bit for bit. That keeps every query path bit-identical
-regardless of acceleration strategy.
+regardless of acceleration strategy. This is the bottom layer: it imports
+nothing from the package, and :mod:`neighbors` answers every query on it.
 """
 from __future__ import annotations
 
@@ -164,24 +165,23 @@ class PointCloud:
 
 
 def _member_ids(ids, n: int) -> np.ndarray:
-    """ids as an intp array, or GeometryError unless each is an integer in
-    0..n-1."""
+    """ids as an intp array, or GeometryError unless there is at least one
+    and each is an integer in 0..n-1."""
     ids = np.asarray(ids)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise GeometryError(f"subset ids must be integers, got dtype {ids.dtype}")
+    if ids.size < 1:
+        raise GeometryError("ids must select at least one point")
+    if ids.dtype.kind not in "iu":
+        raise GeometryError(f"ids must be integers, got dtype {ids.dtype}")
     ids = ids.astype(np.intp, copy=False)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise GeometryError(f"subset ids out of range 0..{n - 1}")
+    if ids.min() < 0 or ids.max() >= n:
+        raise GeometryError(f"ids out of range 0..{n - 1}")
     return ids
 
 
 def subset_cloud(cloud: PointCloud, metric: Metric, ids) -> tuple[PointCloud, Metric]:
     """The sub-cloud of the given member ids, renumbered 0..len(ids)-1, and
     the unchanged metric (a matrix-backed sub-cloud shares the matrix)."""
-    ids = _member_ids(ids, cloud.n)
-    if ids.size < 1:
-        raise GeometryError("subset must keep at least one point")
-    return replace(cloud, points=cloud.points[ids]), metric
+    return replace(cloud, points=cloud.points[_member_ids(ids, cloud.n)]), metric
 
 
 # ---------------------------------------------------------------------------
@@ -273,35 +273,6 @@ def run_chunked(chunks, worker, threads: int = 1) -> None:
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(worker, chunks))
-
-
-def nearest_cross(metric: Metric, queries, targets,
-                  threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Per query: (distance to nearest target, its index, ties -> lowest).
-
-    Coordinate targets are answered by a
-    :class:`~declutter.neighbors.NeighborIndex` over them, which picks the
-    spatial tree or dense blocks; both give the dense result exactly.
-    """
-    threads = _check_threads(threads)
-    if metric.kind != PRECOMPUTED:
-        from .neighbors import NeighborIndex  # neighbors is built on this module
-        t = PointCloud.from_coords(np.atleast_2d(targets))
-        dist, ids = NeighborIndex(t, metric)._nearest_rows(queries, 1, threads)
-        return dist[:, 0], ids[:, 0]
-    q = np.atleast_1d(np.asarray(queries)).astype(np.intp)
-    t = np.atleast_1d(np.asarray(targets)).astype(np.intp)
-    dist_out = np.empty(q.size)
-    idx_out = np.empty(q.size, dtype=np.intp)
-
-    def work(sl: slice) -> None:
-        block = cross_distances(metric, q[sl], t)
-        idx = block.argmin(axis=1)  # argmin returns the first (lowest) index
-        idx_out[sl] = idx
-        dist_out[sl] = block[np.arange(block.shape[0]), idx]
-
-    run_chunked(row_chunks(q.size, t.size), work, threads)
-    return dist_out, idx_out
 
 
 # ---------------------------------------------------------------------------

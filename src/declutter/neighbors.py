@@ -6,10 +6,12 @@ nearest-point queries share one candidate-then-canonical path: the tree's
 k+1 nearest, canonical distances of the first k from
 :func:`geometry.paired_distances`, and a closed-ball recheck of rows tied at
 the k-th distance. The tree answers when ``k * 2**(d + 4) <= n`` (d the
-dimension) and dense blocks answer otherwise; a dense block's distance rows
-are sorted in the block itself and its k-prefix is the result. Both
+dimension) and dense blocks answer otherwise (always on a matrix-backed
+cloud); a dense block's distance rows are sorted in the block itself and its
+k-prefix is the result, and at k = 1 its ids are the block's argmin. Both
 strategies return identical results, id for id and byte for byte. Ties are
-broken by ascending point id everywhere.
+broken by ascending point id everywhere. :func:`nearest_cross` is the k = 1
+row over an index of the targets, for coordinate rows and matrix ids alike.
 """
 from __future__ import annotations
 
@@ -19,10 +21,12 @@ from scipy.spatial import cKDTree
 from .geometry import (
     EUCLIDEAN,
     MANHATTAN,
+    PRECOMPUTED,
     GeometryError,
     Metric,
     PointCloud,
     _check_threads,
+    _member_ids,
     cross_distances,
     paired_distances,
     row_chunks,
@@ -139,8 +143,9 @@ class NeighborIndex:
 
         def work(sl: slice) -> None:
             block = cross_distances(self.metric, q[sl], self.cloud.points)
-            # a stable sort keeps equal distances in ascending id order
-            ids[sl] = np.argsort(block, axis=1, kind="stable")[:, :k]
+            # argmin's first minimum and a stable sort keep ties in id order
+            ids[sl] = (block.argmin(axis=1)[:, None] if k == 1
+                       else np.argsort(block, axis=1, kind="stable")[:, :k])
             dist[sl] = np.take_along_axis(block, ids[sl], axis=1)
 
         run_chunked(row_chunks(q.shape[0], self.cloud.n), work, threads)
@@ -305,3 +310,17 @@ class NeighborIndex:
 def build_index(cloud: PointCloud, metric: Metric, strategy: str = AUTO) -> NeighborIndex:
     """Build a neighbor index over the cloud (spec operation name)."""
     return NeighborIndex(cloud, metric, strategy)
+
+
+def nearest_cross(metric: Metric, queries, targets,
+                  threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Per query: (distance to nearest target, its index, ties -> lowest).
+    Queries and targets are coordinate rows, or matrix row ids under a
+    precomputed metric (targets: integers in range, at least one)."""
+    if metric.kind == PRECOMPUTED:
+        n = metric.matrix.shape[0]
+        cloud = PointCloud(_member_ids(np.atleast_1d(targets), n), n)
+    else:
+        cloud = PointCloud.from_coords(np.atleast_2d(targets))
+    dist, ids = build_index(cloud, metric)._nearest_rows(queries, 1, threads)
+    return dist[:, 0], ids[:, 0]

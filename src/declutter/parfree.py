@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decluttering import _greedy_pass
-from .geometry import (GeometryError, Metric, PointCloud, _check_threads,
-                       nearest_cross, subset_cloud)
-from .neighbors import AUTO, NeighborIndex, build_index
+from .geometry import GeometryError, Metric, PointCloud, _check_threads, subset_cloud
+from .neighbors import AUTO, NeighborIndex, build_index, nearest_cross
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, _sweep
 # profile stays a module attribute: perfbench's self-test looks it up here
 from .robust import profile  # noqa: F401

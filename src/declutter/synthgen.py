@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, GroundTruthRef, Metric, PointCloud, nearest_cross
+from .geometry import GeometryError, GroundTruthRef, Metric, PointCloud
+from .neighbors import nearest_cross
 
 
 # ---------------------------------------------------------------------------

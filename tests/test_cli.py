@@ -130,6 +130,33 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["eval", "--points", str(both), "--bounds", "bogus"]) == 1
 
 
+@pytest.mark.parametrize("step", ["gen", "declutter", "parfree", "certify",
+                                  "eval", "repro"])
+def test_unwritable_output_exits_1(tmp_path, capsys, step):
+    gen = tmp_path / "gen"
+    assert main(["gen", "--shape", "circle", "--n", "40", "--ambient", "4",
+                 "--out-dir", str(gen)]) == 0
+    pts, ref = str(gen / "points.csv"), str(gen / "reference.csv")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    missing = str(tmp_path / "missing" / "out.json")
+    argv = {
+        "gen": ["gen", "--shape", "circle", "--n", "40", "--out-dir", str(taken)],
+        "declutter": ["declutter", "--points", pts, "--k", "4",
+                      "--out-dir", str(taken / "sub")],
+        "parfree": ["parfree", "--points", pts, "--out-dir", str(taken)],
+        "certify": ["certify", "--points", pts, "--reference", ref, "--k", "4",
+                    "--out", missing],
+        "eval": ["eval", "--points", pts, "--bounds", "lem4.2", "--k", "4",
+                 "--out", missing],
+        "repro": ["repro", "fig1", "--out-dir", str(taken)],
+    }[step]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_overflowing_input_exits_1(tmp_path, capsys):
     pts = np.random.default_rng(8).normal(size=(300, 2))
     path = tmp_path / "huge.csv"

@@ -1,9 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import declutter as dc
+from declutter import geometry
+from declutter.neighbors import nearest_cross
 from conftest import noisy_instance, oracle_hausdorff, random_cloud, uniform_instance
 
 
@@ -125,6 +128,66 @@ def test_hypothesis_gating_not_applicable():
     got = dc.verify_bound("thm3.3", cloud=cloud, metric=metric, kref=kref,
                           certificate=cert, result=other)
     assert not got.applicable
+
+
+def _grid_prop34(side, k):
+    # a scaled integer grid: many pairs at one distance up to the last ulp
+    grid = np.indices((side, side)).reshape(2, -1).T * 0.1
+    cloud, metric = dc.PointCloud.from_coords(grid), dc.Metric()
+    kref = dc.GroundTruthRef(cloud)
+    return (cloud, metric, kref, dc.certify(cloud, metric, kref, k),
+            dc.declutter(cloud, metric, k))
+
+
+def _brute_separation(points):
+    block = dc.cross_distances(dc.Metric(), points, points)
+    block[np.diag_indices_from(block)] = np.inf
+    return block.min()
+
+
+@pytest.mark.parametrize("side", [8, 30])  # kept rows from dense blocks, tree
+def test_prop34_rhs_equals_brute_separation(side):
+    cloud, metric, kref, cert, result = _grid_prop34(side, 2)
+    got = dc.verify_bound("prop3.4", cloud=cloud, metric=metric, kref=kref,
+                          certificate=cert, result=result)
+    assert got.applicable
+    want = _brute_separation(cloud.coords[result.kept_ids])
+    assert np.float64(got.rhs).tobytes() == want.tobytes()
+    assert got.inputs["min_pairwise_kept"] == got.rhs
+
+
+def test_prop34_rhs_is_zero_on_coincident_kept_points():
+    cloud, metric, kref, cert, result = _certified_run(0)
+    dup = dc.PointCloud.from_coords(np.vstack([cloud.coords, cloud.coords[3]]))
+    both = dc.DeclutterResult(kept=np.arange(dup.n), rejected={},
+                              order=np.arange(dup.n), profile=result.profile,
+                              vicinity_factor=2.0)
+    got = dc.verify_bound("prop3.4", cloud=dup, metric=metric, kref=kref,
+                          certificate=cert, result=both)
+    assert got.applicable and got.rhs == 0.0
+    assert _brute_separation(dup.coords) == 0.0
+
+
+def test_prop34_blocks_stay_within_the_cell_budget(monkeypatch):
+    cloud, metric, kref, cert, result = _grid_prop34(8, 2)
+    budget = 100
+    assert cloud.n <= budget < result.kept.size ** 2
+    real = geometry.cross_distances
+    cells = []
+
+    def counted(*args, **kwargs):
+        block = real(*args, **kwargs)
+        cells.append(block.size)
+        return block
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("declutter") and getattr(module, "cross_distances", None) is real:
+            monkeypatch.setattr(module, "cross_distances", counted)
+    monkeypatch.setattr(geometry, "_CHUNK_CELLS", budget)
+    got = dc.verify_bound("prop3.4", cloud=cloud, metric=metric, kref=kref,
+                          certificate=cert, result=result)
+    assert got.applicable and cells
+    assert max(cells) <= budget
 
 
 def test_thm37_adaptive_bound():
@@ -263,3 +326,16 @@ def test_matrix_mode_hausdorff_over_id_sets():
     m = dc.cross_distances(dc.Metric(), pts, pts)
     metric = dc.Metric("precomputed", matrix=m)
     assert dc.hausdorff([0, 1], [0, 3], metric) == 9.0
+
+
+def test_matrix_ids_are_validated():
+    pts = np.array([[0.0], [1.0], [2.0]])
+    metric = dc.Metric("precomputed", matrix=dc.cross_distances(dc.Metric(), pts, pts))
+    with pytest.raises(dc.GeometryError, match="query id"):
+        dc.directed_hausdorff([-1], [0, 1], metric)  # no wrap to the last row
+    with pytest.raises(dc.GeometryError, match="ids out of range"):
+        dc.directed_hausdorff([0], [0, 3], metric)
+    with pytest.raises(dc.GeometryError, match="integers"):
+        dc.directed_hausdorff([0], [0, 1.7], metric)  # no truncation to 1
+    with pytest.raises(dc.GeometryError, match="at least one"):
+        nearest_cross(metric, [0], [])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import declutter as dc
-from declutter.geometry import nearest_cross, paired_distances
+from declutter.geometry import paired_distances
+from declutter.neighbors import nearest_cross
 from conftest import dist_euclidean, dist_manhattan, random_cloud
 
 

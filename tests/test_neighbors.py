@@ -3,8 +3,7 @@ import pytest
 
 import declutter as dc
 from declutter import geometry
-from declutter.geometry import nearest_cross
-from declutter.neighbors import NeighborIndex
+from declutter.neighbors import NeighborIndex, nearest_cross
 from conftest import dist_manhattan, line_cloud, oracle_knn_ids, random_cloud
 
 
@@ -313,11 +312,22 @@ def test_nearest_cross_on_the_tree_equals_dense(case):
     assert dc.build_index(dc.PointCloud.from_coords(targets), metric)._tree_serves(1)
     q = _tree_queries(targets)
     block = dc.cross_distances(metric, q, targets)
+    inputs = [(metric, q, targets)]
+    # the same points as rows of a distance matrix, where one exists
+    both = np.vstack([q, targets])
+    matrix = dc.cross_distances(metric, both, both)
+    if np.all(np.isfinite(matrix)):
+        ids = np.arange(both.shape[0])
+        inputs.append((dc.Metric("precomputed", matrix=matrix),
+                       ids[:q.shape[0]], ids[q.shape[0]:]))
     for threads in (1, 2):
-        dist, idx = nearest_cross(metric, q, targets, threads=threads)
-        assert np.array_equal(idx, block.argmin(axis=1))  # ties -> lowest id
-        assert dist.tobytes() == block.min(axis=1).tobytes()
-    assert dc.directed_hausdorff(q, targets, metric, threads=2) == block.min(axis=1).max()
+        for m, queries, to in inputs:
+            dist, idx = nearest_cross(m, queries, to, threads=threads)
+            assert np.array_equal(idx, block.argmin(axis=1))  # ties -> lowest id
+            assert dist.tobytes() == block.min(axis=1).tobytes()
+    for m, queries, to in inputs:
+        got = dc.directed_hausdorff(queries, to, m, threads=2)
+        assert got == block.min(axis=1).max()
 
 
 @pytest.mark.parametrize("case", ["grid-euclidean-k3", "grid-manhattan-k3",
