@@ -13,9 +13,7 @@ from .certify import (
     certify,
     certify_scales,
     check_feature_size,
-    estimate_adaptive_epsilon,
     estimate_epsilon_k,
-    estimate_uniformity,
 )
 from .decluttering import DeclutterResult, Rejection, declutter, greedy_declutter
 from .evaluation import (
@@ -38,7 +36,6 @@ from .geometry import (
     Metric,
     PointCloud,
     cross_distances,
-    distance,
     estimate_triangle_constant,
     load_matrix,
     load_points,
@@ -62,8 +59,6 @@ from .robust import (
     RobustDistanceProfile,
     parse_kind,
     profile,
-    profile_for,
-    robust_distance_at,
     values_at,
     values_at_scales,
 )

@@ -1,11 +1,13 @@
 """Certification of sampling conditions against a ground-truth reference.
 
-Given a cloud P and a dense finite reference K', these routines compute the
+Given a cloud P and a dense finite reference K', a certificate holds the
 smallest scale value epsilon_k making the noisy-sample conditions hold over
 the evaluated sets (K' for the density condition, P for the sparsity-of-noise
-condition), the smallest uniformity constant c, and the adaptive variants
-weighted by a feature-size function. Certificates gate the named bound
-checks in :mod:`declutter.evaluation`.
+condition) and the smallest uniformity constant c; the adaptive variant
+weighs both conditions by a feature-size function. Every certificate, and
+:func:`estimate_epsilon_k`, comes from one builder that reads every k from
+one robust-distance sweep. Certificates gate the named bound checks in
+:mod:`declutter.evaluation`.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .geometry import (
     cross_distances,
 )
 from .neighbors import AUTO, build_index
-from .robust import DistanceKind, RMS_K, values_at, values_at_scales
+from .robust import DistanceKind, RMS_K, values_at_scales
 
 
 @dataclass
@@ -74,17 +76,17 @@ def _require_coordinate(cloud: PointCloud, kref: GroundTruthRef) -> None:
 
 
 def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
-                  kind: DistanceKind, weak: bool, adaptive: bool, threads: int,
-                  count_ties: bool = False) -> dict[int, SamplingCertificate]:
+                  kind: DistanceKind, weak: bool, adaptive: bool,
+                  threads: int) -> dict[int, SamplingCertificate]:
     """Certificates at every k in one sweep.
 
     cond1 is the largest robust distance at a reference point (density of
     the reference), cond2 the largest excess of a cloud point's distance to
     the reference over its own robust distance (sparsity of noise). The
     adaptive variant divides both by the feature size at the relevant
-    reference point (the nearest one for cond2; ties resolved to lowest id).
-    ``count_ties`` adds, once for all k, how many cloud points have more
-    than one nearest reference point (``nearest_reference_ties``).
+    reference point (the nearest one for cond2; ties resolved to lowest id)
+    and also records, once for all k, how many cloud points have more than
+    one nearest reference point (``nearest_reference_ties``).
     """
     _require_coordinate(cloud, kref)
     if kref.cloud.n < 1:
@@ -102,7 +104,7 @@ def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
     # dividing by 1.0 is exact, so the plain conditions come out unchanged
     f_ref = kref.feature_sizes if adaptive else 1.0
     f_near = kref.feature_sizes[nearest] if adaptive else 1.0
-    ties = int((near_d[:, 1:] == near_d[:, :1]).sum()) if count_ties else None
+    ties = int((near_d[:, 1:] == near_d[:, :1]).sum()) if adaptive else None
     out: dict[int, SamplingCertificate] = {}
     for k, own in own_vals.items():
         cond1 = float((ref_vals[k] / f_ref).max())
@@ -112,7 +114,7 @@ def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
         uniformity = (float(epsilon) / lo) if (epsilon > 0 and lo > 0) else None
         conditions = {"cond1_max": cond1, "cond2_max": cond2,
                       "min_robust_distance": lo}
-        if count_ties:
+        if adaptive:
             conditions["nearest_reference_ties"] = ties
         out[k] = SamplingCertificate(
             k=k, kind=kind, epsilon_k=float(epsilon), uniformity_c=uniformity,
@@ -132,38 +134,12 @@ def estimate_epsilon_k(cloud: PointCloud, metric: Metric, kref: GroundTruthRef,
                          threads)[k].epsilon_k
 
 
-def estimate_uniformity(cloud: PointCloud, metric: Metric, epsilon_k: float,
-                        k: int, kind: DistanceKind = RMS_K,
-                        threads: int = 1) -> float | None:
-    """Smallest valid uniformity constant epsilon_k / min_p d_k(p), or None
-    when some point has robust distance zero (uniformity undefined)."""
-    if not (epsilon_k > 0):
-        raise GeometryError("uniformity needs epsilon_k > 0")
-    index = build_index(cloud, metric, AUTO)
-    own = values_at(index, cloud.points, k, kind, threads=threads)
-    lo = float(own.min())
-    if lo <= 0.0:
-        return None
-    return float(epsilon_k) / lo
-
-
-def estimate_adaptive_epsilon(cloud: PointCloud, metric: Metric,
-                              kref: GroundTruthRef, k: int,
-                              kind: DistanceKind = RMS_K,
-                              threads: int = 1) -> float:
-    """Adaptive variant: both conditions rescaled by the feature size at the
-    relevant reference point (the nearest one; ties resolved to lowest id)."""
-    return _certificates(cloud, metric, kref, [k], kind, False, True,
-                         threads)[k].epsilon_k
-
-
 def certify(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, k: int,
             kind: DistanceKind = RMS_K, weak: bool = False,
             adaptive: bool = False, threads: int = 1) -> SamplingCertificate:
     """Full certificate: epsilon (weak variants skip the sparsity-of-noise
     condition), the uniformity constant, and the per-condition values."""
-    return _certificates(cloud, metric, kref, [k], kind, weak, adaptive,
-                         threads, count_ties=adaptive)[k]
+    return _certificates(cloud, metric, kref, [k], kind, weak, adaptive, threads)[k]
 
 
 def certify_scales(cloud: PointCloud, metric: Metric, kref: GroundTruthRef,
@@ -173,8 +149,7 @@ def certify_scales(cloud: PointCloud, metric: Metric, kref: GroundTruthRef,
     """Certificates for several k values in one sweep (shared index, k-NN
     rows, nearest-reference pass and, when adaptive, tie count); each equals
     the :func:`certify` certificate at its k."""
-    return _certificates(cloud, metric, kref, ks, kind, weak, adaptive,
-                         threads, count_ties=adaptive)
+    return _certificates(cloud, metric, kref, ks, kind, weak, adaptive, threads)
 
 
 @dataclass

@@ -274,7 +274,8 @@ def _result_from_report(path) -> DeclutterResult:
         rejected = {int(i): Rejection(witness=int(r["witness"]),
                                       distance=float(r["distance"]))
                     for i, r in data["rejected"].items()}
-        return DeclutterResult(kept=np.asarray(data["kept_order"], dtype=np.intp),
+        # kept ids keep their JSON type: evaluation rejects any but integers
+        return DeclutterResult(kept=np.asarray(data["kept_order"]),
                                rejected=rejected,
                                order=np.asarray(data["processing_order"], dtype=np.intp),
                                profile=prof,

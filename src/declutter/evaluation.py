@@ -23,10 +23,12 @@ from .geometry import (
     Metric,
     PointCloud,
     _check_threads,
+    _member_ids,
     subset_cloud,
 )
 from .neighbors import _check_k, build_index, nearest_cross
 from .parfree import THEORETICAL_C, ParfreeTrace
+from .robust import RMS_K, _prefix_values
 
 BOUND_TOLERANCE = 1e-9
 
@@ -170,12 +172,17 @@ def _single_pass_inputs(a, inputs: dict) -> None:
 _SINGLE_PASS = ("cloud", "kref", "result", "certificate")
 
 
+def _members(cloud: PointCloud, ids) -> np.ndarray:
+    """The cloud's points at the given ids, checked by _member_ids."""
+    return cloud.points[_member_ids(ids, cloud.n)]
+
+
 def _hausdorff_bound(lhs, factor: float, adaptive: bool = False) -> _Bound:
     """A single-pass bound lhs(kept points, args) <= factor * epsilon_k."""
     def check(a, inputs):
         _single_pass_inputs(a, inputs)
         _declutter_gate(a, need_adaptive=adaptive)
-        kept = a.cloud.points[a.result.kept_ids]
+        kept = _members(a.cloud, a.result.kept_ids)
         return lhs(kept, a), factor * a.certificate.epsilon_k
     return _Bound(_SINGLE_PASS, check)
 
@@ -208,7 +215,7 @@ def _check_lem42(a, inputs):
     rows = index.knn_distance_rows(cloud.points[pick], k, a.threads)
     kk = float(k)
     factors = np.sqrt(kk / (kk - np.arange(1, k + 1) + 1.0))
-    rms = np.sqrt(np.cumsum(rows * rows, axis=1)[:, -1] / kk)
+    rms = _prefix_values(rows.copy(), [k], RMS_K)[k]
     return float((rows - factors[None, :] * rms[:, None]).max()), 0.0
 
 
@@ -220,7 +227,7 @@ def _check_lem44(a, inputs):
     _declutter_gate(a, need_uniform=True)
     if a.certificate.uniformity_c > 2.0 + BOUND_TOLERANCE:
         raise _NotApplicable("needs uniformity constant <= 2")
-    pts = a.cloud.points[np.asarray(a.resampled_ids, dtype=np.intp)]
+    pts = _members(a.cloud, a.resampled_ids)
     lhs = hausdorff(pts, a.kref.points, a.metric, a.threads)
     return lhs, (8.0 * a.C + 7.0) * eps
 
@@ -248,7 +255,7 @@ def _check_thm41(a, inputs):
     final_ids = trace.iterations[-1].resampled_ids
     eps0 = cert0.epsilon_k
     inputs.update({"epsilon_i0": eps0, "n_final": int(final_ids.size)})
-    lhs = hausdorff(a.cloud.points[final_ids], a.kref.points, a.metric, a.threads)
+    lhs = hausdorff(_members(a.cloud, final_ids), a.kref.points, a.metric, a.threads)
     return lhs, PARFREE_FACTOR * eps0
 
 
@@ -256,12 +263,15 @@ def _check_lem45(a, inputs):
     trace = a.trace
     inputs.update({"C": trace.resampling_constant, "kappa": KAPPA_CONSERVE})
     _parfree_gate(trace)
-    final_pts = a.cloud.points[trace.iterations[-1].resampled_ids]
+    final_pts = _members(a.cloud, trace.iterations[-1].resampled_ids)
     rng = np.random.default_rng(a.seed)
     lhs = -math.inf
     for it in trace.iterations:
-        ids = it.input_ids
+        ids = _member_ids(it.input_ids, a.cloud.n)
         vals = it.profile_values
+        if len(vals) != ids.size:
+            raise GeometryError(f"iteration {it.i} has {len(vals)} profile values "
+                                f"for {ids.size} input ids")
         if ids.size > a.sample_limit:
             pick = rng.choice(ids.size, size=a.sample_limit, replace=False)
         else:
@@ -286,7 +296,7 @@ def _check_thmD2(a, inputs):
         raise _NotApplicable("bound undefined for triangle relaxation >= 2")
     m = relaxed_bound(cx, clip)
     inputs["m"] = m
-    kept = a.cloud.points[a.result.kept_ids]
+    kept = _members(a.cloud, a.result.kept_ids)
     return hausdorff(kept, a.kref.points, a.metric, a.threads), m * eps
 
 
@@ -337,6 +347,10 @@ def verify_bound(bound_name: str, *, cloud: PointCloud | None = None,
     if bound is None:
         raise GeometryError(f"unknown bound name: {bound_name!r}")
     threads = _check_threads(threads)
+    if (isinstance(sample_limit, bool)
+            or not isinstance(sample_limit, (int, np.integer)) or sample_limit < 1):
+        raise GeometryError(
+            f"sample_limit must be a positive integer, got {sample_limit!r}")
     args = SimpleNamespace(
         cloud=cloud, metric=metric or Metric(), kref=kref, certificate=certificate,
         result=result, resampled_ids=resampled_ids, trace=trace,

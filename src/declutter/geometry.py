@@ -188,21 +188,6 @@ def subset_cloud(cloud: PointCloud, metric: Metric, ids) -> tuple[PointCloud, Me
 # canonical distance evaluation
 # ---------------------------------------------------------------------------
 
-def distance(metric: Metric, a, b) -> float:
-    """d_X(a, b); in matrix mode a and b are indices."""
-    if metric.kind == PRECOMPUTED:
-        m = metric.matrix
-        ia, ib = int(a), int(b)
-        if not (0 <= ia < m.shape[0] and 0 <= ib < m.shape[0]):
-            raise GeometryError("index out of matrix range")
-        return float(m[ia, ib])
-    av = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    bv = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if av.shape[1] != bv.shape[1]:
-        raise GeometryError("dimension mismatch")
-    return float(cdist(av, bv, _CDIST_NAME[metric.kind])[0, 0])
-
-
 def cross_distances(metric: Metric, queries, targets) -> np.ndarray:
     """Dense block of distances from each query to each target.
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decluttering import _greedy_pass
-from .geometry import GeometryError, Metric, PointCloud, _check_threads, subset_cloud
+from .geometry import (GeometryError, Metric, PointCloud, _check_threads, _member_ids,
+                       subset_cloud)
 from .neighbors import AUTO, NeighborIndex, build_index, nearest_cross
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, _sweep
 # profile stays a module attribute: perfbench's self-test looks it up here
@@ -99,11 +100,7 @@ def resample_step(cloud: PointCloud, metric: Metric, kept_ids,
     B(q, C * d_k(q)) with q kept. Kept points capture themselves."""
     if not (C > 0):
         raise GeometryError("resampling constant must be positive")
-    kept_ids = np.asarray(kept_ids, dtype=np.intp)
-    if kept_ids.size == 0:
-        raise GeometryError("resampling needs at least one kept point")
-    if kept_ids.min() < 0 or kept_ids.max() >= cloud.n:
-        raise GeometryError("kept ids outside the cloud")
+    kept_ids = _member_ids(kept_ids, cloud.n)
     if prof.n != cloud.n:
         raise GeometryError("profile does not cover this cloud")
     return _resample(build_index(cloud, metric, strategy), kept_ids,

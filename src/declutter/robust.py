@@ -6,7 +6,9 @@ Aggregations run over the sorted neighbor distances with sequential
 accumulation (cumsum), so every code path produces bit-identical values.
 
 Every batch of robust distances comes from one streaming sweep
-(:func:`values_at_scales`), so no (m, k) table outlives one row block. The
+(:func:`values_at_scales`; :func:`values_at` and the member
+:func:`profile` are its one-k forms), so no (m, k) table outlives one row
+block. The
 k-NN rows come from the kd-tree when it answers at the sweep's largest k
 (blocks sized by k) and from dense blocks otherwise (blocks sized by n); the
 values are the same bytes either way. On dense blocks the rows are the sorted
@@ -22,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GeometryError, Metric, PointCloud, _check_threads, row_chunks,
-                       run_chunked)
-from .neighbors import AUTO, NeighborIndex, _check_k, build_index
+from .geometry import GeometryError, PointCloud, _check_threads, row_chunks, run_chunked
+from .neighbors import NeighborIndex, _check_k
 
 RMS_NAME = "rms-k"
 AVG_NAME = "avg-k"
@@ -85,12 +86,6 @@ class RobustDistanceProfile:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def export_csv(self, path) -> None:
-        ids = np.arange(self.n)
-        table = np.column_stack([ids.astype(np.float64), self.values])
-        np.savetxt(path, table, fmt=["%d", "%.17g"], delimiter=",",
-                   header="id,value")
-
 
 def _prefix_values(rows: np.ndarray, ks, kind: DistanceKind) -> dict[int, np.ndarray]:
     """Robust values at each k in ks (ascending) from (m, >=max(ks)) rows of
@@ -117,13 +112,6 @@ def _prefix_values(rows: np.ndarray, ks, kind: DistanceKind) -> dict[int, np.nda
             f"{kind.name} distances overflow float64 at this scale of the "
             "input; rescale the coordinates or the distance matrix")
     return vals
-
-
-def robust_distance_at(index: NeighborIndex, query, k: int,
-                       kind: DistanceKind = RMS_K) -> float:
-    """Robust distance from one query point to the indexed cloud."""
-    dists = np.array([d for _, d in index.k_nearest(query, k)])
-    return float(_prefix_values(dists[None, :], [k], kind)[k][0])
 
 
 def values_at(index: NeighborIndex, queries, k: int,
@@ -188,10 +176,3 @@ def profile(cloud: PointCloud, index: NeighborIndex, k: int,
     values = values_at_scales(index, cloud.points, [k], kind, threads)[k]
     return RobustDistanceProfile(k=k, kind=kind, values=values)
 
-
-def profile_for(cloud: PointCloud, metric: Metric, k: int,
-                kind: DistanceKind = RMS_K, strategy: str = AUTO,
-                threads: int = 1) -> RobustDistanceProfile:
-    """Convenience: build an index and compute the member profile."""
-    return profile(cloud, build_index(cloud, metric, strategy), k, kind,
-                   threads=threads)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import declutter as dc
-from conftest import line_cloud, noisy_instance, oracle_epsilon, uniform_instance
+from conftest import (line_cloud, noisy_instance, oracle_epsilon, oracle_robust,
+                      uniform_instance)
 
 
 def _line_ref():
@@ -42,27 +43,26 @@ def test_epsilon_coincident_cover():
 
 def test_uniformity_line_example():
     cloud, metric = line_cloud()
-    eps = dc.estimate_epsilon_k(cloud, metric, _line_ref(), 2)
-    c = dc.estimate_uniformity(cloud, metric, eps, 2)
+    c = dc.certify(cloud, metric, _line_ref(), 2).uniformity_c
     assert c == pytest.approx(98.0 * (math.sqrt(2.0) - 1.0), abs=1e-9)
 
 
 def test_uniformity_perfectly_uniform():
-    # equilateral triangle: every k=2 value equals the side length / sqrt(2)
+    # equilateral triangle as its own reference: every k=2 value, and so
+    # epsilon (cond1), equals the side length / sqrt(2)
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
     cloud = dc.PointCloud.from_coords(pts)
-    metric = dc.Metric()
-    v = dc.profile_for(cloud, metric, 2).values
-    c = dc.estimate_uniformity(cloud, metric, float(v[0]), 2)
+    kref = dc.GroundTruthRef(dc.PointCloud.from_coords(pts.copy()))
+    c = dc.certify(cloud, dc.Metric(), kref, 2).uniformity_c
     assert c == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uniformity_absent_for_duplicates():
     pts = np.array([[0.0], [0.0], [5.0]])
     cloud = dc.PointCloud.from_coords(pts)
-    assert dc.estimate_uniformity(cloud, dc.Metric(), 1.0, 2) is None
-    with pytest.raises(dc.GeometryError):
-        dc.estimate_uniformity(cloud, dc.Metric(), 0.0, 2)
+    kref = dc.GroundTruthRef(dc.PointCloud.from_coords([[0.0], [5.0]]))
+    cert = dc.certify(cloud, dc.Metric(), kref, 2)
+    assert cert.epsilon_k > 0 and cert.uniformity_c is None
 
 
 def test_adaptive_constant_feature_reduces_to_plain():
@@ -70,8 +70,8 @@ def test_adaptive_constant_feature_reduces_to_plain():
     plain = dc.estimate_epsilon_k(cloud, metric, kref, 3)
     ones = dc.GroundTruthRef(kref.cloud, np.ones(kref.cloud.n))
     twos = dc.GroundTruthRef(kref.cloud, np.full(kref.cloud.n, 2.0))
-    assert dc.estimate_adaptive_epsilon(cloud, metric, ones, 3) == plain
-    assert dc.estimate_adaptive_epsilon(cloud, metric, twos, 3) == pytest.approx(
+    assert dc.certify(cloud, metric, ones, 3, adaptive=True).epsilon_k == plain
+    assert dc.certify(cloud, metric, twos, 3, adaptive=True).epsilon_k == pytest.approx(
         plain / 2.0, abs=1e-12)
 
 
@@ -80,15 +80,14 @@ def test_adaptive_nonconstant_matches_bruteforce():
     f_fn = dc.feature_from_anchor(kref.points[0], 0.5)
     fvals = f_fn(kref.points)
     adaptive_ref = dc.GroundTruthRef(kref.cloud, fvals)
-    got = dc.estimate_adaptive_epsilon(cloud, metric, adaptive_ref, 3)
-    index = dc.build_index(cloud, metric)
-    cond1 = max(dc.robust_distance_at(index, x, 3) / f
+    got = dc.certify(cloud, metric, adaptive_ref, 3, adaptive=True).epsilon_k
+    cond1 = max(oracle_robust(cloud.coords, x, 3) / f
                 for x, f in zip(kref.points, fvals))
     cond2 = -math.inf
     for p in cloud.coords:
         d = dc.cross_distances(metric, p[None], kref.points)[0]
         nearest = int(d.argmin())
-        own = dc.robust_distance_at(index, p, 3)
+        own = oracle_robust(cloud.coords, p, 3)
         cond2 = max(cond2, (float(d.min()) - own) / fvals[nearest])
     assert got == pytest.approx(max(cond1, cond2, 0.0), abs=1e-9)
 
@@ -96,7 +95,7 @@ def test_adaptive_nonconstant_matches_bruteforce():
 def test_adaptive_requires_features():
     cloud, metric, kref, _ = noisy_instance(9, n_max=50)
     with pytest.raises(dc.GeometryError):
-        dc.estimate_adaptive_epsilon(cloud, metric, kref, 2)
+        dc.certify(cloud, metric, kref, 2, adaptive=True)
 
 
 def test_certificate_soundness_recheck():

@@ -1,5 +1,8 @@
 import json
 import re
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,3 +358,85 @@ def test_eval_malformed_artifacts_exit_1(tmp_path, capsys):
     for extra, culprit in cases:
         assert main(base + extra) == 1
         assert str(culprit) in capsys.readouterr().err
+
+
+def test_eval_rejects_ids_that_are_not_members(tmp_path, capsys):
+    # out-of-range or float ids in a report, a resampled-id file or a trace
+    # dump, and a trace profile shorter than its input ids, each exit 1
+    # cleanly
+    shape = dc.Circle((0.0, 0.0), 1.0)
+    kref, sample = dc.sample_shape(shape, 128, seed=None)
+    pts = tmp_path / "points.csv"
+    ref = tmp_path / "reference.csv"
+    dc.save_points(pts, dc.perturb_gaussian(sample, 0.0005, 3))
+    dc.save_points(ref, kref.points)
+    certs = tmp_path / "certs.json"
+    assert main(["certify", "--points", str(pts), "--reference", str(ref),
+                 "--k", "2,4,8,16,32,64,128", "--out", str(certs)]) == 0
+    run = tmp_path / "run"
+    assert main(["declutter", "--points", str(pts), "--k", "4",
+                 "--resample-C", str(dc.THEORETICAL_C),
+                 "--out-dir", str(run)]) == 0
+    pf = tmp_path / "pf"
+    assert main(["parfree", "--points", str(pts), "--out-dir", str(pf),
+                 "--dump-iterations"]) == 0
+    base = ["eval", "--points", str(pts), "--reference", str(ref),
+            "--certificates", str(certs)]
+    single = base + ["--report", str(run / "report.json"),
+                     "--resampled-ids", str(run / "resampled_ids.csv"),
+                     "--C", str(dc.THEORETICAL_C)]
+    loop = base + ["--trace-dir", str(pf), "--i0", "1"]
+    checked = tmp_path / "checked.json"
+    for argv, bounds in ((single, "thm3.3,thmD.2,lem4.4"), (loop, "thm4.1,lem4.5")):
+        assert main(argv + ["--bounds", bounds, "--out", str(checked)]) == 0
+        rows = json.loads(checked.read_text())["bounds"]
+        assert all(b["applicable"] for b in rows)  # the probes reach the ids
+    capsys.readouterr()
+
+    def edited_report(edit):
+        data = json.loads((run / "report.json").read_text())
+        data["result"]["kept_order"] = edit(data["result"]["kept_order"])
+        path = Path(tempfile.mkdtemp(dir=tmp_path)) / "report.json"
+        path.write_text(json.dumps(data))
+        return ["--report", str(path)]
+
+    def edited_ids(extra_id):
+        path = Path(tempfile.mkdtemp(dir=tmp_path)) / "resampled_ids.csv"
+        path.write_text((run / "resampled_ids.csv").read_text() + f"{extra_id}\n")
+        return ["--resampled-ids", str(path)]
+
+    def edited_trace(name, edit):
+        out = Path(tempfile.mkdtemp(dir=tmp_path))
+        shutil.copytree(pf, out, dirs_exist_ok=True)
+        path = out / "iterations" / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        return ["--trace-dir", str(out)]
+
+    first = json.loads((pf / "trace.json").read_text())["trace"]["iterations"][0]["i"]
+    cases = [
+        (single + ["--bounds", "thm3.3"] + edited_report(lambda l: l + [128]),
+         "out of range"),
+        (single + ["--bounds", "thmD.2"] + edited_report(lambda l: l + [-1]),
+         "out of range"),
+        (single + ["--bounds", "lem3.1"]
+         + edited_report(lambda l: [i + 0.2 for i in l]), "integers"),
+        (single + ["--bounds", "lem4.4"] + edited_ids(128), "out of range"),
+        (single + ["--bounds", "lem4.4"] + edited_ids(-1), "out of range"),
+        (loop + ["--bounds", "thm4.1"]
+         + edited_trace("iter_01_resampled_ids.csv", lambda l: l + ["128"]),
+         "out of range"),
+        (loop + ["--bounds", "lem4.5"]
+         + edited_trace("iter_01_resampled_ids.csv", lambda l: l + ["-1"]),
+         "out of range"),
+        (loop + ["--bounds", "lem4.5"]
+         + edited_trace(f"iter_{first:02d}_input_ids.csv",
+                        lambda l: l[:-1] + ["128"]), "out of range"),
+        (loop + ["--bounds", "lem4.5"]
+         + edited_trace(f"iter_{first:02d}_profile.csv", lambda l: l[:-1]),
+         "profile values"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, argv
+        assert "Traceback" not in err

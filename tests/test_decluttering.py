@@ -54,22 +54,20 @@ def test_partition_and_witness_validity():
         position = {int(p): i for i, p in enumerate(result.order)}
         kept_rank = {int(p): i for i, p in enumerate(result.kept)}
         values = result.profile.values
+        dist = dc.cross_distances(metric, cloud.coords, cloud.coords)
         for p, rej in result.rejected.items():
             assert rej.witness in kept
             assert position[rej.witness] < position[p]
-            got = dc.distance(metric, cloud.coords[p], cloud.coords[rej.witness])
-            assert got == rej.distance
+            assert dist[p, rej.witness] == rej.distance
             assert rej.distance <= result.vicinity_factor * values[p]
             # the recorded witness is the earliest kept point inside the ball
             for q in result.kept.tolist():
                 if kept_rank[q] >= kept_rank[rej.witness]:
                     break
-                d = dc.distance(metric, cloud.coords[p], cloud.coords[q])
-                assert d > result.vicinity_factor * values[p]
+                assert dist[p, q] > result.vicinity_factor * values[p]
         for i, p in enumerate(result.kept.tolist()):
             for q in result.kept.tolist()[:i]:
-                d = dc.distance(metric, cloud.coords[p], cloud.coords[q])
-                assert d > result.vicinity_factor * values[p]
+                assert dist[p, q] > result.vicinity_factor * values[p]
 
 
 def _oracle_cases():
@@ -102,8 +100,9 @@ def test_matches_pure_python_oracle():
                                   strategy=strategy)
             assert result.kept.tolist() == kept
             assert {p: r.witness for p, r in result.rejected.items()} == rejected
+            dist = dc.cross_distances(metric, pts, pts)
             for p, r in result.rejected.items():
-                assert r.distance == dc.distance(metric, pts[p], pts[r.witness])
+                assert r.distance == dist[p, r.witness]
 
 
 def test_strategy_equivalence_id_for_id():

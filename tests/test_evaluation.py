@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -339,3 +340,91 @@ def test_matrix_ids_are_validated():
         dc.directed_hausdorff([0], [0, 1.7], metric)  # no truncation to 1
     with pytest.raises(dc.GeometryError, match="at least one"):
         nearest_cross(metric, [0], [])
+
+
+def _uniform_loop_run():
+    """A 128-point near-regular circle with every artifact the id-reading
+    bounds take, each of them applicable."""
+    shape = dc.Circle((0.0, 0.0), 1.0)
+    kref, sample = dc.sample_shape(shape, 128, seed=None)
+    cloud = dc.PointCloud.from_coords(dc.perturb_gaussian(sample, 5e-4, 3))
+    metric = dc.Metric()
+    ks = [2 ** i for i in range(1, 8)]
+    certs = dc.certify_scales(cloud, metric, kref, ks)
+    result = dc.declutter(cloud, metric, 4)
+    resampled = dc.resample_step(cloud, metric, result.kept, result.profile,
+                                 dc.THEORETICAL_C)
+    _, trace = dc.parfree_declutter(cloud, metric)
+    args = dict(cloud=cloud, metric=metric, kref=kref, certificate=certs[4],
+                result=result, resampled_ids=resampled, C=dc.THEORETICAL_C,
+                trace=trace, certificates=certs, i0=1)
+    return args
+
+
+def _with_iteration(trace, index, **changes):
+    its = list(trace.iterations)
+    its[index] = replace(its[index], **changes)
+    return replace(trace, iterations=its)
+
+
+@pytest.mark.parametrize("bad", [-1, 128, 1.5])
+def test_bounds_reject_ids_that_are_not_members(bad):
+    args = _uniform_loop_run()
+    names = ("thm3.3", "lem3.1", "lem3.2", "thmD.2", "lem4.4", "thm4.1", "lem4.5")
+    for name in names:
+        assert dc.verify_bound(name, **args).applicable, name
+    result, trace = args["result"], args["trace"]
+    kept = np.append(result.kept, bad)
+    resampled = np.append(args["resampled_ids"], bad)
+    final = np.append(trace.iterations[-1].resampled_ids, bad)
+    inputs = np.append(trace.iterations[0].input_ids[:-1], bad)
+    probes = [(name, {"result": replace(result, kept=kept)})
+              for name in ("thm3.3", "lem3.1", "lem3.2", "thmD.2")]
+    probes += [("lem4.4", {"resampled_ids": resampled}),
+               ("thm4.1", {"trace": _with_iteration(trace, -1, resampled_ids=final)}),
+               ("lem4.5", {"trace": _with_iteration(trace, -1, resampled_ids=final)}),
+               ("lem4.5", {"trace": _with_iteration(trace, 0, input_ids=inputs)})]
+    for name, changed in probes:
+        with pytest.raises(dc.GeometryError, match="ids"):
+            dc.verify_bound(name, **{**args, **changed})
+
+
+def test_lem45_rejects_a_short_profile():
+    args = _uniform_loop_run()
+    first = args["trace"].iterations[0]
+    short = _with_iteration(args["trace"], 0,
+                            profile_values=first.profile_values[:-1])
+    with pytest.raises(dc.GeometryError, match="profile values"):
+        dc.verify_bound("lem4.5", **{**args, "trace": short})
+
+
+def test_lem42_lhs_bytes_match_the_written_out_formula():
+    for seed, k in ((3, 5), (8, 1), (21, 16)):
+        cloud, metric = random_cloud(seed, n_max=150)
+        k = min(k, cloud.n)
+        got = dc.verify_bound("lem4.2", cloud=cloud, metric=metric, k=k,
+                              sample_limit=40, seed=seed)
+        pick = np.random.default_rng(seed).choice(cloud.n, size=min(cloud.n, 40),
+                                                  replace=False)
+        rows = dc.build_index(cloud, metric).knn_distance_rows(cloud.points[pick], k)
+        factors = np.sqrt(k / (k - np.arange(1, k + 1) + 1.0))
+        rms = np.sqrt(np.cumsum(rows * rows, axis=1)[:, -1] / float(k))
+        want = float((rows - factors[None, :] * rms[:, None]).max())
+        assert np.float64(got.lhs).tobytes() == np.float64(want).tobytes()
+
+
+def test_lem42_overflow_raises_instead_of_failing():
+    pts = np.random.default_rng(0).normal(size=(300, 2)) * 1e160
+    cloud = dc.PointCloud.from_coords(pts)
+    with pytest.raises(dc.GeometryError, match="overflow float64"):
+        dc.verify_bound("lem4.2", cloud=cloud, k=8)
+
+
+@pytest.mark.parametrize("limit", [0, -3, True, 1.5])
+def test_sample_limit_must_be_a_positive_integer(limit):
+    cloud, metric = random_cloud(4, n_max=60)
+    with pytest.raises(dc.GeometryError, match="sample_limit"):
+        dc.verify_bound("lem4.2", cloud=cloud, metric=metric, k=3,
+                        sample_limit=limit)
+    assert dc.verify_bound("lem4.2", cloud=cloud, metric=metric, k=3,
+                           sample_limit=np.int64(1)).applicable

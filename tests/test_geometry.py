@@ -9,11 +9,15 @@ from conftest import dist_euclidean, dist_manhattan, random_cloud
 
 
 def test_distance_l2_345():
-    assert dc.distance(dc.Metric(), [0.0, 0.0], [3.0, 4.0]) == 5.0
+    metric = dc.Metric()
+    assert dc.cross_distances(metric, [[0.0, 0.0]], [[3.0, 4.0]])[0, 0] == 5.0
+    assert paired_distances(metric, [0.0, 0.0], [3.0, 4.0]) == 5.0
 
 
 def test_distance_l1_sum():
-    assert dc.distance(dc.Metric("manhattan"), [0.0, 0.0], [3.0, 4.0]) == 7.0
+    metric = dc.Metric("manhattan")
+    assert dc.cross_distances(metric, [[0.0, 0.0]], [[3.0, 4.0]])[0, 0] == 7.0
+    assert paired_distances(metric, [0.0, 0.0], [3.0, 4.0]) == 7.0
 
 
 def test_distance_matrix_lookup():
@@ -22,19 +26,15 @@ def test_distance_matrix_lookup():
     m[0, 1] = m[1, 0] = 1.0
     m[0, 2] = m[2, 0] = 1.0
     metric = dc.Metric("precomputed", matrix=m)
-    assert dc.distance(metric, 1, 2) == 0.5
+    assert dc.cross_distances(metric, [1], [2])[0, 0] == 0.5
+    assert paired_distances(metric, 1, 2) == 0.5
 
 
 def test_distance_dimension_mismatch():
     with pytest.raises(dc.GeometryError):
-        dc.distance(dc.Metric(), [0.0], [1.0, 2.0])
-
-
-def test_distance_matrix_index_out_of_range():
-    m = np.zeros((2, 2))
-    metric = dc.Metric("precomputed", matrix=m)
+        dc.cross_distances(dc.Metric(), [[0.0]], [[1.0, 2.0]])
     with pytest.raises(dc.GeometryError):
-        dc.distance(metric, 0, 5)
+        paired_distances(dc.Metric(), [0.0], [1.0, 2.0])
 
 
 def test_metric_matrix_validation():
@@ -60,13 +60,13 @@ def test_cloud_validation():
 def test_symmetry_and_identity_random_pairs():
     cloud, _ = random_cloud(0, n_max=80)
     rng = np.random.default_rng(1)
+    i, j = rng.integers(0, cloud.n, size=(2, 1000))
+    a, b = cloud.coords[i], cloud.coords[j]
     for kind in ("euclidean", "manhattan"):
         metric = dc.Metric(kind)
-        for _ in range(1000):
-            i, j = rng.integers(0, cloud.n, size=2)
-            a, b = cloud.coords[i], cloud.coords[j]
-            assert dc.distance(metric, a, b) == dc.distance(metric, b, a)
-        assert dc.distance(metric, cloud.coords[0], cloud.coords[0]) == 0.0
+        assert np.array_equal(paired_distances(metric, a, b),
+                              paired_distances(metric, b, a))
+        assert np.all(paired_distances(metric, cloud.coords, cloud.coords) == 0.0)
 
 
 def test_cross_distances_match_oracle():
@@ -158,7 +158,7 @@ def test_subset_cloud_matrix_mode():
     assert sub.n == 2
     assert sub_metric is metric  # the sub-cloud shares the parent matrix
     assert sub.points.tolist() == [0, 2]
-    assert dc.distance(sub_metric, sub.points[0], sub.points[1]) == 2.0
+    assert dc.cross_distances(sub_metric, sub.points[:1], sub.points[1:])[0, 0] == 2.0
 
 
 @pytest.mark.parametrize("ids", [[-1], [0, 4], [9], [1.5], [True]])

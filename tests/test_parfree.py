@@ -173,8 +173,10 @@ def test_resample_step_validation():
     cloud, metric, _, _ = noisy_instance(2, n_max=50)
     index = dc.build_index(cloud, metric)
     prof = dc.profile(cloud, index, 2)
-    with pytest.raises(dc.GeometryError):
-        dc.resample_step(cloud, metric, np.array([cloud.n + 3]), prof, 1.0)
+    # out of range, empty, float and bool kept ids
+    for kept in ([cloud.n + 3], [-1, 2], [], [0.7, 3.2], [True, False]):
+        with pytest.raises(dc.GeometryError):
+            dc.resample_step(cloud, metric, np.array(kept), prof, 1.0)
     with pytest.raises(dc.GeometryError):
         dc.resample_step(cloud, metric, np.array([0]), prof, 0.0)
     small, small_metric = dc.subset_cloud(cloud, metric, np.arange(4))

@@ -14,11 +14,11 @@ from conftest import line_cloud, oracle_robust, random_cloud
 def test_line_example_all_kinds():
     cloud, metric = line_cloud()
     index = dc.build_index(cloud, metric)
-    q = np.array([100.0])
-    assert dc.robust_distance_at(index, q, 2, dc.RMS_K) == pytest.approx(
+    q = [[100.0]]
+    assert dc.values_at(index, q, 2, dc.RMS_K)[0] == pytest.approx(
         98.0 / math.sqrt(2.0), abs=1e-9)
-    assert dc.robust_distance_at(index, q, 2, dc.AVG_K) == pytest.approx(49.0)
-    assert dc.robust_distance_at(index, q, 2, dc.KTH_NN) == 98.0
+    assert dc.values_at(index, q, 2, dc.AVG_K)[0] == pytest.approx(49.0)
+    assert dc.values_at(index, q, 2, dc.KTH_NN)[0] == 98.0
 
 
 def test_equidistant_neighbors_any_kind():
@@ -28,7 +28,7 @@ def test_equidistant_neighbors_any_kind():
     cloud = dc.PointCloud.from_coords(pts)
     index = dc.build_index(cloud, dc.Metric())
     for kind in (dc.RMS_K, dc.AVG_K, dc.KTH_NN):
-        assert dc.robust_distance_at(index, np.zeros(2), 4, kind) == pytest.approx(
+        assert dc.values_at(index, np.zeros((1, 2)), 4, kind)[0] == pytest.approx(
             1.0, abs=1e-12)
 
 
@@ -55,7 +55,7 @@ def test_profile_matches_per_query_and_oracle():
     for kind in (dc.RMS_K, dc.AVG_K, dc.KTH_NN):
         prof = dc.profile(cloud, index, 4, kind)
         for i in range(cloud.n):
-            one = dc.robust_distance_at(index, cloud.coords[i], 4, kind)
+            one = dc.values_at(index, cloud.coords[i:i + 1], 4, kind)[0]
             assert prof.values[i] == one  # identical accumulation path
             assert one == pytest.approx(
                 oracle_robust(cloud.coords, cloud.coords[i], 4, kind.name),
@@ -130,16 +130,6 @@ def test_kind_validation_and_parse():
         dc.DistanceKind("rms-k", c_lip=0.5)
     assert dc.parse_kind("kth-nn") is dc.KTH_NN
     assert dc.parse_kind(dc.AVG_K) is dc.AVG_K
-
-
-def test_profile_export_csv(tmp_path):
-    cloud, metric = line_cloud()
-    index = dc.build_index(cloud, metric)
-    prof = dc.profile(cloud, index, 2)
-    path = tmp_path / "profile.csv"
-    prof.export_csv(path)
-    back = np.loadtxt(path, delimiter=",", comments="#")
-    assert np.array_equal(back[:, 1], prof.values)
 
 
 def test_profile_reads_smaller_k_off_the_sweep():
