@@ -355,10 +355,9 @@ def _uniform_loop_run():
     resampled = dc.resample_step(cloud, metric, result.kept, result.profile,
                                  dc.THEORETICAL_C)
     _, trace = dc.parfree_declutter(cloud, metric)
-    args = dict(cloud=cloud, metric=metric, kref=kref, certificate=certs[4],
+    return dict(cloud=cloud, metric=metric, kref=kref, certificate=certs[4],
                 result=result, resampled_ids=resampled, C=dc.THEORETICAL_C,
                 trace=trace, certificates=certs, i0=1)
-    return args
 
 
 def _with_iteration(trace, index, **changes):
