@@ -25,7 +25,7 @@ from .geometry import (
     GroundTruthRef,
     Metric,
     PointCloud,
-    _check_threads,
+    _positive_int,
     load_matrix,
     load_points,
     save_points,
@@ -393,7 +393,7 @@ def _repro_fig1(args) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     shape = TwoScaleLoops(2.0, 0.25, 8)
-    n = args.n or 320
+    n = 320 if args.n is None else args.n
     kref_small, sample = sample_shape(shape, n, seed=None)
     noisy = perturb_gaussian(sample, 0.01, args.seed)
     cloud = PointCloud.from_coords(noisy)
@@ -491,7 +491,7 @@ def _repro_pipeline(args, shape, n_curve, n_ambient, sigma, clearance,
 
 
 def _repro_fig2(args) -> int:
-    n = args.n or 7000
+    n = 7000 if args.n is None else args.n
     m = args.ambient if args.ambient is not None else 2000
     # ambient lives far from the curve (clearance about twice the curve
     # diameter); the theoretical resampling constant then eliminates it fully
@@ -500,14 +500,14 @@ def _repro_fig2(args) -> int:
 
 
 def _repro_fig4(args) -> int:
-    n = args.n or 3000
+    n = 3000 if args.n is None else args.n
     m = args.ambient if args.ambient is not None else 600
     return _repro_pipeline(args, Circle((0.0, 0.0), 1.0), n, m, sigma=0.02,
                            clearance=0.2, declutter_ks=(9, 30))
 
 
 def _repro_fig5(args) -> int:
-    n = args.n or 2000
+    n = 2000 if args.n is None else args.n
     m = args.ambient if args.ambient is not None else 400
     shape = torus_grid(2.0, 0.6, nu=160, nv=60)
     return _repro_pipeline(args, shape, n, m, sigma=0.03, clearance=0.5)
@@ -638,7 +638,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_threads(args.threads)  # every subcommand takes --threads
+        _positive_int(args.threads, "threads")  # every subcommand takes --threads
         return args.func(args)
     except (CliError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import GeometryError, Metric, PointCloud, cross_distances
+from .geometry import GeometryError, Metric, PointCloud, _positive_finite, cross_distances
 from .neighbors import AUTO, build_index
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, profile
 
@@ -95,8 +95,7 @@ def greedy_declutter(cloud: PointCloud, metric: Metric,
     """The greedy pass over a given profile of the cloud's members: points in
     order of increasing robust distance (ties by id), each kept unless an
     earlier kept point lies in its closed vicinity ball."""
-    if not (vicinity_factor > 0):
-        raise GeometryError("vicinity factor must be positive")
+    _positive_finite(vicinity_factor, "vicinity factor")
     cloud.check_metric(metric)
     if prof.n != cloud.n:
         raise GeometryError("profile does not cover this cloud")

@@ -1,10 +1,11 @@
 """Hausdorff metrics, named guarantee checks, and the relaxed-bound calculator.
 
 Each named bound compares a measured quantity against the value the theory
-promises for certified inputs. Checks whose hypotheses are not met by the
-supplied certificates come back marked not-applicable instead of pass/fail,
-so uncertified data never manufactures false failures. The stored lhs/rhs
-always satisfy: pass iff lhs <= rhs + 1e-9.
+promises for certified inputs. Checks whose hypotheses are not met come back
+marked not-applicable instead of pass/fail, so uncertified data never
+manufactures false failures. Every certificate a bound reads (thm4.1: one
+per scale from i0 up) passes one gate, :func:`_certificate_gate`. The stored
+lhs/rhs always satisfy: pass iff lhs <= rhs + 1e-9.
 """
 from __future__ import annotations
 
@@ -22,13 +23,13 @@ from .geometry import (
     GroundTruthRef,
     Metric,
     PointCloud,
-    _check_threads,
     _member_ids,
+    _positive_int,
     subset_cloud,
 )
-from .neighbors import _check_k, build_index, nearest_cross
+from .neighbors import build_index, nearest_cross
 from .parfree import THEORETICAL_C, ParfreeTrace
-from .robust import RMS_K, _prefix_values
+from .robust import DistanceKind, RMS_K, _prefix_values
 
 BOUND_TOLERANCE = 1e-9
 
@@ -134,23 +135,41 @@ class _Bound(NamedTuple):
     check: Callable[[SimpleNamespace, dict], tuple[float, float]]
 
 
-def _declutter_gate(a, need_uniform: bool = False,
-                    need_adaptive: bool = False) -> None:
-    """Shared hypotheses of the single-pass bounds."""
-    result, certificate = a.result, a.certificate
-    if a.metric.relaxation != 1.0 or not a.metric.is_exact:
-        raise _NotApplicable("requires an exact metric")
-    if result.vicinity_factor != 2.0:
-        raise _NotApplicable("asserted only at vicinity factor 2")
-    if certificate.kind.name != result.profile.kind.name or certificate.k != result.profile.k:
+def _certificate_gate(cert: SamplingCertificate | None, kind: DistanceKind,
+                      k: int, full: bool = True, adaptive: bool = False,
+                      max_c: float | None = None) -> None:
+    """The certificate hypotheses of every bound that reads one: present,
+    issued for the run's robust-distance kind and k, full unless ``full`` is
+    False (a full certificate also meets the weak conditions), adaptive
+    exactly when ``adaptive``, and, when ``max_c`` is given, with a uniformity
+    constant of at most ``max_c`` (``math.inf``: present at all)."""
+    if cert is None:
+        raise _NotApplicable("missing certificate")
+    if cert.kind.name != kind.name or cert.k != k:
         raise _NotApplicable("certificate does not match the run")
-    if certificate.weak_uniform:
+    if full and cert.weak_uniform:
         raise _NotApplicable("needs the full noisy-sample conditions")
-    if need_adaptive != certificate.adaptive:
-        kind = "an adaptive" if need_adaptive else "a non-adaptive"
-        raise _NotApplicable(f"needs {kind} certificate")
-    if need_uniform and certificate.uniformity_c is None:
-        raise _NotApplicable("uniformity constant absent")
+    if adaptive != cert.adaptive:
+        raise _NotApplicable(
+            f"needs {'an adaptive' if adaptive else 'a non-adaptive'} certificate")
+    if max_c is not None:
+        if cert.uniformity_c is None:
+            raise _NotApplicable("uniformity constant absent")
+        if cert.uniformity_c > max_c + BOUND_TOLERANCE:
+            raise _NotApplicable(f"needs uniformity constant <= {max_c:g}")
+
+
+def _declutter_gate(a, adaptive: bool = False, max_c: float | None = None,
+                    exact: bool = True) -> None:
+    """Shared hypotheses of the single-pass bounds: the run's own (an exact
+    metric unless ``exact`` is False, vicinity factor 2) and its
+    certificate's."""
+    if exact and (a.metric.relaxation != 1.0 or not a.metric.is_exact):
+        raise _NotApplicable("requires an exact metric")
+    if a.result.vicinity_factor != 2.0:
+        raise _NotApplicable("asserted only at vicinity factor 2")
+    _certificate_gate(a.certificate, a.result.profile.kind, a.result.profile.k,
+                      adaptive=adaptive, max_c=max_c)
 
 
 def _parfree_gate(trace: ParfreeTrace) -> None:
@@ -181,7 +200,7 @@ def _hausdorff_bound(lhs, factor: float, adaptive: bool = False) -> _Bound:
     """A single-pass bound lhs(kept points, args) <= factor * epsilon_k."""
     def check(a, inputs):
         _single_pass_inputs(a, inputs)
-        _declutter_gate(a, need_adaptive=adaptive)
+        _declutter_gate(a, adaptive=adaptive)
         kept = _members(a.cloud, a.result.kept_ids)
         return lhs(kept, a), factor * a.certificate.epsilon_k
     return _Bound(_SINGLE_PASS, check)
@@ -191,7 +210,7 @@ def _check_prop34(a, inputs):
     # a lower bound: lhs is the required separation and rhs the measured
     # minimum pairwise distance of the kept set
     _single_pass_inputs(a, inputs)
-    _declutter_gate(a, need_uniform=True)
+    _declutter_gate(a, max_c=math.inf)
     c = a.certificate.uniformity_c
     inputs["uniformity_c"] = c
     if a.result.kept.size < 2:
@@ -206,7 +225,7 @@ def _check_prop34(a, inputs):
 
 def _check_lem42(a, inputs):
     cloud = a.cloud
-    k = _check_k(a.k, cloud.n)
+    k = _positive_int(a.k, "k", cloud.n)
     inputs.update({"k": k, "n": cloud.n, "sample_limit": a.sample_limit})
     index = build_index(cloud, a.metric)
     rng = np.random.default_rng(a.seed)
@@ -224,9 +243,7 @@ def _check_lem44(a, inputs):
     inputs.update({"k": a.certificate.k, "epsilon_k": eps, "C": float(a.C),
                    "n": a.cloud.n,
                    "n_resampled": int(np.asarray(a.resampled_ids).size)})
-    _declutter_gate(a, need_uniform=True)
-    if a.certificate.uniformity_c > 2.0 + BOUND_TOLERANCE:
-        raise _NotApplicable("needs uniformity constant <= 2")
+    _declutter_gate(a, max_c=2.0)
     pts = _members(a.cloud, a.resampled_ids)
     lhs = hausdorff(pts, a.kref.points, a.metric, a.threads)
     return lhs, (8.0 * a.C + 7.0) * eps
@@ -239,21 +256,15 @@ def _check_thm41(a, inputs):
     i_star = trace.iterations[0].i
     if not (1 <= i0 <= i_star):
         raise _NotApplicable("i0 outside the executed scales")
-    cert0 = certificates.get(2 ** i0)
-    if cert0 is None or cert0.weak_uniform or cert0.uniformity_c is None:
-        raise _NotApplicable("missing full certificate at scale i0")
-    if cert0.uniformity_c > 2.0 + BOUND_TOLERANCE:
-        raise _NotApplicable("not uniform with c <= 2 at i0")
-    if cert0.kind.name != trace.kind.name:
-        raise _NotApplicable("certificate kind mismatch")
-    for i in range(i0 + 1, i_star + 1):
-        cert = certificates.get(2 ** i)
-        if cert is None or cert.uniformity_c is None:
-            raise _NotApplicable(f"missing weak certificate at scale {i}")
-        if cert.uniformity_c > 2.0 + BOUND_TOLERANCE:
-            raise _NotApplicable(f"not weak-uniform with c <= 2 at scale {i}")
+    # full and c <= 2 at i0, at least weak with c <= 2 at every scale above
+    for i in range(i0, i_star + 1):
+        try:
+            _certificate_gate(certificates.get(2 ** i), trace.kind, 2 ** i,
+                              full=i == i0, max_c=2.0)
+        except _NotApplicable as exc:
+            raise _NotApplicable(f"{exc} at scale {i}") from None
     final_ids = trace.iterations[-1].resampled_ids
-    eps0 = cert0.epsilon_k
+    eps0 = certificates[2 ** i0].epsilon_k
     inputs.update({"epsilon_i0": eps0, "n_final": int(final_ids.size)})
     lhs = hausdorff(_members(a.cloud, final_ids), a.kref.points, a.metric, a.threads)
     return lhs, PARFREE_FACTOR * eps0
@@ -284,14 +295,10 @@ def _check_lem45(a, inputs):
 
 def _check_thmD2(a, inputs):
     # relaxed-metric variant of the single-pass guarantee
-    cx = a.metric.relaxation if a.c_x is None else float(a.c_x)
-    clip = a.result.profile.kind.c_lip if a.c_lip is None else float(a.c_lip)
+    cx, clip = a.metric.relaxation, a.result.profile.kind.c_lip
     eps = a.certificate.epsilon_k
     inputs.update({"c_x": cx, "c_lip": clip, "epsilon_k": eps, "k": a.certificate.k})
-    if a.result.vicinity_factor != 2.0:
-        raise _NotApplicable("asserted only at vicinity factor 2")
-    if a.certificate.weak_uniform or a.certificate.adaptive:
-        raise _NotApplicable("needs the plain noisy-sample certificate")
+    _declutter_gate(a, exact=False)
     if cx >= 2:
         raise _NotApplicable("bound undefined for triangle relaxation >= 2")
     m = relaxed_bound(cx, clip)
@@ -336,25 +343,25 @@ def verify_bound(bound_name: str, *, cloud: PointCloud | None = None,
                  i0: int | None = None,
                  C: float | None = None,
                  k: int | None = None,
-                 c_x: float | None = None,
-                 c_lip: float | None = None,
                  sample_limit: int = 512,
                  seed: int = 0,
                  threads: int = 1) -> BoundCertificate:
     """Evaluate one named guarantee; see BOUND_NAMES for the vocabulary and
-    BOUNDS for the inputs each one needs."""
+    BOUNDS for the inputs each one needs.
+
+    A certificate that does not fit the run (kind, k, full/weak, adaptive,
+    uniformity) makes the result not-applicable, the failed hypothesis in
+    ``inputs["reason"]``. thmD.2 reads its relaxations from
+    ``metric.relaxation`` and the run's ``profile.kind.c_lip``."""
     bound = BOUNDS.get(bound_name)
     if bound is None:
         raise GeometryError(f"unknown bound name: {bound_name!r}")
-    threads = _check_threads(threads)
-    if (isinstance(sample_limit, bool)
-            or not isinstance(sample_limit, (int, np.integer)) or sample_limit < 1):
-        raise GeometryError(
-            f"sample_limit must be a positive integer, got {sample_limit!r}")
+    threads = _positive_int(threads, "threads")
+    sample_limit = _positive_int(sample_limit, "sample_limit")
     args = SimpleNamespace(
         cloud=cloud, metric=metric or Metric(), kref=kref, certificate=certificate,
         result=result, resampled_ids=resampled_ids, trace=trace,
-        certificates=certificates, i0=i0, C=C, k=k, c_x=c_x, c_lip=c_lip,
+        certificates=certificates, i0=i0, C=C, k=k,
         sample_limit=sample_limit, seed=seed, threads=threads)
     missing = [name for name in bound.needs if getattr(args, name) is None]
     if missing:

@@ -6,13 +6,14 @@ import numpy as np
 from .geometry import GeometryError
 
 
-def write_scatter_svg(path, layers, size: int = 640, margin: float = 0.05,
-                      point_radius: float = 2.0) -> None:
-    """Write a scatter plot of 2-D point layers.
+def write_scatter_svg(path, layers) -> None:
+    """Write a 640 px square scatter plot of 2-D point layers.
 
     ``layers`` is a list of (points, color) or (points, color, radius)
-    tuples, drawn in order. All layers share one bounding box.
+    tuples, drawn in order (radius 2 px when absent). All layers share one
+    bounding box, padded by 5% of its span.
     """
+    size, margin, point_radius = 640, 0.05, 2.0
     prepared = []
     for layer in layers:
         pts = np.atleast_2d(np.asarray(layer[0], dtype=np.float64))

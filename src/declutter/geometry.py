@@ -236,14 +236,21 @@ def row_chunks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
 
 
-def _check_threads(threads) -> int:
-    """threads as a plain int, or GeometryError unless it is a positive
-    integer."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
-        raise GeometryError(f"threads must be an integer, got {threads!r}")
-    if threads < 1:
-        raise GeometryError(f"threads={threads} must be at least 1")
-    return int(threads)
+def _positive_int(value, name: str, upper: int | None = None) -> int:
+    """value as a plain int, or GeometryError naming ``name`` unless it is an
+    integer in 1..upper (no upper limit when ``upper`` is None)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise GeometryError(f"{name} must be an integer, got {value!r}")
+    if value < 1 or (upper is not None and value > upper):
+        raise GeometryError(f"{name}={value} must be at least 1" if upper is None
+                            else f"{name}={value} out of range 1..{upper}")
+    return int(value)
+
+
+def _positive_finite(value, name: str) -> None:
+    """GeometryError naming ``name`` unless value is finite and > 0."""
+    if not (value > 0 and np.isfinite(value)):
+        raise GeometryError(f"{name} must be finite and positive, got {value!r}")
 
 
 def run_chunked(chunks, worker, threads: int = 1) -> None:

@@ -25,8 +25,8 @@ from .geometry import (
     GeometryError,
     Metric,
     PointCloud,
-    _check_threads,
     _member_ids,
+    _positive_int,
     cross_distances,
     paired_distances,
     row_chunks,
@@ -46,15 +46,6 @@ _RADIUS_SLACK = 1e-9
 # the tree answers k-NN queries when k * 2**(d + _TREE_SHIFT) <= n; above
 # that the dense blocks are faster (BENCH_tree_rows.json)
 _TREE_SHIFT = 4
-
-
-def _check_k(k, n: int) -> int:
-    """k as a plain int, or GeometryError unless it is an integer in 1..n."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise GeometryError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= n:
-        raise GeometryError(f"k={k} out of range 1..{n}")
-    return int(k)
 
 
 def _tree_supported(cloud: PointCloud, metric: Metric) -> bool:
@@ -128,8 +119,8 @@ class NeighborIndex:
                       threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """(m, k) distances and ids of each query's k nearest members, sorted
         by (distance, id)."""
-        k = _check_k(k, self.cloud.n)
-        threads = _check_threads(threads)
+        k = _positive_int(k, "k", self.cloud.n)
+        threads = _positive_int(threads, "threads")
         q = self.cloud.query_array(queries)
         if self._tree_serves(k):
             return self._tree_rows(q, k, threads)
@@ -228,8 +219,8 @@ class NeighborIndex:
         fit one block get a view of that block's sorted prefix, no copy.
         """
         n = self.cloud.n
-        k = _check_k(k, n)
-        threads = _check_threads(threads)
+        k = _positive_int(k, "k", n)
+        threads = _positive_int(threads, "threads")
         q = self.cloud.query_array(queries)
         if self._tree_serves(k):
             return self._tree_rows(q, k, threads)[0]

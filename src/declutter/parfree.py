@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decluttering import _greedy_pass
-from .geometry import (GeometryError, Metric, PointCloud, _check_threads, _member_ids,
-                       subset_cloud)
+from .geometry import (GeometryError, Metric, PointCloud, _member_ids, _positive_finite,
+                       _positive_int, subset_cloud)
 from .neighbors import AUTO, NeighborIndex, build_index, nearest_cross
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, _sweep
 # profile stays a module attribute: perfbench's self-test looks it up here
@@ -98,8 +98,7 @@ def resample_step(cloud: PointCloud, metric: Metric, kept_ids,
                   strategy: str = AUTO) -> np.ndarray:
     """Ids of all cloud members captured by some closed ball
     B(q, C * d_k(q)) with q kept. Kept points capture themselves."""
-    if not (C > 0):
-        raise GeometryError("resampling constant must be positive")
+    _positive_finite(C, "resampling constant")
     kept_ids = _member_ids(kept_ids, cloud.n)
     if prof.n != cloud.n:
         raise GeometryError("profile does not cover this cloud")
@@ -168,9 +167,8 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
     Clouds with fewer than 2 points are degenerate (the loop is empty): the
     input comes back unchanged with an empty trace flagged degenerate.
     """
-    if not (C > 0):
-        raise GeometryError("resampling constant must be positive")
-    threads = _check_threads(threads)
+    _positive_finite(C, "resampling constant")
+    threads = _positive_int(threads, "threads")
     if cloud.n < 2:
         trace = ParfreeTrace(iterations=[], resampling_constant=float(C),
                              kind=kind, degenerate=True)

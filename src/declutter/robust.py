@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, PointCloud, _check_threads, row_chunks, run_chunked
-from .neighbors import NeighborIndex, _check_k
+from .geometry import GeometryError, PointCloud, _positive_int, row_chunks, run_chunked
+from .neighbors import NeighborIndex
 
 RMS_NAME = "rms-k"
 AVG_NAME = "avg-k"
@@ -143,8 +143,8 @@ def _sweep(index: NeighborIndex, queries, ks, kind: DistanceKind,
     distance (the rows' column k-1, read before the aggregation consumes
     them): (values, radii)."""
     n = index.cloud.n
-    ks = sorted({_check_k(k, n) for k in ks})
-    threads = _check_threads(threads)
+    ks = sorted({_positive_int(k, "k", n) for k in ks})
+    threads = _positive_int(threads, "threads")
     if not ks:
         return {}, {}
     q = index.cloud.query_array(queries)
@@ -172,7 +172,7 @@ def profile(cloud: PointCloud, index: NeighborIndex, k: int,
     """
     if index.cloud.n != cloud.n:
         raise GeometryError("index does not match the cloud")
-    k = _check_k(k, cloud.n)
+    k = _positive_int(k, "k", cloud.n)
     values = values_at_scales(index, cloud.points, [k], kind, threads)[k]
     return RobustDistanceProfile(k=k, kind=kind, values=values)
 

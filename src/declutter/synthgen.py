@@ -69,8 +69,24 @@ def _curve_positions(n: int, length: float, closed: bool, seed,
     return np.interp(targets, cdf, grid)
 
 
+class _Curve(Shape):
+    """A curve through its arc-length map ``_at`` over [0, ``length``]; a
+    closed curve's end is its start, so it is not placed twice."""
+
+    closed = True
+
+    def reference(self, count: int) -> np.ndarray:
+        return self._at(_curve_positions(count, self.length, self.closed, None))
+
+    def sample(self, n: int, seed=None, feature_fn=None) -> np.ndarray:
+        weight = None
+        if feature_fn is not None:
+            weight = lambda s: feature_fn(self._at(s))
+        return self._at(_curve_positions(n, self.length, self.closed, seed, weight))
+
+
 @dataclass(frozen=True)
-class Circle(Shape):
+class Circle(_Curve):
     center: tuple
     radius: float
 
@@ -87,15 +103,6 @@ class Circle(Shape):
     def length(self) -> float:
         return 2.0 * math.pi * self.radius
 
-    def reference(self, count: int) -> np.ndarray:
-        return self._at(np.arange(count) * (self.length / count))
-
-    def sample(self, n: int, seed=None, feature_fn=None) -> np.ndarray:
-        weight = None
-        if feature_fn is not None:
-            weight = lambda s: feature_fn(self._at(s))
-        return self._at(_curve_positions(n, self.length, True, seed, weight))
-
     def point_distance(self, points: np.ndarray) -> np.ndarray:
         c = np.asarray(self.center, dtype=np.float64)
         r = np.linalg.norm(np.atleast_2d(points) - c, axis=1)
@@ -103,7 +110,7 @@ class Circle(Shape):
 
 
 @dataclass(frozen=True)
-class Polyline(Shape):
+class Polyline(_Curve):
     vertices: np.ndarray
     closed: bool = False
 
@@ -132,19 +139,6 @@ class Polyline(Shape):
         idx = np.clip(np.searchsorted(bounds, s, side="right") - 1, 0, len(lens) - 1)
         local = np.where(lens[idx] > 0, (s - bounds[idx]) / np.where(lens[idx] > 0, lens[idx], 1.0), 0.0)
         return starts[idx] + seg[idx] * local[:, None]
-
-    def reference(self, count: int) -> np.ndarray:
-        if self.closed:
-            return self._at(np.arange(count) * (self.length / count))
-        if count == 1:
-            return self._at(np.zeros(1))
-        return self._at(np.arange(count) * (self.length / (count - 1)))
-
-    def sample(self, n: int, seed=None, feature_fn=None) -> np.ndarray:
-        weight = None
-        if feature_fn is not None:
-            weight = lambda s: feature_fn(self._at(s))
-        return self._at(_curve_positions(n, self.length, self.closed, seed, weight))
 
     def point_distance(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -296,21 +290,17 @@ def feature_from_anchor(anchor, floor: float):
 # ---------------------------------------------------------------------------
 
 def sample_shape(shape: Shape, n: int, mode: str = "uniform", seed=None,
-                 feature_fn=None,
-                 reference_count: int | None = None) -> tuple[GroundTruthRef, np.ndarray]:
-    """Dense deterministic reference (count >= 10n) plus an n-point on-shape
-    sample. Adaptive mode spaces sample points proportionally to the feature
-    size and attaches feature values to the reference."""
+                 feature_fn=None) -> tuple[GroundTruthRef, np.ndarray]:
+    """Dense deterministic reference (max(10n, 64) points) plus an n-point
+    on-shape sample. Adaptive mode spaces sample points proportionally to the
+    feature size and attaches feature values to the reference."""
     if n < 1:
         raise GeometryError("need n >= 1")
     if mode not in ("uniform", "adaptive"):
         raise GeometryError(f"unknown sampling mode: {mode!r}")
     if mode == "adaptive" and feature_fn is None:
         raise GeometryError("adaptive mode needs a feature function")
-    count = reference_count if reference_count is not None else max(10 * n, 64)
-    if count < 10 * n:
-        raise GeometryError("reference must be at least 10x denser than the sample")
-    ref_points = shape.reference(count)
+    ref_points = shape.reference(max(10 * n, 64))
     fvals = None
     use_f = feature_fn if mode == "adaptive" else None
     if use_f is not None:

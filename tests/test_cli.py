@@ -276,6 +276,34 @@ def test_bad_threads_flag_exits_1(tmp_path, capsys, threads):
         assert main([*argv, "--threads", threads]) == 1, argv[0]
         assert "threads" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("flags", [
+    ["declutter", "--k", "4", "--vicinity-factor", "inf"],
+    ["declutter", "--k", "4", "--resample-C", "inf"],
+    ["parfree", "--C", "inf"],
+    ["parfree", "--C", "nan"],
+])
+def test_infinite_constants_exit_1(tmp_path, capsys, flags):
+    # a Gaussian cloud with five coincident points, whose robust value is 0
+    pts = np.random.default_rng(0).normal(size=(300, 2))
+    pts[:5] = pts[0]
+    points = tmp_path / "points.csv"
+    dc.save_points(points, pts)
+    argv = [flags[0], "--points", str(points), *flags[1:],
+            "--out-dir", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite and positive" in err
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig4", "fig5"])
+def test_repro_n_0_exits_1(tmp_path, capsys, figure):
+    # --n 0 used to run the recipe at its default size
+    assert main(["repro", figure, "--n", "0", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_emit_figures_flag(tmp_path):
     out = tmp_path / "gen"
     assert main(["gen", "--shape", "circle", "--n", "50", "--ambient", "5",

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -121,8 +122,10 @@ def test_vicinity_factor_sweep():
     sizes = [dc.declutter(cloud, metric, 4, vicinity_factor=f).kept.size
              for f in (0.5, 1.0, 2.0, 4.0)]
     assert sizes == sorted(sizes, reverse=True)  # larger balls remove more
-    with pytest.raises(dc.GeometryError):
-        dc.declutter(cloud, metric, 4, vicinity_factor=0.0)
+    # inf * 0 would make NaN radii at points whose robust value is 0
+    for factor in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(dc.GeometryError, match="vicinity factor must be finite"):
+            dc.declutter(cloud, metric, 4, vicinity_factor=factor)
 
 
 def test_greedy_pass_on_a_given_profile():

@@ -300,11 +300,11 @@ def test_thmD2_relaxed_bound_check():
     cert = dc.certify(cloud, metric, kref, k)
     result = dc.declutter(cloud, metric, k)
     got = dc.verify_bound("thmD.2", cloud=cloud, metric=metric, kref=kref,
-                          certificate=cert, result=result, c_x=1.0, c_lip=1.0)
+                          certificate=cert, result=result)
     assert got.applicable and got.passed
     assert got.inputs["m"] == 7.0
-    got = dc.verify_bound("thmD.2", cloud=cloud, metric=metric, kref=kref,
-                          certificate=cert, result=result, c_x=2.5, c_lip=1.0)
+    got = dc.verify_bound("thmD.2", cloud=cloud, metric=dc.Metric(relaxation=2.5),
+                          kref=kref, certificate=cert, result=result)
     assert not got.applicable
 
 
@@ -427,3 +427,44 @@ def test_sample_limit_must_be_a_positive_integer(limit):
                         sample_limit=limit)
     assert dc.verify_bound("lem4.2", cloud=cloud, metric=metric, k=3,
                            sample_limit=np.int64(1)).applicable
+
+
+_CERTIFICATE_FAULTS = {
+    "wrong k": lambda cert: replace(cert, k=2 * cert.k),
+    "wrong kind": lambda cert: replace(cert, kind=dc.AVG_K),
+    "weak": lambda cert: replace(cert, weak_uniform=True),
+    "adaptive flipped": lambda cert: replace(cert, adaptive=not cert.adaptive),
+}
+
+
+@pytest.fixture(scope="module")
+def gated_runs():
+    """Applicable inputs for every bound that reads a certificate; thm3.7
+    gets an adaptive reference and certificate."""
+    args = _uniform_loop_run()
+    f = dc.feature_from_anchor(args["kref"].points[0], 1.0)
+    akref = dc.GroundTruthRef(args["kref"].cloud, f(args["kref"].points))
+    adaptive = dc.certify(args["cloud"], args["metric"], akref, 4, adaptive=True)
+    return args, {**args, "kref": akref, "certificate": adaptive}
+
+
+@pytest.mark.parametrize("fault", sorted(_CERTIFICATE_FAULTS))
+@pytest.mark.parametrize("name", ["thm3.3", "lem3.1", "lem3.2", "prop3.4", "thm3.7",
+                                  "lem4.4", "thmD.2", "thm4.1"])
+def test_every_bound_gates_its_certificates(gated_runs, name, fault):
+    args = gated_runs[1] if name == "thm3.7" else gated_runs[0]
+    assert dc.verify_bound(name, **args).applicable
+    spoil = _CERTIFICATE_FAULTS[fault]
+    if name != "thm4.1":
+        got = dc.verify_bound(name, **{**args, "certificate": spoil(args["certificate"])})
+        assert not got.applicable and got.passed is None
+        return
+    # the full certificate at i0, and (except for weakness, which is allowed
+    # there) the one at the top scale
+    certs, i0 = args["certificates"], args["i0"]
+    top = args["trace"].iterations[0].i
+    for i in ([i0] if fault == "weak" else [i0, top]):
+        spoiled = {**certs, 2 ** i: spoil(certs[2 ** i])}
+        got = dc.verify_bound(name, **{**args, "certificates": spoiled})
+        assert not got.applicable, i
+        assert got.inputs["reason"].endswith(f"at scale {i}")

@@ -177,8 +177,12 @@ def test_resample_step_validation():
     for kept in ([cloud.n + 3], [-1, 2], [], [0.7, 3.2], [True, False]):
         with pytest.raises(dc.GeometryError):
             dc.resample_step(cloud, metric, np.array(kept), prof, 1.0)
-    with pytest.raises(dc.GeometryError):
-        dc.resample_step(cloud, metric, np.array([0]), prof, 0.0)
+    # inf * 0 would make NaN radii at points whose robust value is 0
+    for C in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(dc.GeometryError, match="resampling constant must be finite"):
+            dc.resample_step(cloud, metric, np.array([0]), prof, C)
+        with pytest.raises(dc.GeometryError, match="resampling constant must be finite"):
+            dc.parfree_declutter(cloud, metric, C=C)
     small, small_metric = dc.subset_cloud(cloud, metric, np.arange(4))
     small_prof = dc.profile(small, dc.build_index(small, small_metric), 2)
     with pytest.raises(dc.GeometryError):
