@@ -8,11 +8,9 @@ against a dense ground-truth reference and turn the theoretical output
 guarantees into executable checks.
 """
 from .certify import (
-    FeatureSizeReport,
     SamplingCertificate,
     certify,
     certify_scales,
-    check_feature_size,
     estimate_epsilon_k,
 )
 from .decluttering import DeclutterResult, Rejection, declutter, greedy_declutter
@@ -36,7 +34,6 @@ from .geometry import (
     Metric,
     PointCloud,
     cross_distances,
-    estimate_triangle_constant,
     load_matrix,
     load_points,
     save_points,

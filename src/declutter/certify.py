@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    GeometryError,
-    GroundTruthRef,
-    Metric,
-    PointCloud,
-    paired_distances,
-    row_chunks,
-    cross_distances,
-)
+from .geometry import GeometryError, GroundTruthRef, Metric, PointCloud
 from .neighbors import AUTO, build_index
 from .robust import DistanceKind, RMS_K, values_at_scales
 
@@ -150,65 +142,3 @@ def certify_scales(cloud: PointCloud, metric: Metric, kref: GroundTruthRef,
     rows, nearest-reference pass and, when adaptive, tie count); each equals
     the :func:`certify` certificate at its k."""
     return _certificates(cloud, metric, kref, ks, kind, weak, adaptive, threads)
-
-
-@dataclass
-class FeatureSizeReport:
-    positive_ok: bool
-    min_value: float
-    lipschitz_ok: bool
-    worst_excess: float
-    worst_pair: tuple[int, int] | None
-    pairs_checked: int
-    sampled: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.positive_ok and self.lipschitz_ok
-
-
-def check_feature_size(kref: GroundTruthRef, metric: Metric,
-                       tolerance: float = 1e-9, max_exhaustive: int = 3000,
-                       sample_pairs: int = 2_000_000,
-                       seed: int = 0) -> FeatureSizeReport:
-    """Verify positivity and the 1-Lipschitz property of the feature sizes,
-    pairwise over the reference (sampled above a size threshold)."""
-    if not kref.has_feature_sizes:
-        raise GeometryError("no feature sizes to check")
-    f = kref.feature_sizes
-    pts = kref.points
-    n = pts.shape[0]
-    positive_ok = bool(np.all(f > 0))
-    min_value = float(f.min())
-    worst_excess = -np.inf
-    worst_pair = None
-    sampled = n > max_exhaustive
-    if sampled:
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, n, size=sample_pairs)
-        jj = rng.integers(0, n, size=sample_pairs)
-        keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
-        pairs_checked = int(ii.size)
-        d = paired_distances(metric, pts[ii], pts[jj])
-        excess = np.abs(f[ii] - f[jj]) - d
-        arg = int(excess.argmax())
-        worst_excess = float(excess[arg])
-        worst_pair = (int(ii[arg]), int(jj[arg]))
-    else:
-        pairs_checked = n * (n - 1) // 2
-        for sl in row_chunks(n, n):
-            block = cross_distances(metric, pts[sl], pts)
-            excess = np.abs(f[sl, None] - f[None, :]) - block
-            rows = np.arange(sl.start, sl.stop)
-            excess[np.arange(rows.size), rows] = -np.inf  # ignore self pairs
-            arg = np.unravel_index(int(excess.argmax()), excess.shape)
-            if excess[arg] > worst_excess:
-                worst_excess = float(excess[arg])
-                worst_pair = (int(rows[arg[0]]), int(arg[1]))
-    lipschitz_ok = worst_excess <= tolerance
-    return FeatureSizeReport(positive_ok=positive_ok, min_value=min_value,
-                             lipschitz_ok=bool(lipschitz_ok),
-                             worst_excess=float(worst_excess),
-                             worst_pair=worst_pair,
-                             pairs_checked=pairs_checked, sampled=sampled)

@@ -363,7 +363,8 @@ def _cmd_eval(args) -> int:
         missing = [_EVAL_FLAGS[n] for n in BOUNDS[name].needs if supplied[n] is None]
         if missing:
             raise CliError(f"{name} needs {', '.join(missing)}")
-        cert = verify_bound(name, metric=metric, threads=args.threads, **supplied)
+        cert = verify_bound(name, metric=metric, seed=args.seed,
+                            threads=args.threads, **supplied)
         rows.append(cert)
         if cert.applicable and not cert.passed:
             failed += 1

@@ -24,6 +24,7 @@ from .geometry import (
     Metric,
     PointCloud,
     _member_ids,
+    _positive_finite,
     _positive_int,
     subset_cloud,
 )
@@ -159,21 +160,32 @@ def _certificate_gate(cert: SamplingCertificate | None, kind: DistanceKind,
             raise _NotApplicable(f"needs uniformity constant <= {max_c:g}")
 
 
+def _exact_gate(metric: Metric) -> None:
+    """The metric hypothesis of the single-pass bounds (not thmD.2) and the
+    parameter-free ones: a coordinate metric whose triangle inequality holds
+    exactly."""
+    if metric.relaxation != 1.0 or not metric.is_exact:
+        raise _NotApplicable("requires an exact metric")
+
+
 def _declutter_gate(a, adaptive: bool = False, max_c: float | None = None,
                     exact: bool = True) -> None:
     """Shared hypotheses of the single-pass bounds: the run's own (an exact
     metric unless ``exact`` is False, vicinity factor 2) and its
     certificate's."""
-    if exact and (a.metric.relaxation != 1.0 or not a.metric.is_exact):
-        raise _NotApplicable("requires an exact metric")
+    if exact:
+        _exact_gate(a.metric)
     if a.result.vicinity_factor != 2.0:
         raise _NotApplicable("asserted only at vicinity factor 2")
     _certificate_gate(a.certificate, a.result.profile.kind, a.result.profile.k,
                       adaptive=adaptive, max_c=max_c)
 
 
-def _parfree_gate(trace: ParfreeTrace) -> None:
-    """Shared hypotheses of the parameter-free bounds."""
+def _parfree_gate(a) -> None:
+    """Shared hypotheses of the parameter-free bounds: an exact metric and a
+    non-degenerate, unclamped run at the theoretical resampling constant."""
+    _exact_gate(a.metric)
+    trace = a.trace
     if trace.degenerate or not trace.iterations:
         raise _NotApplicable("degenerate run")
     if abs(trace.resampling_constant - THEORETICAL_C) > 1e-12:
@@ -239,6 +251,7 @@ def _check_lem42(a, inputs):
 
 
 def _check_lem44(a, inputs):
+    _positive_finite(a.C, "C")
     eps = a.certificate.epsilon_k
     inputs.update({"k": a.certificate.k, "epsilon_k": eps, "C": float(a.C),
                    "n": a.cloud.n,
@@ -252,7 +265,7 @@ def _check_lem44(a, inputs):
 def _check_thm41(a, inputs):
     trace, i0, certificates = a.trace, a.i0, a.certificates
     inputs.update({"i0": int(i0), "C": trace.resampling_constant})
-    _parfree_gate(trace)
+    _parfree_gate(a)
     i_star = trace.iterations[0].i
     if not (1 <= i0 <= i_star):
         raise _NotApplicable("i0 outside the executed scales")
@@ -273,7 +286,7 @@ def _check_thm41(a, inputs):
 def _check_lem45(a, inputs):
     trace = a.trace
     inputs.update({"C": trace.resampling_constant, "kappa": KAPPA_CONSERVE})
-    _parfree_gate(trace)
+    _parfree_gate(a)
     final_pts = _members(a.cloud, trace.iterations[-1].resampled_ids)
     rng = np.random.default_rng(a.seed)
     lhs = -math.inf
@@ -294,14 +307,15 @@ def _check_lem45(a, inputs):
 
 
 def _check_thmD2(a, inputs):
-    # relaxed-metric variant of the single-pass guarantee
-    cx, clip = a.metric.relaxation, a.result.profile.kind.c_lip
+    # relaxed-metric variant of the single-pass guarantee; every robust
+    # distance kind is 1-Lipschitz, so only the metric is relaxed
+    cx = a.metric.relaxation
     eps = a.certificate.epsilon_k
-    inputs.update({"c_x": cx, "c_lip": clip, "epsilon_k": eps, "k": a.certificate.k})
+    inputs.update({"c_x": cx, "c_lip": 1.0, "epsilon_k": eps, "k": a.certificate.k})
     _declutter_gate(a, exact=False)
     if cx >= 2:
         raise _NotApplicable("bound undefined for triangle relaxation >= 2")
-    m = relaxed_bound(cx, clip)
+    m = relaxed_bound(cx, 1.0)
     inputs["m"] = m
     kept = _members(a.cloud, a.result.kept_ids)
     return hausdorff(kept, a.kref.points, a.metric, a.threads), m * eps
@@ -351,8 +365,8 @@ def verify_bound(bound_name: str, *, cloud: PointCloud | None = None,
 
     A certificate that does not fit the run (kind, k, full/weak, adaptive,
     uniformity) makes the result not-applicable, the failed hypothesis in
-    ``inputs["reason"]``. thmD.2 reads its relaxations from
-    ``metric.relaxation`` and the run's ``profile.kind.c_lip``."""
+    ``inputs["reason"]``. thmD.2 reads its triangle relaxation from
+    ``metric.relaxation``."""
     bound = BOUNDS.get(bound_name)
     if bound is None:
         raise GeometryError(f"unknown bound name: {bound_name!r}")

@@ -8,7 +8,7 @@ matrix-backed sub-cloud reads its parent's matrix. Everything downstream works
 from distances alone, so general-metric inputs flow through unchanged.
 
 Every distance comes from one canonical kernel: dense blocks from
-:func:`cross_distances` and paired points (tree candidates, sampled pairs)
+:func:`cross_distances` and paired points (tree candidates)
 from :func:`paired_distances`, which sums the coordinates in the same order
 and so agrees with it bit for bit. That keeps every query path bit-identical
 regardless of acceleration strategy. This is the bottom layer: it imports
@@ -299,46 +299,6 @@ class GroundTruthRef:
     @property
     def has_feature_sizes(self) -> bool:
         return self.feature_sizes is not None
-
-
-# ---------------------------------------------------------------------------
-# triangle-inequality relaxation estimate
-# ---------------------------------------------------------------------------
-
-def estimate_triangle_constant(cloud: PointCloud, metric: Metric,
-                               sample_count: int = 20000,
-                               rng_seed: int = 0) -> float:
-    """Empirical lower bound on the triangle relaxation constant.
-
-    Max of d(x, y) / (d(x, w) + d(w, y)) over sampled triples, clamped below
-    at 1. Exhaustive for small clouds, seeded sampling otherwise; degenerate
-    triples (zero denominator) are skipped.
-    """
-    cloud.check_metric(metric)
-    n = cloud.n
-    if n < 3:
-        raise GeometryError("need at least 3 points to probe triples")
-    if n ** 3 <= max(int(sample_count), 200_000):
-        grid = np.indices((n, n, n)).reshape(3, -1).T
-        mask = ((grid[:, 0] != grid[:, 1]) & (grid[:, 1] != grid[:, 2])
-                & (grid[:, 0] != grid[:, 2]))
-        triples = grid[mask]
-    else:
-        rng = np.random.default_rng(rng_seed)
-        draws = rng.integers(0, n, size=(int(sample_count) * 2, 3))
-        ok = ((draws[:, 0] != draws[:, 1]) & (draws[:, 1] != draws[:, 2])
-              & (draws[:, 0] != draws[:, 2]))
-        triples = draws[ok][: int(sample_count)]
-        if triples.shape[0] == 0:
-            raise GeometryError("could not sample distinct triples")
-    x, w, y = (cloud.points[triples[:, j]] for j in range(3))
-    dxy = paired_distances(metric, x, y)
-    denom = paired_distances(metric, x, w) + paired_distances(metric, w, y)
-    valid = denom > 0
-    if not np.any(valid):
-        raise GeometryError("all sampled triples are degenerate (zero distances)")
-    ratio = dxy[valid] / denom[valid]
-    return max(1.0, float(ratio.max()))
 
 
 # ---------------------------------------------------------------------------

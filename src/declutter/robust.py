@@ -36,17 +36,13 @@ KIND_NAMES = (RMS_NAME, AVG_NAME, KTH_NAME)
 
 @dataclass(frozen=True)
 class DistanceKind:
-    """Choice of robust distance; c_lip is declared Lipschitz relaxation
-    metadata (1 for all built-in kinds)."""
+    """Choice of robust distance (every kind is 1-Lipschitz)."""
 
     name: str
-    c_lip: float = 1.0
 
     def __post_init__(self):
         if self.name not in KIND_NAMES:
             raise GeometryError(f"unknown distance kind: {self.name!r}")
-        if not np.isfinite(self.c_lip) or self.c_lip < 1.0:
-            raise GeometryError("c_lip must be a finite value >= 1")
 
 
 RMS_K = DistanceKind(RMS_NAME)

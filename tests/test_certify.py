@@ -154,31 +154,6 @@ def test_certificate_json_roundtrip():
     assert back.uniformity_c == cert.uniformity_c
 
 
-def test_feature_size_checker():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    cloud = dc.PointCloud.from_coords(pts)
-    const = dc.GroundTruthRef(cloud, np.full(3, 2.5))
-    report = dc.check_feature_size(const, dc.Metric())
-    assert report.ok
-    anchored = dc.GroundTruthRef(cloud, dc.feature_from_anchor([5.0, 5.0], 1.0)(pts))
-    assert dc.check_feature_size(anchored, dc.Metric()).ok
-    jump = dc.GroundTruthRef(cloud, np.array([1.0, 3.0, 1.0]))  # jump 2 over gap 1
-    report = dc.check_feature_size(jump, dc.Metric())
-    assert not report.lipschitz_ok
-    assert report.worst_pair in ((0, 1), (1, 0), (1, 2), (2, 1))
-    assert report.worst_excess == pytest.approx(1.0, abs=1e-12)
-
-
-def test_feature_size_checker_sampled_mode():
-    rng = np.random.default_rng(4)
-    pts = rng.normal(size=(200, 2))
-    f = dc.feature_from_anchor([0.0, 0.0], 0.3)(pts)
-    kref = dc.GroundTruthRef(dc.PointCloud.from_coords(pts), f)
-    report = dc.check_feature_size(kref, dc.Metric(), max_exhaustive=50,
-                                   sample_pairs=20000)
-    assert report.sampled and report.ok
-
-
 @pytest.mark.parametrize("call", [
     lambda c, m, r: dc.certify(c, m, r, 2.0),
     lambda c, m, r: dc.estimate_epsilon_k(c, m, r, True),
@@ -216,21 +191,6 @@ def test_adaptive_certify_scales_matches_certify(weak):
         one = dc.certify(cloud, metric, akref, k, weak=weak, adaptive=True)
         assert json.dumps(many[k].to_dict()) == json.dumps(one.to_dict())
         assert "nearest_reference_ties" in many[k].conditions
-
-
-@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
-def test_sampled_feature_size_check_uses_the_canonical_distances(kind):
-    # in 10 dimensions the sampled check's worst excess is computed from the
-    # same distance cross_distances gives for its worst pair
-    rng = np.random.default_rng(14)
-    pts = rng.normal(size=(300, 10))
-    f = rng.uniform(1.0, 4.0, size=300)
-    metric = dc.Metric(kind)
-    kref = dc.GroundTruthRef(dc.PointCloud.from_coords(pts), f)
-    report = dc.check_feature_size(kref, metric, max_exhaustive=50, sample_pairs=5000)
-    i, j = report.worst_pair
-    d = dc.cross_distances(metric, pts[[i]], pts[[j]])[0, 0]
-    assert report.sampled and report.worst_excess == abs(f[i] - f[j]) - d
 
 
 @pytest.mark.parametrize("side", [1, 16])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import declutter as dc
+from declutter import cli
 from declutter.cli import main
 
 
@@ -188,6 +189,24 @@ def test_eval_strict_failure_exits_2(tmp_path):
                "--bounds", "thm3.3", "--report", str(run / "report.json"),
                "--certificates", str(cert_path), "--strict"])
     assert rc == 2
+
+
+def test_eval_seed_reaches_the_bounds(tmp_path, monkeypatch):
+    # lem4.2 and lem4.5 sample with verify_bound's seed
+    pts = tmp_path / "points.csv"
+    _write_line_points(pts)
+    seeds = []
+    real = cli.verify_bound
+
+    def recorded(name, **kwargs):
+        seeds.append(kwargs.get("seed"))
+        return real(name, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_bound", recorded)
+    for seed in ("0", "5"):
+        assert main(["eval", "--points", str(pts), "--bounds", "lem4.2",
+                     "--k", "2", "--seed", seed]) == 0
+    assert seeds == [0, 5]
 
 
 def test_matrix_input_pipeline(tmp_path):

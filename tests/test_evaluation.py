@@ -257,6 +257,20 @@ def test_lem44_single_step_bound():
     assert got.applicable and got.passed
 
 
+@pytest.mark.parametrize("C", [-1.0, 0.0, math.inf, math.nan])
+def test_lem44_rejects_a_constant_that_is_not_finite_and_positive(C):
+    # -1 used to FAIL with a negative rhs, nan to FAIL and inf to pass
+    cloud, metric, kref, k = uniform_instance(4)
+    cert = dc.certify(cloud, metric, kref, k)
+    result = dc.declutter(cloud, metric, k)
+    resampled = dc.resample_step(cloud, metric, result.kept, result.profile,
+                                 dc.THEORETICAL_C)
+    with pytest.raises(dc.GeometryError, match="C must be finite and positive"):
+        dc.verify_bound("lem4.4", cloud=cloud, metric=metric, kref=kref,
+                        certificate=cert, result=result,
+                        resampled_ids=resampled, C=C)
+
+
 def test_lem45_conservation_bound():
     for seed in range(5):
         cloud, metric, kref, _ = noisy_instance(seed, n_max=150)
@@ -386,6 +400,27 @@ def test_bounds_reject_ids_that_are_not_members(bad):
     for name, changed in probes:
         with pytest.raises(dc.GeometryError, match="ids"):
             dc.verify_bound(name, **{**args, **changed})
+
+
+def test_parameter_free_bounds_require_an_exact_metric():
+    # a relaxed metric, or a distance matrix, gates thm4.1 and lem4.5 off as
+    # it gates the single-pass bounds; thmD.2 is the relaxed-metric bound
+    args = _uniform_loop_run()
+    pts = args["cloud"].coords
+    matrix = dc.Metric("precomputed", matrix=dc.cross_distances(args["metric"], pts, pts))
+    on_ids = dc.PointCloud.matrix_backed(pts.shape[0])
+    _, trace = dc.parfree_declutter(on_ids, matrix)
+    relaxed = {**args, "metric": dc.Metric(relaxation=1.9)}
+    on_matrix = {**args, "cloud": on_ids, "metric": matrix, "trace": trace}
+    for name in ("thm4.1", "lem4.5"):
+        assert dc.verify_bound(name, **args).applicable
+        for run in (relaxed, on_matrix):
+            got = dc.verify_bound(name, **run)
+            assert not got.applicable and got.passed is None
+            assert got.inputs["reason"] == "requires an exact metric"
+    got = dc.verify_bound("thmD.2", **relaxed)
+    assert got.applicable and got.inputs["c_lip"] == 1.0
+    assert got.inputs["m"] == dc.relaxed_bound(1.9, 1.0)
 
 
 def test_lem45_rejects_a_short_profile():

@@ -83,33 +83,6 @@ def test_cross_distances_match_oracle():
                 dist_manhattan(cloud.coords[i], cloud.coords[j]), abs=1e-12)
 
 
-def test_triangle_constant_exact_metrics():
-    for kind in ("euclidean", "manhattan"):
-        cloud, _ = random_cloud(7, n_max=60)
-        est = dc.estimate_triangle_constant(cloud, dc.Metric(kind), 5000, 0)
-        assert est == pytest.approx(1.0, abs=1e-12)
-
-
-def test_triangle_constant_relaxed_matrix():
-    m = np.zeros((3, 3))
-    m[0, 2] = m[2, 0] = 10.0
-    m[0, 1] = m[1, 0] = 1.0
-    m[1, 2] = m[2, 1] = 1.0
-    metric = dc.Metric("precomputed", matrix=m)
-    cloud = dc.PointCloud.matrix_backed(3)
-    est = dc.estimate_triangle_constant(cloud, metric, 1000, 0)
-    assert est >= 5.0  # 10 / (1 + 1), hit by exhaustive triple enumeration
-    assert est == pytest.approx(5.0)
-
-
-def test_triangle_constant_degenerate():
-    m = np.zeros((3, 3))
-    metric = dc.Metric("precomputed", matrix=m)
-    cloud = dc.PointCloud.matrix_backed(3)
-    with pytest.raises(dc.GeometryError):
-        dc.estimate_triangle_constant(cloud, metric, 100, 0)
-
-
 def test_ground_truth_feature_validation():
     cloud = dc.PointCloud.from_coords(np.zeros((3, 2)))
     with pytest.raises(dc.GeometryError):
@@ -228,25 +201,6 @@ def test_paired_distances_on_a_matrix_read_its_entries():
 def test_paired_distances_dimension_mismatch():
     with pytest.raises(dc.GeometryError):
         paired_distances(dc.Metric(), np.zeros((3, 2)), np.zeros((3, 3)))
-
-
-@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
-def test_triangle_constant_uses_the_canonical_distances(kind):
-    # 12 collinear points in 10 dimensions, where rounding lifts some ratios
-    # just above 1: the exhaustive estimate is the largest ratio over the
-    # cross_distances matrix
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=10) + rng.uniform(-3, 3, size=(12, 1)) * rng.normal(size=10)
-    metric = dc.Metric(kind)
-    full = dc.cross_distances(metric, pts, pts)
-    best = 1.0
-    for x in range(12):
-        for w in range(12):
-            for y in range(12):
-                if len({x, w, y}) == 3:
-                    best = max(best, full[x, y] / (full[x, w] + full[w, y]))
-    est = dc.estimate_triangle_constant(dc.PointCloud.from_coords(pts), metric)
-    assert est == best
 
 
 def test_negative_zeros_in_a_matrix_become_positive():

@@ -126,8 +126,6 @@ def test_nn_tail_bound_rms():
 def test_kind_validation_and_parse():
     with pytest.raises(dc.GeometryError):
         dc.DistanceKind("median-k")
-    with pytest.raises(dc.GeometryError):
-        dc.DistanceKind("rms-k", c_lip=0.5)
     assert dc.parse_kind("kth-nn") is dc.KTH_NN
     assert dc.parse_kind(dc.AVG_K) is dc.AVG_K
 

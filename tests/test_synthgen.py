@@ -122,7 +122,10 @@ def test_adaptive_sampling_density_tracks_feature():
     f = dc.feature_from_anchor([1.0, 0.0], 0.1)
     kref, sample = dc.sample_shape(shape, 200, mode="adaptive", feature_fn=f)
     assert kref.has_feature_sizes
-    assert dc.check_feature_size(kref, dc.Metric()).ok
+    # positive (checked by GroundTruthRef) and 1-Lipschitz over every pair
+    f_ref, pts = kref.feature_sizes, kref.points
+    gap = np.abs(f_ref[:, None] - f_ref[None, :])
+    assert np.all(gap <= dc.cross_distances(dc.Metric(), pts, pts) + 1e-9)
     # spacing grows with f: points near the anchor are denser
     near = np.linalg.norm(sample - np.array([1.0, 0.0]), axis=1) < 0.5
     far = np.linalg.norm(sample - np.array([-1.0, 0.0]), axis=1) < 0.5
