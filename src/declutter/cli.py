@@ -265,22 +265,27 @@ def _cmd_certify(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _result_from_report(path) -> DeclutterResult:
+def _result_from_report(path) -> tuple[DeclutterResult, float | None]:
+    """The declutter result a report holds, and the resampling constant its
+    run recorded (None when it ran without --resample-C)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)["result"]
+            report = json.load(fh)
+        data = report["result"]
+        recorded = report.get("config", {}).get("resample_C")
         prof = RobustDistanceProfile(k=int(data["k"]), kind=parse_kind(data["kind"]),
                                      values=np.asarray(data["profile_values"]))
         rejected = {int(i): Rejection(witness=int(r["witness"]),
                                       distance=float(r["distance"]))
                     for i, r in data["rejected"].items()}
         # kept ids keep their JSON type: evaluation rejects any but integers
-        return DeclutterResult(kept=np.asarray(data["kept_order"]),
-                               rejected=rejected,
-                               order=np.asarray(data["processing_order"], dtype=np.intp),
-                               profile=prof,
-                               vicinity_factor=float(data["vicinity_factor"]))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        result = DeclutterResult(kept=np.asarray(data["kept_order"]),
+                                 rejected=rejected,
+                                 order=np.asarray(data["processing_order"], dtype=np.intp),
+                                 profile=prof,
+                                 vicinity_factor=float(data["vicinity_factor"]))
+        return result, None if recorded is None else float(recorded)
+    except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CliError(f"cannot read declutter report {path}: {exc!r}") from exc
 
 
@@ -341,7 +346,13 @@ def _cmd_eval(args) -> int:
     unknown = [n for n in names if n not in BOUND_NAMES]
     if unknown:
         raise CliError(f"unknown bounds: {unknown}; choose from {BOUND_NAMES}")
-    result = _result_from_report(args.report) if args.report else None
+    result, C = _result_from_report(args.report) if args.report else (None, None)
+    # lem4.4 checks the resampled ids at the constant that produced them
+    if C is None:
+        C = args.C
+    elif args.C is not None and args.C != C:
+        raise CliError(f"--C {args.C!r} differs from the resample_C {C!r} "
+                       f"recorded in {args.report}")
     certs = _certs_from_file(args.certificates) if args.certificates else {}
     trace = _trace_from_dir(args) if args.trace_dir else None
     resampled = None
@@ -356,7 +367,7 @@ def _cmd_eval(args) -> int:
                     certificate=(None if result is None
                                  else certs.get(result.profile.k)),
                     certificates=certs or None, trace=trace,
-                    resampled_ids=resampled, C=args.C, k=args.k, i0=args.i0)
+                    resampled_ids=resampled, C=C, k=args.k, i0=args.i0)
     rows = []
     failed = 0
     for name in names:

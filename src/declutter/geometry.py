@@ -33,6 +33,12 @@ _CDIST_NAME = {EUCLIDEAN: "euclidean", MANHATTAN: "cityblock"}
 # cells per dense distance block; keeps peak chunk memory around 32 MB
 _CHUNK_CELLS = 4_000_000
 
+# rows per band of the matrix symmetry check
+_SYMMETRY_BAND = 256
+
+# index cells of the scratch a matrix gather fills its block through (128 KB)
+_GATHER_CELLS = 16_384
+
 
 class GeometryError(ValueError):
     """Malformed cloud, metric, query, or input file."""
@@ -58,7 +64,7 @@ class Metric:
         if self.kind == PRECOMPUTED:
             if self.matrix is None:
                 raise GeometryError("precomputed metric needs a distance matrix")
-            m = np.asarray(self.matrix, dtype=np.float64)
+            m = np.ascontiguousarray(self.matrix, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise GeometryError("distance matrix must be square")
             if not np.all(np.isfinite(m)):
@@ -69,7 +75,7 @@ class Metric:
                 m = m + 0.0  # -0.0 becomes +0.0, so sorting cannot flip a sign
             if np.any(np.diagonal(m) != 0.0):
                 raise GeometryError("distance matrix diagonal must be zero")
-            if not np.array_equal(m, m.T):
+            if not _symmetric(m):
                 raise GeometryError("distance matrix must be symmetric")
             object.__setattr__(self, "matrix", m)
         elif self.matrix is not None:
@@ -79,6 +85,17 @@ class Metric:
     def is_exact(self) -> bool:
         """True for true coordinate metrics (triangle inequality exact)."""
         return self.kind in (EUCLIDEAN, MANHATTAN)
+
+
+def _symmetric(m: np.ndarray) -> bool:
+    """Whether the square matrix equals its transpose, compared one band of
+    ``_SYMMETRY_BAND`` rows at a time against the matching column band, so
+    the transposed side reads whole cache lines instead of walking ``m.T``."""
+    for i in range(0, m.shape[0], _SYMMETRY_BAND):
+        j = i + _SYMMETRY_BAND
+        if not np.array_equal(m[i:j, i:], m[i:, i:j].T):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -193,17 +210,59 @@ def cross_distances(metric: Metric, queries, targets) -> np.ndarray:
 
     With :func:`paired_distances` this is the canonical distance kernel:
     every code path in the package, accelerated or not, funnels through the
-    two so results agree exactly.
+    two so results agree exactly. Under a precomputed metric the queries and
+    targets are matrix row ids (GeometryError unless in range) and the block
+    is copied out of the matrix by :func:`_matrix_block`: row slices for
+    consecutive targets, a bounded flat gather otherwise, and never a view,
+    so the caller may sort it in place.
     """
     if metric.kind == PRECOMPUTED:
-        q = np.asarray(queries, dtype=np.intp).reshape(-1)
-        t = np.asarray(targets, dtype=np.intp).reshape(-1)
-        return metric.matrix[q[:, None], t]
+        return _matrix_block(metric.matrix,
+                             np.asarray(queries, dtype=np.intp).reshape(-1),
+                             np.asarray(targets, dtype=np.intp).reshape(-1))
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if q.shape[1] != t.shape[1]:
         raise GeometryError("dimension mismatch")
     return cdist(q, t, _CDIST_NAME[metric.kind])
+
+
+def _matrix_block(matrix: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The block ``matrix[q][:, t]`` as a fresh C-contiguous array (callers
+    sort it in place), read at memory speed.
+
+    Ascending consecutive targets ``a..b-1`` (every full-set sweep) are row
+    slices ``matrix[q, a:b]``. Any other targets are gathered from the flat
+    matrix at ``q * N + t``, a group of rows at a time through one index
+    scratch of at most ``_GATHER_CELLS`` cells, or a row at a time straight
+    from the matrix row when fewer than two rows fit the scratch, so no index
+    array as large as the block is ever built. Ids outside 0..N-1 raise
+    GeometryError, where a flat offset would read a neighbouring row.
+    """
+    n = matrix.shape[0]
+    for ids, what in ((q, "query"), (t, "target")):
+        # viewed unsigned a negative id is huge, so one max checks both ends
+        if ids.size and ids.view(np.uintp).max() >= n:
+            raise GeometryError(f"{what} id out of matrix range 0..{n - 1}")
+    if not (q.size and t.size):
+        return np.empty((q.size, t.size))
+    if t[-1] - t[0] == t.size - 1 and np.all(t[1:] - t[:-1] == 1):
+        return matrix[q, t[0]:t[-1] + 1]
+    out = np.empty((q.size, t.size))
+    rows = min(q.size, _GATHER_CELLS // t.size)
+    if rows < 2:
+        for i, row in enumerate(q.tolist()):
+            matrix[row].take(t, out=out[i], mode="clip")
+        return out
+    flat = matrix.reshape(-1)  # a view: the metric keeps its matrix C-contiguous
+    offsets = q * n
+    scratch = np.empty(rows * t.size, dtype=np.intp)
+    for start in range(0, q.size, rows):
+        sl = slice(start, min(start + rows, q.size))
+        idx = scratch[:(sl.stop - start) * t.size].reshape(sl.stop - start, t.size)
+        np.add(offsets[sl, None], t, out=idx)
+        flat.take(idx, out=out[sl], mode="clip")  # ids are checked: nothing clips
+    return out
 
 
 def paired_distances(metric: Metric, a, b) -> np.ndarray:

@@ -92,6 +92,51 @@ def test_certify_eval_strict_pipeline(tmp_path):
     assert rc == 0
 
 
+def test_eval_lem44_reads_the_reports_resampling_constant(tmp_path, capsys):
+    # lem4.4 checks the resampled ids at the constant that produced them: a
+    # larger --C would make the bound vacuous, so one that differs exits 1
+    shape = dc.Circle((0.0, 0.0), 1.0)
+    kref, sample = dc.sample_shape(shape, 128, seed=None)
+    pts = tmp_path / "points.csv"
+    ref = tmp_path / "reference.csv"
+    dc.save_points(pts, dc.perturb_gaussian(sample, 0.0005, 3))
+    dc.save_points(ref, kref.points)
+    certs = tmp_path / "certs.json"
+    assert main(["certify", "--points", str(pts), "--reference", str(ref),
+                 "--k", "4", "--out", str(certs)]) == 0
+    run = tmp_path / "run"
+    plain = tmp_path / "plain"
+    assert main(["declutter", "--points", str(pts), "--k", "4",
+                 "--resample-C", "2", "--out-dir", str(run)]) == 0
+    assert main(["declutter", "--points", str(pts), "--k", "4",
+                 "--out-dir", str(plain)]) == 0
+    checked = tmp_path / "checked.json"
+    base = ["eval", "--points", str(pts), "--reference", str(ref),
+            "--certificates", str(certs), "--bounds", "lem4.4",
+            "--resampled-ids", str(run / "resampled_ids.csv"), "--strict",
+            "--out", str(checked)]
+
+    def checked_C(argv):
+        assert main(argv) == 0
+        (row,) = json.loads(checked.read_text())["bounds"]
+        assert row["applicable"] and row["passed"]
+        return row["inputs"]["C"]
+
+    recorded = base + ["--report", str(run / "report.json")]
+    assert checked_C(recorded) == 2.0
+    assert checked_C(recorded + ["--C", "2"]) == 2.0
+    capsys.readouterr()
+    assert main(recorded + ["--C", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert "1000.0" in err and "2.0" in err and "resample_C" in err
+
+    # a report without resample_C leaves --C required
+    absent = base + ["--report", str(plain / "report.json")]
+    assert main(absent) == 1
+    assert capsys.readouterr().err.startswith("error: lem4.4 needs --C")
+    assert checked_C(absent + ["--C", "2"]) == 2.0
+
+
 def test_eval_parfree_bounds(tmp_path):
     shape = dc.Circle((0.0, 0.0), 1.0)
     kref, sample = dc.sample_shape(shape, 128, seed=None)

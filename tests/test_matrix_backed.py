@@ -4,12 +4,17 @@ was measured from.
 The matrix holds the canonical Manhattan distances of a coordinate cloud, so
 the brute run over matrix rows and the kd-tree run over coordinates must agree
 id for id, witness for witness, including through nested sub-clouds, which
-select matrix rows instead of copying the matrix.
+select matrix rows instead of copying the matrix. The matrix blocks themselves
+are checked cell by cell against the matrix they read.
 """
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import declutter as dc
+from declutter import geometry
 
 MANHATTAN = dc.Metric("manhattan")
 
@@ -86,3 +91,99 @@ def test_nested_matrix_subcloud_distances_match_coordinates(cloud, data):
     want = dc.cross_distances(csub_metric, csub.points, csub.points)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def _random_matrix(n, seed):
+    """A symmetric n-by-n distance matrix with a zero diagonal."""
+    a = np.random.default_rng(seed).random((n, n))
+    m = a + a.T
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+@st.composite
+def target_ids(draw, n):
+    """Consecutive, shuffled, duplicated, single or empty target ids."""
+    case = draw(st.sampled_from(["consecutive", "shuffled", "duplicated",
+                                 "single", "empty"]))
+    if case == "consecutive":
+        start = draw(st.integers(0, n - 1))
+        return np.arange(start, draw(st.integers(start, n)))
+    if case == "shuffled":
+        ids = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        return np.array(ids, dtype=np.intp)
+    if case == "duplicated":
+        ids = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        return np.array(ids + [ids[0]], dtype=np.intp)
+    if case == "single":
+        return np.array([draw(st.integers(0, n - 1))])
+    return np.array([], dtype=np.intp)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
+       gather_cells=st.sampled_from([2, 3, 7, 64, geometry._GATHER_CELLS]))
+def test_matrix_block_matches_each_cell(data, n, seed, gather_cells):
+    # every scratch size, down to one row at a time, gathers the same block
+    metric = dc.Metric("precomputed", matrix=_random_matrix(n, seed))
+    q = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=40),
+                           label="queries"), dtype=np.intp)
+    t = data.draw(target_ids(n), label="targets")
+    with mock.patch.object(geometry, "_GATHER_CELLS", gather_cells):
+        block = dc.cross_distances(metric, q, t)
+    want = np.array([[metric.matrix[i, j] for j in t] for i in q]).reshape(q.size, t.size)
+    assert block.dtype == np.float64 and block.flags.c_contiguous
+    assert block.tobytes() == want.tobytes()
+    assert not np.shares_memory(block, metric.matrix)
+
+
+def test_matrix_block_is_never_a_view():
+    # callers sort blocks in place, so not even a full row slice may alias
+    n = 12
+    metric = dc.Metric("precomputed", matrix=_random_matrix(n, 1))
+    before = metric.matrix.copy()
+    every = np.arange(n)
+    for q, t in ((every, every), (every[3:4], every), (every, every[2:9])):
+        block = dc.cross_distances(metric, q, t)
+        assert not np.shares_memory(block, metric.matrix)
+        block.sort(axis=1)
+    assert metric.matrix.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_matrix_block_rejects_ids_out_of_range(bad):
+    metric = dc.Metric("precomputed", matrix=_random_matrix(9, 2))
+    ok = np.array([0, 4, 8])
+    for q, t in (([bad], ok), (ok, [bad]), ([0, bad], ok), (ok, [8, bad, 0])):
+        with pytest.raises(dc.GeometryError, match="out of matrix range"):
+            dc.cross_distances(metric, q, t)
+
+
+def test_fortran_and_transposed_matrices_read_the_same():
+    m = _random_matrix(40, 3)
+    metric = dc.Metric("precomputed", matrix=m)
+    others = [dc.Metric("precomputed", matrix=np.asfortranarray(m)),
+              dc.Metric("precomputed", matrix=m.T)]
+    rng = np.random.default_rng(4)
+    blocks = [(np.arange(40), np.arange(40)), (rng.permutation(40), np.arange(5, 30)),
+              (rng.integers(0, 40, 17), rng.permutation(40)[:23])]
+    for other in others:
+        assert other.matrix.flags.c_contiguous
+        for q, t in blocks:
+            assert (dc.cross_distances(other, q, t).tobytes()
+                    == dc.cross_distances(metric, q, t).tobytes())
+
+
+@pytest.mark.parametrize("cell", ["last band", "first off-diagonal band",
+                                  "first off-diagonal band, lower side"])
+def test_asymmetric_pair_is_rejected_in_any_band(cell):
+    band = geometry._SYMMETRY_BAND
+    n = 2 * band + 10
+    i, j = {"last band": (n - 1, n - 2),
+            "first off-diagonal band": (3, band + 5),
+            "first off-diagonal band, lower side": (band + 5, 3)}[cell]
+    m = _random_matrix(n, 5)
+    dc.Metric("precomputed", matrix=m)
+    m[i, j] += 1.0
+    with pytest.raises(dc.GeometryError, match="symmetric"):
+        dc.Metric("precomputed", matrix=m)

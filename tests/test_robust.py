@@ -309,3 +309,28 @@ def test_dense_sweep_holds_one_distance_block(kind):
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * block + len(ks) * n * 8, (ks, peak / block)
+
+
+@pytest.mark.parametrize("kind", [dc.RMS_K, dc.AVG_K, dc.KTH_NN], ids=lambda k: k.name)
+def test_matrix_sweep_holds_one_distance_block(kind):
+    # the matrix-backed twin: a sub-cloud with non-consecutive ids reads its
+    # block through the fixed gather scratch, not a block-sized index array
+    pts = np.random.default_rng(13).normal(size=(1500, 2))
+    metric = dc.Metric("precomputed",
+                       matrix=dc.cross_distances(dc.Metric("manhattan"), pts, pts))
+    cloud, metric = dc.subset_cloud(dc.PointCloud.matrix_backed(1500), metric,
+                                    np.flatnonzero(np.arange(1500) % 5))
+    n = cloud.n
+    assert n * n <= geometry._CHUNK_CELLS
+    index = dc.build_index(cloud, metric, "brute")
+    block = n * n * 8
+    scratch = geometry._GATHER_CELLS * 8
+    for ks in ([n - 1], [n // 2], [n - 1, 300, 17, 2]):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dc.values_at_scales(index, cloud.points, ks, kind)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * block + len(ks) * n * 8 + scratch, (ks, peak / block)
