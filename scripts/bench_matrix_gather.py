@@ -19,7 +19,7 @@ shapes so that they read cold rows as the pass does. Every draw is timed
 with the old ``matrix[q[:, None], t]`` and with ``cross_distances``, which
 must return the same bytes, or the script exits with an error. It prints one
 JSON document: per shape, the best total wall time of each side over
-``ROUNDS`` rounds and the path the kernel takes.
+``ROUNDS`` rounds.
 """
 from __future__ import annotations
 
@@ -42,15 +42,6 @@ ROUNDS = 5
 def fancy(metric, q, t):
     """The gather the kernel replaced."""
     return metric.matrix[q[:, None], t]
-
-
-def path(t):
-    """Which branch of the kernel a target list takes."""
-    if t.size and t[-1] - t[0] == t.size - 1 and np.all(np.diff(t) == 1):
-        return "row slices"
-    if geometry._GATHER_CELLS // t.size < 2:
-        return "row at a time"
-    return "flat gather"
 
 
 def shapes(state, rng):
@@ -93,16 +84,14 @@ def main() -> int:
         if any(a.tobytes() != b.tobytes() for a, b in zip(old, new)):
             raise SystemExit(f"{name}: the kernel's block differs from the fancy index")
         cells = sum(q.size * t.size for q, t in draws)
-        table.append({"shape": name, "path": path(draws[0][1]),
-                      "cells": cells, "identical": True,
+        table.append({"shape": name, "cells": cells, "identical": True,
                       "fancy_s": round(old_s, 5), "kernel_s": round(new_s, 5),
                       "fancy_ns_per_cell": round(old_s / cells * 1e9, 2),
                       "kernel_ns_per_cell": round(new_s / cells * 1e9, 2),
                       "speedup": round(old_s / new_s, 2)})
         print(name, file=sys.stderr, flush=True)
     print(json.dumps({"n": metric.matrix.shape[0], "repeats": REPEATS,
-                      "rounds": ROUNDS, "gather_cells": geometry._GATHER_CELLS,
-                      "shapes": table}, indent=1))
+                      "rounds": ROUNDS, "shapes": table}, indent=1))
     return 0
 
 

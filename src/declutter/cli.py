@@ -346,13 +346,15 @@ def _cmd_eval(args) -> int:
     unknown = [n for n in names if n not in BOUND_NAMES]
     if unknown:
         raise CliError(f"unknown bounds: {unknown}; choose from {BOUND_NAMES}")
-    result, C = _result_from_report(args.report) if args.report else (None, None)
-    # lem4.4 checks the resampled ids at the constant that produced them
-    if C is None:
-        C = args.C
-    elif args.C is not None and args.C != C:
-        raise CliError(f"--C {args.C!r} differs from the resample_C {C!r} "
-                       f"recorded in {args.report}")
+    result, recorded = _result_from_report(args.report) if args.report else (None, None)
+    C = args.C
+    # lem4.4, the one bound that reads C, checks the resampled ids at the
+    # constant that produced them
+    if "lem4.4" in names and recorded is not None:
+        if C is not None and C != recorded:
+            raise CliError(f"--C {C!r} differs from the resample_C {recorded!r} "
+                           f"recorded in {args.report}")
+        C = recorded
     certs = _certs_from_file(args.certificates) if args.certificates else {}
     trace = _trace_from_dir(args) if args.trace_dir else None
     resampled = None

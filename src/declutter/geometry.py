@@ -234,9 +234,8 @@ def _matrix_block(matrix: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarra
     Ascending consecutive targets ``a..b-1`` (every full-set sweep) are row
     slices ``matrix[q, a:b]``. Any other targets are gathered from the flat
     matrix at ``q * N + t``, a group of rows at a time through one index
-    scratch of at most ``_GATHER_CELLS`` cells, or a row at a time straight
-    from the matrix row when fewer than two rows fit the scratch, so no index
-    array as large as the block is ever built. Ids outside 0..N-1 raise
+    scratch of at most ``_GATHER_CELLS`` cells (or one row, when a row is
+    wider), so no index array as large as the block is ever built. Ids outside 0..N-1 raise
     GeometryError, where a flat offset would read a neighbouring row.
     """
     n = matrix.shape[0]
@@ -249,11 +248,7 @@ def _matrix_block(matrix: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarra
     if t[-1] - t[0] == t.size - 1 and np.all(t[1:] - t[:-1] == 1):
         return matrix[q, t[0]:t[-1] + 1]
     out = np.empty((q.size, t.size))
-    rows = min(q.size, _GATHER_CELLS // t.size)
-    if rows < 2:
-        for i, row in enumerate(q.tolist()):
-            matrix[row].take(t, out=out[i], mode="clip")
-        return out
+    rows = max(1, min(q.size, _GATHER_CELLS // t.size))
     flat = matrix.reshape(-1)  # a view: the metric keeps its matrix C-contiguous
     offsets = q * n
     scratch = np.empty(rows * t.size, dtype=np.intp)

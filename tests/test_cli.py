@@ -130,6 +130,12 @@ def test_eval_lem44_reads_the_reports_resampling_constant(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "1000.0" in err and "2.0" in err and "resample_C" in err
 
+    # a bound that never reads C leaves an unused --C alone
+    other = [a if a != "lem4.4" else "thm3.3" for a in recorded]
+    assert main(other + ["--C", "1000"]) == 0
+    (row,) = json.loads(checked.read_text())["bounds"]
+    assert row["bound_name"] == "thm3.3" and row["passed"] and "C" not in row["inputs"]
+
     # a report without resample_C leaves --C required
     absent = base + ["--report", str(plain / "report.json")]
     assert main(absent) == 1

@@ -124,7 +124,7 @@ def target_ids(draw, n):
 @given(data=st.data(), n=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
        gather_cells=st.sampled_from([2, 3, 7, 64, geometry._GATHER_CELLS]))
 def test_matrix_block_matches_each_cell(data, n, seed, gather_cells):
-    # every scratch size, down to one row at a time, gathers the same block
+    # every scratch size, down to one row of ids per fill, gathers the same block
     metric = dc.Metric("precomputed", matrix=_random_matrix(n, seed))
     q = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=40),
                            label="queries"), dtype=np.intp)
