@@ -343,9 +343,8 @@ def _cmd_eval(args) -> int:
     cloud, metric = _load_cloud(args)
     kref = _load_reference(args) if args.reference else None
     names = [tok for tok in args.bounds.split(",") if tok]
-    unknown = [n for n in names if n not in BOUND_NAMES]
-    if unknown:
-        raise CliError(f"unknown bounds: {unknown}; choose from {BOUND_NAMES}")
+    if not names or not set(names) <= set(BOUND_NAMES):
+        raise CliError(f"--bounds takes names from {BOUND_NAMES}, got {args.bounds!r}")
     result, recorded = _result_from_report(args.report) if args.report else (None, None)
     C = args.C
     # lem4.4, the one bound that reads C, checks the resampled ids at the

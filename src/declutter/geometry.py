@@ -3,12 +3,13 @@
 Clouds are immutable and hold their points in the form
 :func:`cross_distances` takes: on a coordinate cloud a point is its row of
 coordinates, on a matrix-backed cloud it is its row id in the metric's
-distance matrix. A sub-cloud selects points and keeps the metric, so a
-matrix-backed sub-cloud reads its parent's matrix. Everything downstream works
-from distances alone, so general-metric inputs flow through unchanged.
+distance matrix, an integer in 0..N-1 (one check, :func:`_row_ids`). A
+sub-cloud selects points and keeps the metric, so a matrix-backed sub-cloud
+reads its parent's matrix. Everything downstream works from distances alone,
+so general-metric inputs flow through unchanged.
 
 Every distance comes from one canonical kernel: dense blocks from
-:func:`cross_distances` and paired points (tree candidates)
+:func:`cross_distances` and paired coordinate points (tree candidates)
 from :func:`paired_distances`, which sums the coordinates in the same order
 and so agrees with it bit for bit. That keeps every query path bit-identical
 regardless of acceleration strategy. This is the bottom layer: it imports
@@ -125,9 +126,8 @@ class PointCloud:
     @staticmethod
     def matrix_backed(n: int) -> "PointCloud":
         """All n rows of an n-by-n distance matrix."""
-        if n < 1:
-            raise GeometryError("cloud needs at least one point")
-        return PointCloud(np.arange(n, dtype=np.intp), int(n))
+        n = _positive_int(n, "matrix size")
+        return PointCloud(np.arange(n, dtype=np.intp), n)
 
     @property
     def n(self) -> int:
@@ -162,37 +162,38 @@ class PointCloud:
             raise GeometryError("matrix-backed cloud needs a precomputed metric")
 
     def query_array(self, queries) -> np.ndarray:
-        """Normalize queries to an (m, d) coordinate block or a vector of
+        """Normalize queries to an (m, d) coordinate block or a flat vector of
         matrix row ids (any row of the matrix, member or not)."""
-        if self.is_coordinate:
-            q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-            if q.shape[1] != self.dim:
-                raise GeometryError(
-                    f"query dimension {q.shape[1]} != cloud dimension {self.dim}")
-            if not np.all(np.isfinite(q)):
-                raise GeometryError("query contains NaN/Inf")
-            return q
-        q = np.atleast_1d(np.asarray(queries))
-        if q.dtype.kind not in "iu":
-            raise GeometryError("matrix-backed clouds only accept matrix row ids as queries")
-        q = q.astype(np.intp)
-        if q.size and (q.min() < 0 or q.max() >= self.matrix_size):
-            raise GeometryError("query id out of matrix range")
+        if not self.is_coordinate:
+            return _row_ids(queries, self.matrix_size, "query ids")
+        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        if q.shape[1] != self.dim:
+            raise GeometryError(
+                f"query dimension {q.shape[1]} != cloud dimension {self.dim}")
+        if not np.all(np.isfinite(q)):
+            raise GeometryError("query contains NaN/Inf")
         return q
 
 
-def _member_ids(ids, n: int) -> np.ndarray:
-    """ids as an intp array, or GeometryError unless there is at least one
-    and each is an integer in 0..n-1."""
+def _row_ids(ids, n: int, what: str) -> np.ndarray:
+    """ids as a flat intp vector, or GeometryError naming ``what`` unless
+    every id is an integer in 0..n-1 (bools, floats and strings are not)."""
     ids = np.asarray(ids)
-    if ids.size < 1:
-        raise GeometryError("ids must select at least one point")
     if ids.dtype.kind not in "iu":
-        raise GeometryError(f"ids must be integers, got dtype {ids.dtype}")
-    ids = ids.astype(np.intp, copy=False)
-    if ids.min() < 0 or ids.max() >= n:
-        raise GeometryError(f"ids out of range 0..{n - 1}")
+        raise GeometryError(f"{what} must be integers, got dtype {ids.dtype}")
+    ids = ids.astype(np.intp, copy=False).reshape(-1)
+    # viewed unsigned a negative id is huge, so one max checks both ends
+    if ids.size and ids.view(np.uintp).max() >= n:
+        raise GeometryError(f"{what} out of range 0..{n - 1}")
     return ids
+
+
+def _member_ids(ids, n: int) -> np.ndarray:
+    """ids as a flat intp vector, or GeometryError unless there is at least
+    one and each is an integer in 0..n-1."""
+    if np.size(ids) < 1:
+        raise GeometryError("ids must select at least one point")
+    return _row_ids(ids, n, "ids")
 
 
 def subset_cloud(cloud: PointCloud, metric: Metric, ids) -> tuple[PointCloud, Metric]:
@@ -211,15 +212,15 @@ def cross_distances(metric: Metric, queries, targets) -> np.ndarray:
     With :func:`paired_distances` this is the canonical distance kernel:
     every code path in the package, accelerated or not, funnels through the
     two so results agree exactly. Under a precomputed metric the queries and
-    targets are matrix row ids (GeometryError unless in range) and the block
-    is copied out of the matrix by :func:`_matrix_block`: row slices for
-    consecutive targets, a bounded flat gather otherwise, and never a view,
-    so the caller may sort it in place.
+    targets are matrix row ids (GeometryError unless integers in range) and
+    the block is copied out of the matrix by :func:`_matrix_block`: row
+    slices for consecutive targets, a bounded flat gather otherwise, and
+    never a view, so the caller may sort it in place.
     """
     if metric.kind == PRECOMPUTED:
-        return _matrix_block(metric.matrix,
-                             np.asarray(queries, dtype=np.intp).reshape(-1),
-                             np.asarray(targets, dtype=np.intp).reshape(-1))
+        n = metric.matrix.shape[0]
+        return _matrix_block(metric.matrix, _row_ids(queries, n, "query ids"),
+                             _row_ids(targets, n, "target ids"))
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if q.shape[1] != t.shape[1]:
@@ -235,14 +236,10 @@ def _matrix_block(matrix: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarra
     slices ``matrix[q, a:b]``. Any other targets are gathered from the flat
     matrix at ``q * N + t``, a group of rows at a time through one index
     scratch of at most ``_GATHER_CELLS`` cells (or one row, when a row is
-    wider), so no index array as large as the block is ever built. Ids outside 0..N-1 raise
-    GeometryError, where a flat offset would read a neighbouring row.
+    wider), so no index array as large as the block is ever built. Ids must
+    be in 0..N-1 (:func:`_row_ids`): a flat offset would read another row.
     """
     n = matrix.shape[0]
-    for ids, what in ((q, "query"), (t, "target")):
-        # viewed unsigned a negative id is huge, so one max checks both ends
-        if ids.size and ids.view(np.uintp).max() >= n:
-            raise GeometryError(f"{what} id out of matrix range 0..{n - 1}")
     if not (q.size and t.size):
         return np.empty((q.size, t.size))
     if t[-1] - t[0] == t.size - 1 and np.all(t[1:] - t[:-1] == 1):
@@ -261,17 +258,16 @@ def _matrix_block(matrix: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarra
 
 
 def paired_distances(metric: Metric, a, b) -> np.ndarray:
-    """Distances between paired points of a and b, which broadcast against
-    each other: coordinate arrays whose last axis is the coordinate axis, or
-    matrix row ids under a precomputed metric.
+    """Distances between paired points of a and b, coordinate arrays that
+    broadcast against each other and whose last axis is the coordinate axis
+    (GeometryError under a precomputed metric, whose points have none).
 
     The sum runs over the coordinate axis one column at a time, in order,
     which is the order ``cdist`` sums in, so every value equals the matching
     :func:`cross_distances` entry bit for bit.
     """
     if metric.kind == PRECOMPUTED:
-        return metric.matrix[np.asarray(a, dtype=np.intp),
-                             np.asarray(b, dtype=np.intp)]
+        raise GeometryError("paired_distances takes coordinates, not matrix row ids")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[-1] != b.shape[-1]:

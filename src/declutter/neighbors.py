@@ -19,7 +19,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import (
-    EUCLIDEAN,
     MANHATTAN,
     PRECOMPUTED,
     GeometryError,
@@ -48,10 +47,6 @@ _RADIUS_SLACK = 1e-9
 _TREE_SHIFT = 4
 
 
-def _tree_supported(cloud: PointCloud, metric: Metric) -> bool:
-    return cloud.is_coordinate and metric.kind in (EUCLIDEAN, MANHATTAN)
-
-
 class NeighborIndex:
     """Immutable query object over one cloud.
 
@@ -62,14 +57,13 @@ class NeighborIndex:
     """
 
     def __init__(self, cloud: PointCloud, metric: Metric, strategy: str = AUTO):
-        cloud.check_metric(metric)
+        cloud.check_metric(metric)  # so a coordinate cloud has an exact metric
         if strategy == AUTO:
-            strategy = KDTREE if _tree_supported(cloud, metric) else BRUTE
+            strategy = KDTREE if cloud.is_coordinate else BRUTE
         if strategy not in (BRUTE, KDTREE):
             raise GeometryError(f"unknown strategy: {strategy!r}")
-        if strategy == KDTREE and not _tree_supported(cloud, metric):
-            raise GeometryError(
-                "spatial-tree strategy requires a coordinate cloud with an exact metric")
+        if strategy == KDTREE and not cloud.is_coordinate:
+            raise GeometryError("spatial-tree strategy requires a coordinate cloud")
         self.cloud = cloud
         self.metric = metric
         self.strategy = strategy
@@ -267,8 +261,8 @@ class NeighborIndex:
         radii = np.asarray(radii, dtype=np.float64)
         if radii.shape != (q.shape[0],):
             raise GeometryError("one radius per query point required")
-        if np.any(radii < 0):
-            raise GeometryError("ball radius must be non-negative")
+        if not np.all(radii >= 0):  # NaN compares False either way
+            raise GeometryError("ball radius must be non-negative, not NaN")
         result = []
         if self._tree is not None:
             for sl in row_chunks(q.shape[0], self._ball_cells()):
@@ -307,10 +301,10 @@ def nearest_cross(metric: Metric, queries, targets,
                   threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per query: (distance to nearest target, its index, ties -> lowest).
     Queries and targets are coordinate rows, or matrix row ids under a
-    precomputed metric (targets: integers in range, at least one)."""
+    precomputed metric (read flat; at least one target)."""
     if metric.kind == PRECOMPUTED:
         n = metric.matrix.shape[0]
-        cloud = PointCloud(_member_ids(np.atleast_1d(targets), n), n)
+        cloud = PointCloud(_member_ids(targets, n), n)
     else:
         cloud = PointCloud.from_coords(np.atleast_2d(targets))
     dist, ids = build_index(cloud, metric)._nearest_rows(queries, 1, threads)

@@ -33,7 +33,7 @@ from .decluttering import _greedy_pass
 from .geometry import (GeometryError, Metric, PointCloud, _member_ids, _positive_finite,
                        _positive_int, subset_cloud)
 from .neighbors import AUTO, NeighborIndex, build_index, nearest_cross
-from .robust import DistanceKind, RMS_K, RobustDistanceProfile, _sweep
+from .robust import DistanceKind, RMS_K, RobustDistanceProfile, _check_kind, _sweep
 # profile stays a module attribute: perfbench's self-test looks it up here
 from .robust import profile  # noqa: F401
 
@@ -169,6 +169,7 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
     """
     _positive_finite(C, "resampling constant")
     threads = _positive_int(threads, "threads")
+    _check_kind(kind)  # a degenerate trace records it without a sweep
     if cloud.n < 2:
         trace = ParfreeTrace(iterations=[], resampling_constant=float(C),
                              kind=kind, degenerate=True)

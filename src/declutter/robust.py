@@ -62,6 +62,13 @@ def parse_kind(text) -> DistanceKind:
     raise GeometryError(f"unknown distance kind: {text!r}")
 
 
+def _check_kind(kind) -> None:
+    """GeometryError unless kind is a DistanceKind, before a result records it."""
+    if not isinstance(kind, DistanceKind):
+        raise GeometryError(f"kind must be a DistanceKind, got {kind!r}; "
+                            "parse_kind turns a name into one")
+
+
 @dataclass(frozen=True)
 class RobustDistanceProfile:
     """Per-point robust distance values for a fixed k and kind."""
@@ -138,6 +145,7 @@ def _sweep(index: NeighborIndex, queries, ks, kind: DistanceKind,
     """:func:`values_at_scales` and, per k, each query's k-th nearest
     distance (the rows' column k-1, read before the aggregation consumes
     them): (values, radii)."""
+    _check_kind(kind)
     n = index.cloud.n
     ks = sorted({_positive_int(k, "k", n) for k in ks})
     threads = _positive_int(threads, "threads")

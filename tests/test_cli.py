@@ -185,6 +185,16 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["eval", "--points", str(both), "--bounds", "bogus"]) == 1
 
 
+@pytest.mark.parametrize("bounds", ["", ",", ",,"])
+def test_eval_with_no_bounds_exits_1(tmp_path, capsys, bounds):
+    # an empty list would check nothing, and --strict would pass it
+    pts = tmp_path / "points.csv"
+    _write_line_points(pts)
+    assert main(["eval", "--points", str(pts), "--bounds", bounds, "--strict"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--bounds" in err
+
+
 @pytest.mark.parametrize("step", ["gen", "declutter", "parfree", "certify",
                                   "eval", "repro"])
 def test_unwritable_output_exits_1(tmp_path, capsys, step):

@@ -421,6 +421,11 @@ def test_parameter_free_bounds_require_an_exact_metric():
     got = dc.verify_bound("thmD.2", **relaxed)
     assert got.applicable and got.inputs["c_lip"] == 1.0
     assert got.inputs["m"] == dc.relaxed_bound(1.9, 1.0)
+    # thmD.2 takes a matrix metric, but it compares the kept set with the
+    # reference by coordinates, which matrix ids lack
+    got = dc.verify_bound("thmD.2", **on_matrix)
+    assert not got.applicable and got.passed is None
+    assert "coordinates" in got.inputs["reason"]
 
 
 def test_lem45_rejects_a_short_profile():

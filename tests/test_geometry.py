@@ -27,7 +27,6 @@ def test_distance_matrix_lookup():
     m[0, 2] = m[2, 0] = 1.0
     metric = dc.Metric("precomputed", matrix=m)
     assert dc.cross_distances(metric, [1], [2])[0, 0] == 0.5
-    assert paired_distances(metric, 1, 2) == 0.5
 
 
 def test_distance_dimension_mismatch():
@@ -55,6 +54,13 @@ def test_cloud_validation():
         dc.PointCloud.from_coords(np.empty((0, 2)))
     cloud = dc.PointCloud.from_coords([[1.0, 2.0]])
     assert cloud.n == 1 and cloud.dim == 2
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3", 0])
+def test_matrix_backed_size_must_be_a_positive_integer(n):
+    # 2.5 would make a cloud of three ids over a two-row matrix
+    with pytest.raises(dc.GeometryError, match="matrix size"):
+        dc.PointCloud.matrix_backed(n)
 
 
 def test_symmetry_and_identity_random_pairs():
@@ -190,12 +196,14 @@ def test_paired_distances_equal_cross_distances(d, kind, exponent, seed):
     assert got.tobytes() == want[np.arange(7), pick].tobytes()
 
 
-def test_paired_distances_on_a_matrix_read_its_entries():
+def test_paired_distances_reject_a_precomputed_metric():
+    # only the tree paths pair points, and they need coordinates; matrix
+    # entries are read through cross_distances alone
     pts = np.random.default_rng(3).normal(size=(6, 2))
-    m = dc.cross_distances(dc.Metric(), pts, pts)
-    metric = dc.Metric("precomputed", matrix=m)
-    a, b = np.array([0, 5, 2]), np.array([[1], [3]])
-    assert paired_distances(metric, a, b).tolist() == m[a, b].tolist()
+    metric = dc.Metric("precomputed", matrix=dc.cross_distances(dc.Metric(), pts, pts))
+    for a, b in (([0, 5, 2], [1, 3, 4]), ([-1], [0]), ([6], [0]), (1, 2)):
+        with pytest.raises(dc.GeometryError, match="takes coordinates"):
+            paired_distances(metric, a, b)
 
 
 def test_paired_distances_dimension_mismatch():

@@ -155,7 +155,16 @@ def test_matrix_block_rejects_ids_out_of_range(bad):
     metric = dc.Metric("precomputed", matrix=_random_matrix(9, 2))
     ok = np.array([0, 4, 8])
     for q, t in (([bad], ok), (ok, [bad]), ([0, bad], ok), (ok, [8, bad, 0])):
-        with pytest.raises(dc.GeometryError, match="out of matrix range"):
+        with pytest.raises(dc.GeometryError, match="ids out of range 0..8"):
+            dc.cross_distances(metric, q, t)
+
+
+@pytest.mark.parametrize("bad", [[1.7], [True], ["1"]])
+def test_matrix_ids_must_be_integers(bad):
+    # none of these may be read as row 1
+    metric = dc.Metric("precomputed", matrix=_random_matrix(3, 5))
+    for q, t in ((bad, [0]), ([0], bad)):
+        with pytest.raises(dc.GeometryError, match="ids must be integers"):
             dc.cross_distances(metric, q, t)
 
 

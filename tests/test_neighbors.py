@@ -82,6 +82,24 @@ def test_matrix_subcloud_queries_are_matrix_rows():
         dc.build_index(dc.PointCloud.matrix_backed(5), metric)
 
 
+def test_matrix_ids_of_any_shape_are_read_flat():
+    # [[0, 1, 5]] asks the same three queries as [0, 1, 5] on every path
+    pts = np.random.default_rng(8).normal(size=(7, 2))
+    metric = dc.Metric("precomputed",
+                       matrix=dc.cross_distances(dc.Metric(), pts, pts))
+    index = dc.build_index(dc.PointCloud.matrix_backed(7), metric)
+    flat = np.array([0, 1, 5])
+    calls = (lambda q: nearest_cross(metric, q, [[2, 4], [6, 1]]),
+             lambda q: index._nearest_rows(q, 3),
+             lambda q: (dc.values_at(index, q, 3),),
+             lambda q: (index.knn_distance_rows(q, 3),))
+    for call in calls:
+        want = call(flat)
+        assert want[0].shape[0] == 3
+        for got, w in zip(call(flat[None, :]), want):
+            assert got.tobytes() == w.tobytes()
+
+
 def test_tie_break_by_lower_id():
     pts = np.array([[0.0], [1.0], [-1.0], [1.0]])  # ids 1 and 3 coincide
     cloud = dc.PointCloud.from_coords(pts)
@@ -160,6 +178,17 @@ def test_ball_ids_many_matches_single():
         many = index.ball_ids_many(queries, radii)
         for q, r, ids in zip(queries, radii, many):
             assert ids.tolist() == index.ball_ids(q, r).tolist()
+
+
+def test_ball_radii_must_be_non_negative_numbers():
+    cloud, metric = random_cloud(41, n_max=80)
+    for strategy in ("brute", "kdtree"):
+        index = dc.build_index(cloud, metric, strategy)
+        for radius in (np.nan, -1.0):  # NaN used to give an empty ball
+            with pytest.raises(dc.GeometryError, match="non-negative"):
+                index.ball_ids_many(cloud.coords[:2], [1.0, radius])
+            with pytest.raises(dc.GeometryError, match="non-negative"):
+                index.ball_ids(cloud.coords[0], radius)
 
 
 def test_knn_distance_rows_match_k_nearest():

@@ -21,6 +21,22 @@ def test_line_example_all_kinds():
     assert dc.values_at(index, q, 2, dc.KTH_NN)[0] == 98.0
 
 
+def test_a_kind_given_by_name_is_rejected_before_any_result():
+    pts = np.random.default_rng(4).normal(size=(40, 2))
+    cloud, metric = dc.PointCloud.from_coords(pts), dc.Metric()
+    kref = dc.GroundTruthRef(dc.PointCloud.from_coords(pts[:10]))
+    index = dc.build_index(cloud, metric)
+    single = dc.PointCloud.from_coords(pts[:1])  # a degenerate parfree run
+    calls = (lambda: dc.declutter(cloud, metric, 4, kind="avg-k"),
+             lambda: dc.parfree_declutter(cloud, metric, kind="avg-k"),
+             lambda: dc.parfree_declutter(single, metric, kind="avg-k"),
+             lambda: dc.values_at(index, pts[:3], 4, kind="avg-k"),
+             lambda: dc.certify(cloud, metric, kref, 4, kind="avg-k"))
+    for call in calls:
+        with pytest.raises(dc.GeometryError, match="parse_kind"):
+            call()
+
+
 def test_equidistant_neighbors_any_kind():
     # four points on the unit circle, query at the center
     ang = np.arange(4) * (math.pi / 2.0)
