@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GeometryError, GroundTruthRef, Metric, PointCloud
+from .geometry import (GeometryError, GroundTruthRef, Metric, PointCloud,
+                       _positive_finite, _positive_int)
 from .neighbors import AUTO, build_index
 from .robust import DistanceKind, RMS_K, values_at_scales
 
@@ -31,6 +32,14 @@ class SamplingCertificate:
     weak_uniform: bool
     adaptive: bool
     conditions: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.k = _positive_int(self.k, "certificate k")
+        if not 0 <= self.epsilon_k < np.inf:  # NaN fails both
+            raise GeometryError("certificate epsilon_k must be finite and "
+                                f"non-negative, got {self.epsilon_k!r}")
+        if self.uniformity_c is not None:
+            _positive_finite(self.uniformity_c, "certificate uniformity_c")
 
     def to_dict(self) -> dict:
         return {
@@ -50,7 +59,7 @@ class SamplingCertificate:
     def from_dict(data: dict) -> "SamplingCertificate":
         from .robust import parse_kind
         return SamplingCertificate(
-            k=int(data["k"]),
+            k=data["k"],
             kind=parse_kind(data["kind"]),
             epsilon_k=float(data["epsilon_k"]),
             uniformity_c=(None if data.get("uniformity_c") is None

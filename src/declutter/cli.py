@@ -16,16 +16,16 @@ import numpy as np
 
 from . import __version__
 from .certify import SamplingCertificate, certify_scales
-from .decluttering import DeclutterResult, Rejection, declutter
+from .decluttering import VICINITY_FACTOR, DeclutterResult, Rejection, declutter
 from .evaluation import BOUND_NAMES, BOUNDS, hausdorff, verify_bound
 from .figures import write_scatter_svg
 from .geometry import (
-    EUCLIDEAN,
     GeometryError,
     GroundTruthRef,
     Metric,
     PointCloud,
     _positive_int,
+    _row_ids,
     load_matrix,
     load_points,
     save_points,
@@ -76,31 +76,28 @@ def _report(args, **extra) -> dict:
 
 
 def _load_cloud(args) -> tuple[PointCloud, Metric]:
-    if getattr(args, "matrix", None):
-        if getattr(args, "points", None):
+    if args.matrix:
+        if args.points:
             raise CliError("--points and --matrix are mutually exclusive")
         m = load_matrix(args.matrix)
         metric = Metric("precomputed", matrix=m)
         return PointCloud.matrix_backed(m.shape[0]), metric
-    if not getattr(args, "points", None):
+    if not args.points:
         raise CliError("an input is required: --points or --matrix")
     pts = load_points(args.points)
-    kind = getattr(args, "metric", EUCLIDEAN)
-    return PointCloud.from_coords(pts), Metric(kind)
+    return PointCloud.from_coords(pts), Metric(args.metric)
 
 
 def _load_reference(args) -> GroundTruthRef:
-    if not getattr(args, "reference", None):
-        raise CliError("--reference is required for this operation")
     pts = load_points(args.reference)
     fvals = None
-    if getattr(args, "features", None):
+    if args.features:
         fvals = load_points(args.features).ravel()
     return GroundTruthRef(PointCloud.from_coords(pts), fvals)
 
 
 def _maybe_svg(args, path, layers) -> None:
-    if getattr(args, "emit_figures", False):
+    if args.emit_figures:
         try:
             write_scatter_svg(path, layers)
         except GeometryError:
@@ -172,9 +169,8 @@ def _cmd_declutter(args) -> int:
     cloud, metric = _load_cloud(args)
     kind = parse_kind(args.kind)
     os.makedirs(args.out_dir, exist_ok=True)
-    result = declutter(cloud, metric, args.k, kind=kind,
-                       vicinity_factor=args.vicinity_factor,
-                       strategy=args.strategy, threads=args.threads)
+    result = declutter(cloud, metric, args.k, kind=kind, strategy=args.strategy,
+                       threads=args.threads)
     kept_sorted = result.kept_ids
     if cloud.is_coordinate:
         save_points(os.path.join(args.out_dir, "kept.csv"), cloud.coords[kept_sorted])
@@ -201,9 +197,8 @@ def _cmd_declutter(args) -> int:
 def _cmd_parfree(args) -> int:
     cloud, metric = _load_cloud(args)
     kind = parse_kind(args.kind)
-    C = PRACTICAL_C if args.practical else args.C
     os.makedirs(args.out_dir, exist_ok=True)
-    final_ids, trace = parfree_declutter(cloud, metric, kind=kind, C=C,
+    final_ids, trace = parfree_declutter(cloud, metric, kind=kind, C=args.C,
                                          strategy=args.strategy,
                                          threads=args.threads)
     if cloud.is_coordinate:
@@ -267,23 +262,30 @@ def _cmd_certify(args) -> int:
 
 def _result_from_report(path) -> tuple[DeclutterResult, float | None]:
     """The declutter result a report holds, and the resampling constant its
-    run recorded (None when it ran without --resample-C)."""
+    run recorded (None when it ran without --resample-C). Its ids must be
+    integers (geometry._row_ids), never truncated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
         data = report["result"]
         recorded = report.get("config", {}).get("resample_C")
-        prof = RobustDistanceProfile(k=int(data["k"]), kind=parse_kind(data["kind"]),
+        if data["vicinity_factor"] != VICINITY_FACTOR:
+            raise CliError(f"{path} records vicinity factor {data['vicinity_factor']!r}"
+                           f"; declutter runs only at {VICINITY_FACTOR!r}")
+        prof = RobustDistanceProfile(k=_positive_int(data["k"], "report k"),
+                                     kind=parse_kind(data["kind"]),
                                      values=np.asarray(data["profile_values"]))
-        rejected = {int(i): Rejection(witness=int(r["witness"]),
-                                      distance=float(r["distance"]))
-                    for i, r in data["rejected"].items()}
+        records = data["rejected"]
+        # an empty JSON list reads as floats, so none is an empty int array
+        listed = [r["witness"] for r in records.values()] or np.empty(0, np.intp)
+        witnesses = _row_ids(listed, prof.n, "rejection witnesses")
+        rejected = {int(i): Rejection(witness=w, distance=float(r["distance"]))
+                    for (i, r), w in zip(records.items(), witnesses.tolist())}
         # kept ids keep their JSON type: evaluation rejects any but integers
-        result = DeclutterResult(kept=np.asarray(data["kept_order"]),
-                                 rejected=rejected,
-                                 order=np.asarray(data["processing_order"], dtype=np.intp),
-                                 profile=prof,
-                                 vicinity_factor=float(data["vicinity_factor"]))
+        result = DeclutterResult(
+            kept=np.asarray(data["kept_order"]), rejected=rejected,
+            order=_row_ids(data["processing_order"], prof.n, "processing order"),
+            profile=prof)
         return result, None if recorded is None else float(recorded)
     except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CliError(f"cannot read declutter report {path}: {exc!r}") from exc
@@ -531,28 +533,27 @@ _REPRO = {"fig1": _repro_fig1, "fig2": _repro_fig2, "fig4": _repro_fig4,
 
 
 def _cmd_repro(args) -> int:
-    handler = _REPRO.get(args.figure)
-    if handler is None:
-        raise CliError(f"unknown figure id {args.figure!r}; "
-                       f"choose from {sorted(_REPRO)}")
-    return handler(args)
+    return _REPRO[args.figure](args)
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--emit-figures", action="store_true")
+def _thread_count(text: str) -> int:
+    """A --threads value: a positive integer, else a usage error."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _add_cloud_inputs(p) -> None:
+    """The input cloud's flags, and --threads for the work on it."""
     p.add_argument("--points", help="point CSV (one point per row)")
     p.add_argument("--matrix", help="precomputed distance matrix CSV")
     p.add_argument("--metric", choices=("euclidean", "manhattan"),
                    default="euclidean")
+    p.add_argument("--threads", type=_thread_count, default=1)
 
 
 def build_parser() -> _Parser:
@@ -577,33 +578,33 @@ def build_parser() -> _Parser:
     p.add_argument("--ambient", type=int, default=0)
     p.add_argument("--clearance", type=float, default=0.0)
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--emit-figures", action="store_true")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("declutter", help="single-parameter declutter pass")
     _add_cloud_inputs(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kind", default="rms-k")
-    p.add_argument("--vicinity-factor", type=float, default=2.0)
     p.add_argument("--strategy", choices=("auto", "brute", "kdtree"),
                    default="auto")
     p.add_argument("--resample-C", type=float, default=None,
                    help="also emit one resampling step at this constant")
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    p.add_argument("--emit-figures", action="store_true")
     p.set_defaults(func=_cmd_declutter)
 
     p = sub.add_parser("parfree", help="parameter-free declutter loop")
     _add_cloud_inputs(p)
     p.add_argument("--kind", default="rms-k")
-    p.add_argument("--C", type=float, default=THEORETICAL_C)
-    p.add_argument("--practical", action="store_true",
-                   help="use the practical resampling constant 4")
+    p.add_argument("--C", type=float, default=THEORETICAL_C,
+                   help=f"resampling constant (default: the theoretical "
+                        f"{THEORETICAL_C:.6g}; the practical one is {PRACTICAL_C:g})")
     p.add_argument("--strategy", choices=("auto", "brute", "kdtree"),
                    default="auto")
     p.add_argument("--dump-iterations", action="store_true")
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    p.add_argument("--emit-figures", action="store_true")
     p.set_defaults(func=_cmd_parfree)
 
     p = sub.add_parser("certify", help="estimate sampling-condition parameters")
@@ -615,7 +616,6 @@ def build_parser() -> _Parser:
     p.add_argument("--weak", action="store_true")
     p.add_argument("--adaptive", action="store_true")
     p.add_argument("--out", help="write certificates JSON here")
-    _add_common(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("eval", help="check named guarantees on run artifacts")
@@ -633,15 +633,16 @@ def build_parser() -> _Parser:
     p.add_argument("--i0", type=int, default=None)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", help="write bound certificates JSON here")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("repro", help="end-to-end figure recipes")
-    p.add_argument("figure", help="fig1 | fig2 | fig4 | fig5")
+    p.add_argument("figure", choices=sorted(_REPRO))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--ambient", type=int, default=None)
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=_cmd_repro)
 
     return parser
@@ -651,7 +652,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _positive_int(args.threads, "threads")  # every subcommand takes --threads
         return args.func(args)
     except (CliError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

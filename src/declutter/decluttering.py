@@ -2,9 +2,10 @@
 its vicinity ball.
 
 Points are processed in order of increasing robust distance (ties by id).
-The vicinity ball of p is the CLOSED ball of radius factor * d_k(p), with
-factor 2 by default: a boundary point blocks selection, which also makes the
-radius-zero coincident-point case well defined.
+The vicinity ball of p is the CLOSED ball of radius 2 * d_k(p), the paper's
+factor, fixed so that k stays the one parameter: a boundary point blocks
+selection, which also makes the radius-zero coincident-point case well
+defined.
 
 The pass is one blocked scan for every neighbor strategy. It takes the next
 B points in processing order and makes one :func:`geometry.cross_distances`
@@ -31,12 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import GeometryError, Metric, PointCloud, _positive_finite, cross_distances
+from .geometry import GeometryError, Metric, PointCloud, cross_distances
 from .neighbors import AUTO, build_index
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, profile
 
 # points per block of the greedy scan, read from BENCH_greedy_blocks.json
 _BLOCK = 64
+
+# a vicinity ball's radius over its point's robust distance
+VICINITY_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,6 @@ class DeclutterResult:
     rejected: dict[int, Rejection]      # id -> witness record
     order: np.ndarray                   # full processing order (all ids)
     profile: RobustDistanceProfile
-    vicinity_factor: float
 
     @property
     def kept_ids(self) -> np.ndarray:
@@ -65,7 +68,7 @@ class DeclutterResult:
         return {
             "k": int(self.profile.k),
             "kind": self.profile.kind.name,
-            "vicinity_factor": float(self.vicinity_factor),
+            "vicinity_factor": VICINITY_FACTOR,
             "n": int(self.profile.n),
             "kept_order": [int(i) for i in self.kept],
             "processing_order": [int(i) for i in self.order],
@@ -78,46 +81,39 @@ class DeclutterResult:
 
 
 def declutter(cloud: PointCloud, metric: Metric, k: int,
-              kind: DistanceKind = RMS_K, vicinity_factor: float = 2.0,
-              strategy: str = AUTO, threads: int = 1) -> DeclutterResult:
+              kind: DistanceKind = RMS_K, strategy: str = AUTO,
+              threads: int = 1) -> DeclutterResult:
     """Run the single-parameter declutter pass and return kept ids with a
     witness for every rejection: the robust profile at k
     (:func:`robust.profile`) followed by :func:`greedy_declutter`.
     """
     prof = profile(cloud, build_index(cloud, metric, strategy), k, kind,
                    threads=threads)
-    return greedy_declutter(cloud, metric, prof, vicinity_factor)
+    return greedy_declutter(cloud, metric, prof)
 
 
 def greedy_declutter(cloud: PointCloud, metric: Metric,
-                     prof: RobustDistanceProfile,
-                     vicinity_factor: float = 2.0) -> DeclutterResult:
+                     prof: RobustDistanceProfile) -> DeclutterResult:
     """The greedy pass over a given profile of the cloud's members: points in
     order of increasing robust distance (ties by id), each kept unless an
     earlier kept point lies in its closed vicinity ball."""
-    _positive_finite(vicinity_factor, "vicinity factor")
     cloud.check_metric(metric)
     if prof.n != cloud.n:
         raise GeometryError("profile does not cover this cloud")
     kept, order, dropped, witness, witness_distance = _greedy_pass(
-        metric, cloud.points, prof.values, vicinity_factor)
+        metric, cloud.points, prof.values)
     rejected = {p: Rejection(witness=w, distance=x) for p, w, x in zip(
         dropped.tolist(), witness.tolist(), witness_distance.tolist())}
-    return DeclutterResult(kept=kept,
-                           rejected=rejected,
-                           order=order,
-                           profile=prof,
-                           vicinity_factor=float(vicinity_factor))
+    return DeclutterResult(kept=kept, rejected=rejected, order=order, profile=prof)
 
 
-def _greedy_pass(metric: Metric, members: np.ndarray, values: np.ndarray,
-                 vicinity_factor: float):
+def _greedy_pass(metric: Metric, members: np.ndarray, values: np.ndarray):
     """The blocked greedy pass on arrays: the members' points and robust
     values. Returns (kept ids in selection order, processing order, dropped
     ids in processing order, their witnesses, their witness distances)."""
     n = members.shape[0]
     order = np.lexsort((np.arange(n), values))
-    radii = vicinity_factor * values
+    radii = VICINITY_FACTOR * values
     kept_buf = np.empty_like(members)  # kept members, selection order
     kept = np.empty(n, dtype=np.intp)  # kept ids, selection order
     witness = np.full(n, -1, dtype=np.intp)

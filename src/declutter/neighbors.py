@@ -256,7 +256,9 @@ class NeighborIndex:
         return self.ball_ids_many(q, [radius])[0]
 
     def ball_ids_many(self, queries, radii) -> list[np.ndarray]:
-        """Closed-ball memberships for several query points at once."""
+        """Closed-ball memberships for several query points, as ascending
+        ids: per row block, the block's :meth:`_captured` union, and each
+        query's members of it."""
         q = self.cloud.query_array(queries)
         radii = np.asarray(radii, dtype=np.float64)
         if radii.shape != (q.shape[0],):
@@ -264,22 +266,16 @@ class NeighborIndex:
         if not np.all(radii >= 0):  # NaN compares False either way
             raise GeometryError("ball radius must be non-negative, not NaN")
         result = []
-        if self._tree is not None:
-            for sl in row_chunks(q.shape[0], self._ball_cells()):
-                row, cand, d = self._ball_candidates(q[sl], radii[sl])
-                inside = d <= radii[sl][row]
-                ends = np.cumsum(np.bincount(row[inside], minlength=sl.stop - sl.start))
-                result.extend(np.split(cand[inside], ends)[:-1])
-            return result
-        for sl in row_chunks(q.shape[0], self.cloud.n):
-            block = cross_distances(self.metric, q[sl], self.cloud.points)
-            result.extend(np.flatnonzero(row <= r) for row, r in zip(block, radii[sl]))
+        cells = self.cloud.n if self._tree is None else self._ball_cells()
+        for sl in row_chunks(q.shape[0], cells):
+            union = np.flatnonzero(self._captured(q[sl], radii[sl]))
+            block = cross_distances(self.metric, q[sl], self.cloud.points[union])
+            result.extend(union[row <= r] for row, r in zip(block, radii[sl]))
         return result
 
     def _captured(self, q: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """Boolean mask of the members inside some query's closed ball, the
-        union of :meth:`ball_ids_many`, marked block by block without
-        building any ball's id array."""
+        """Boolean mask of the members inside some query's closed ball,
+        marked block by block without building any ball's id array."""
         captured = np.zeros(self.cloud.n, dtype=bool)
         if self._tree is not None:
             for sl in row_chunks(q.shape[0], self._ball_cells()):

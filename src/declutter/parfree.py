@@ -189,8 +189,8 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
             schedule = [min(2 ** j, int(current.size)) for j in range(i, 0, -1)]
             values, radii = _set_values(index, schedule, kind, threads, shrunk)
         prof = RobustDistanceProfile(k=k_eff, kind=kind, values=values[k_eff])
-        kept, _, dropped, witness, _ = _greedy_pass(
-            metric, sub_cloud.points, prof.values, vicinity_factor=2.0)
+        kept, _, dropped, witness, _ = _greedy_pass(metric, sub_cloud.points,
+                                                    prof.values)
         resampled_local = _resample(index, kept, C * prof.values[kept])
         iterations.append(ParfreeIteration(
             i=i,

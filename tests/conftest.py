@@ -40,7 +40,7 @@ def oracle_robust(points, query, k, kind="rms-k", dist=dist_euclidean) -> float:
     return math.sqrt(sum(d * d for d in ds) / k)
 
 
-def oracle_declutter(points, k, kind="rms-k", factor=2.0, dist=dist_euclidean):
+def oracle_declutter(points, k, kind="rms-k", dist=dist_euclidean):
     """Quadratic greedy pass; returns (kept list in selection order,
     {rejected id: witness id})."""
     n = len(points)
@@ -48,7 +48,7 @@ def oracle_declutter(points, k, kind="rms-k", factor=2.0, dist=dist_euclidean):
     order = sorted(range(n), key=lambda i: (values[i], i))
     kept, rejected = [], {}
     for p in order:
-        radius = factor * values[p]
+        radius = 2.0 * values[p]
         witness = None
         for q in kept:  # kept is selection order; first hit is the witness
             if dist(points[p], points[q]) <= radius:
@@ -78,7 +78,7 @@ def oracle_parfree(points, C, kind="rms-k", dist=dist_euclidean):
     for i in range(int(math.floor(math.log2(n))), 0, -1):
         k = min(2 ** i, len(current))
         sub = [points[j] for j in current]
-        kept_local, _, values = oracle_declutter(sub, k, kind, 2.0, dist)
+        kept_local, _, values = oracle_declutter(sub, k, kind, dist)
         res_local = oracle_resample(sub, range(len(sub)), kept_local, values, C, dist)
         history.append((i, k, list(current)))
         current = [current[j] for j in res_local]

@@ -154,6 +154,23 @@ def test_certificate_json_roundtrip():
     assert back.uniformity_c == cert.uniformity_c
 
 
+@pytest.mark.parametrize("field, value", [
+    ("k", 8.9), ("k", True), ("k", 0), ("epsilon_k", math.inf),
+    ("epsilon_k", -1.0), ("epsilon_k", math.nan), ("uniformity_c", -1.0),
+    ("uniformity_c", 0.0), ("uniformity_c", math.inf),
+])
+def test_certificate_checks_its_own_fields(field, value):
+    # a forged certificate must not pass a bound: infinite epsilon_k makes
+    # every rhs infinite, a negative c makes prop3.4's lhs negative, and k
+    # is never truncated to another scale
+    cloud, metric, kref, k = uniform_instance(0)
+    data = dc.certify(cloud, metric, kref, k).to_dict()
+    dc.SamplingCertificate.from_dict(data)
+    data[field] = value
+    with pytest.raises(dc.GeometryError, match=field):
+        dc.SamplingCertificate.from_dict(data)
+
+
 @pytest.mark.parametrize("call", [
     lambda c, m, r: dc.certify(c, m, r, 2.0),
     lambda c, m, r: dc.estimate_epsilon_k(c, m, r, True),

@@ -1,4 +1,7 @@
+import argparse
+import collections
 import json
+import math
 import re
 import shutil
 import tempfile
@@ -338,7 +341,7 @@ def test_threads_flag_equals_single_thread(tmp_path):
 @pytest.mark.parametrize("threads", ["0", "-1", "True", "1.5"])
 def test_bad_threads_flag_exits_1(tmp_path, capsys, threads):
     # a kd-tree query used to die in scipy on 0 and run serially on dense
-    # blocks; every subcommand refuses it, also those that never read it
+    # blocks; every subcommand that takes --threads refuses it when parsing
     gen_dir = tmp_path / "gen"
     assert main(["gen", "--shape", "circle", "--n", "150", "--sigma", "0.03",
                  "--ambient", "20", "--seed", "3", "--out-dir", str(gen_dir)]) == 0
@@ -349,16 +352,16 @@ def test_bad_threads_flag_exits_1(tmp_path, capsys, threads):
             ["parfree", "--points", points, "--out-dir", str(tmp_path / "pf")],
             ["certify", "--points", points, "--reference", reference, "--k", "8"],
             ["eval", "--points", points, "--bounds", "lem4.2", "--k", "8"],
-            ["gen", "--n", "50", "--out-dir", str(tmp_path / "gen2")],
             ["repro", "fig1", "--n", "60", "--out-dir", str(tmp_path / "fig1")]]
     for argv in runs:
         capsys.readouterr()
         assert main([*argv, "--threads", threads]) == 1, argv[0]
         assert "threads" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["gen"]  # nothing written
 
 
 @pytest.mark.parametrize("flags", [
-    ["declutter", "--k", "4", "--vicinity-factor", "inf"],
+    ["declutter", "--k", "4", "--resample-C", "nan"],
     ["declutter", "--k", "4", "--resample-C", "inf"],
     ["parfree", "--C", "inf"],
     ["parfree", "--C", "nan"],
@@ -548,3 +551,167 @@ def test_eval_rejects_ids_that_are_not_members(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, argv
         assert "Traceback" not in err
+
+
+def _certified_artifacts(tmp_path, k):
+    """Points and reference of a near-regular circle sample, its certificate
+    at k and a declutter report at k, as paths."""
+    shape = dc.Circle((0.0, 0.0), 1.0)
+    kref, sample = dc.sample_shape(shape, 128, seed=None)
+    pts, ref = tmp_path / "points.csv", tmp_path / "reference.csv"
+    dc.save_points(pts, dc.perturb_gaussian(sample, 0.0005, 3))
+    dc.save_points(ref, kref.points)
+    certs = tmp_path / "certs.json"
+    assert main(["certify", "--points", str(pts), "--reference", str(ref),
+                 "--k", str(k), "--out", str(certs)]) == 0
+    run = tmp_path / "run"
+    assert main(["declutter", "--points", str(pts), "--k", str(k),
+                 "--out-dir", str(run)]) == 0
+    return pts, ref, certs, run / "report.json"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # a run at another factor (an older --vicinity-factor 3) is not a run
+    # of this declutter, and used to be checked as not-applicable
+    ("vicinity_factor", 3.0, "vicinity factor 3.0"),
+    # ids and k used to be truncated: [1.5, True] read as [1, 1]
+    ("processing_order", [1.5, True], "processing order must be integers"),
+    ("rejected", {"3": {"witness": True, "distance": 0.0}},
+     "rejection witnesses must be integers"),
+    ("k", 4.5, "report k must be an integer"),
+    ("k", True, "report k must be an integer"),
+])
+def test_eval_reads_a_report_exactly_or_exits_1(tmp_path, capsys, field, value,
+                                                message):
+    pts, ref, certs, report = _certified_artifacts(tmp_path, 4)
+    argv = ["eval", "--points", str(pts), "--reference", str(ref),
+            "--bounds", "thm3.3", "--certificates", str(certs), "--strict",
+            "--report", str(report)]
+    assert main(argv) == 0
+    data = json.loads(report.read_text())
+    data["result"][field] = value
+    report.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(report) in err and message in err
+
+
+def test_eval_reads_a_report_without_rejections(tmp_path):
+    # at k = 1 every robust distance is 0, so every point is kept
+    pts, ref, certs, report = _certified_artifacts(tmp_path, 1)
+    assert json.loads(report.read_text())["result"]["rejected"] == {}
+    assert main(["eval", "--points", str(pts), "--reference", str(ref),
+                 "--bounds", "thm3.3", "--certificates", str(certs),
+                 "--report", str(report), "--strict"]) == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epsilon_k", math.inf),    # thm3.3 used to pass with rhs inf
+    ("uniformity_c", -1.0),     # prop3.4 used to pass with a negative lhs
+    ("k", 8.9),                 # used to be read as 8
+])
+def test_eval_forged_certificate_exits_1(tmp_path, capsys, field, value):
+    pts, ref, certs, report = _certified_artifacts(tmp_path, 8)
+    argv = ["eval", "--points", str(pts), "--reference", str(ref),
+            "--bounds", "thm3.3,prop3.4", "--certificates", str(certs),
+            "--report", str(report), "--strict"]
+    assert main(argv) == 0
+    data = json.loads(certs.read_text())
+    data["certificates"][0][field] = value
+    certs.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(certs) in err and field in err
+
+
+@pytest.mark.parametrize("flag", [
+    ["declutter", "--vicinity-factor", "2"],
+    ["declutter", "--seed", "1"],
+    ["parfree", "--practical"],
+    ["certify", "--emit-figures"],
+    ["repro", "--emit-figures"],
+    ["gen", "--threads", "1"],
+], ids=lambda flag: flag[0] + flag[1])
+def test_flags_that_set_nothing_exit_1(tmp_path, capsys, flag):
+    pts = tmp_path / "points.csv"
+    _write_line_points(pts)
+    out = str(tmp_path / "out")
+    base = {
+        "declutter": ["declutter", "--points", str(pts), "--k", "2", "--out-dir", out],
+        "parfree": ["parfree", "--points", str(pts), "--out-dir", out],
+        "certify": ["certify", "--points", str(pts), "--reference", str(pts),
+                    "--k", "2"],
+        "repro": ["repro", "fig1", "--n", "60", "--out-dir", out],
+        "gen": ["gen", "--n", "50", "--out-dir", out],
+    }[flag[0]]
+    cli.build_parser().parse_args(base)  # the rest of the command is valid
+    assert main(base + flag[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments") and flag[1] in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_declared_flag_is_read(tmp_path, capsys):
+    """Runs covering every branch of each subcommand (shapes, adaptive
+    mode, --resample-C, the eval inputs, fig1 and fig4) read each flag its
+    subcommand declares. Reads while parsing do not count, nor does the
+    copy of every argument that a report's config holds."""
+    gen = tmp_path / "gen"
+    ada = tmp_path / "adaptive"
+    vertices = tmp_path / "vertices.csv"
+    vertices.write_text("0,0\n1,0\n1,1\n")
+    pts, ref = str(gen / "points.csv"), str(gen / "reference.csv")
+    run, pf, certs = tmp_path / "run", tmp_path / "pf", tmp_path / "certs.json"
+    runs = [
+        ["gen", "--shape", "circle", "--radius", "1.5", "--n", "60",
+         "--sigma", "0.01", "--ambient", "6", "--clearance", "0.1", "--seed", "2",
+         "--emit-figures", "--out-dir", str(gen)],
+        ["gen", "--shape", "loops", "--big-radius", "2", "--loop-radius", "0.3",
+         "--loop-count", "4", "--mode", "adaptive", "--feature-floor", "0.3",
+         "--sigma", "0.01", "--n", "60", "--out-dir", str(ada)],
+        ["gen", "--shape", "polyline", "--vertices", str(vertices), "--closed",
+         "--n", "30", "--out-dir", str(tmp_path / "polyline")],
+        ["gen", "--shape", "torus", "--n", "30", "--out-dir", str(tmp_path / "torus")],
+        ["declutter", "--points", pts, "--k", "4", "--kind", "avg-k",
+         "--strategy", "brute", "--metric", "manhattan", "--resample-C", "4",
+         "--threads", "2", "--emit-figures", "--out-dir", str(run)],
+        ["parfree", "--points", pts, "--C", "4", "--kind", "rms-k",
+         "--strategy", "kdtree", "--dump-iterations", "--emit-figures",
+         "--out-dir", str(pf)],
+        ["certify", "--points", pts, "--reference", ref, "--k", "2,4,8,16,32",
+         "--out", str(certs)],
+        ["certify", "--points", str(ada / "points.csv"),
+         "--reference", str(ada / "reference.csv"),
+         "--features", str(ada / "feature_sizes.csv"), "--k", "4", "--weak",
+         "--adaptive"],
+        ["eval", "--points", pts, "--reference", ref, "--bounds",
+         "thm3.3,lem4.4,lem4.2,lem4.5,thm4.1", "--report", str(run / "report.json"),
+         "--certificates", str(certs), "--trace-dir", str(pf),
+         "--resampled-ids", str(run / "resampled_ids.csv"), "--k", "4",
+         "--i0", "1", "--seed", "3", "--out", str(tmp_path / "bounds.json")],
+        ["repro", "fig1", "--n", "60", "--seed", "1", "--out-dir", str(tmp_path / "fig1")],
+        ["repro", "fig4", "--n", "200", "--ambient", "20",
+         "--out-dir", str(tmp_path / "fig4")],
+    ]
+    seen = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            seen.add(name)
+            return super().__getattribute__(name)
+
+    parser = cli.build_parser()
+    read = collections.defaultdict(set)
+    for argv in runs:
+        args = parser.parse_args(argv, namespace=Recorder())
+        handler = args.func
+        seen.clear()
+        assert handler(args) == 0, argv
+        read[argv[0]] |= seen
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = [f"{name} {action.option_strings[0] if action.option_strings else action.dest}"
+              for name, p in sub.choices.items() for action in p._actions
+              if action.dest != "help" and action.dest not in read[name]]
+    assert not unread, f"declared flags that no run reads: {unread}"

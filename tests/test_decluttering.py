@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -60,15 +59,15 @@ def test_partition_and_witness_validity():
             assert rej.witness in kept
             assert position[rej.witness] < position[p]
             assert dist[p, rej.witness] == rej.distance
-            assert rej.distance <= result.vicinity_factor * values[p]
+            assert rej.distance <= 2.0 * values[p]
             # the recorded witness is the earliest kept point inside the ball
             for q in result.kept.tolist():
                 if kept_rank[q] >= kept_rank[rej.witness]:
                     break
-                assert dist[p, q] > result.vicinity_factor * values[p]
+                assert dist[p, q] > 2.0 * values[p]
         for i, p in enumerate(result.kept.tolist()):
             for q in result.kept.tolist()[:i]:
-                assert dist[p, q] > result.vicinity_factor * values[p]
+                assert dist[p, q] > 2.0 * values[p]
 
 
 def _oracle_cases():
@@ -117,28 +116,20 @@ def test_strategy_equivalence_id_for_id():
         assert np.array_equal(brute.order, tree.order)
 
 
-def test_vicinity_factor_sweep():
-    cloud, metric, _, _ = noisy_instance(3)
-    sizes = [dc.declutter(cloud, metric, 4, vicinity_factor=f).kept.size
-             for f in (0.5, 1.0, 2.0, 4.0)]
-    assert sizes == sorted(sizes, reverse=True)  # larger balls remove more
-    # inf * 0 would make NaN radii at points whose robust value is 0
-    for factor in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(dc.GeometryError, match="vicinity factor must be finite"):
-            dc.declutter(cloud, metric, 4, vicinity_factor=factor)
-
-
 def test_greedy_pass_on_a_given_profile():
     cloud, metric, _, _ = noisy_instance(5)
-    result = dc.declutter(cloud, metric, 4, vicinity_factor=1.5)
-    again = dc.greedy_declutter(cloud, metric, result.profile, vicinity_factor=1.5)
+    result = dc.declutter(cloud, metric, 4)
+    again = dc.greedy_declutter(cloud, metric, result.profile)
     assert again.kept.tolist() == result.kept.tolist()
     assert again.rejected == result.rejected
     small = dc.subset_cloud(cloud, metric, np.arange(5))[0]
     with pytest.raises(dc.GeometryError, match="profile does not cover"):
         dc.greedy_declutter(small, metric, result.profile)
-    with pytest.raises(dc.GeometryError, match="vicinity"):
-        dc.greedy_declutter(cloud, metric, result.profile, vicinity_factor=0.0)
+    # k is the one parameter: the vicinity factor is the paper's 2
+    with pytest.raises(TypeError):
+        dc.declutter(cloud, metric, 4, vicinity_factor=2.0)
+    with pytest.raises(TypeError):
+        dc.greedy_declutter(cloud, metric, result.profile, vicinity_factor=2.0)
     with pytest.raises(dc.GeometryError):
         dc.greedy_declutter(cloud, dc.Metric("precomputed", matrix=np.zeros((2, 2))),
                             result.profile)
@@ -188,29 +179,27 @@ def test_blocked_pass_matches_oracle(monkeypatch, block):
         cloud = dc.PointCloud.from_coords(pts)
         matrix = dc.Metric("precomputed", matrix=dc.cross_distances(metric, pts, pts))
         runs = ((cloud, metric), (dc.PointCloud.matrix_backed(cloud.n), matrix))
-        for factor in (0.5, 2.0, 4.0):
-            kept, rejected, values = oracle_declutter(pts, k, kind, factor, dist)
-            for run_cloud, run_metric in runs:
-                result = dc.declutter(run_cloud, run_metric, k, kind=dc.parse_kind(kind),
-                                      vicinity_factor=factor)
-                assert result.kept.tolist() == kept
-                assert {p: r.witness for p, r in result.rejected.items()} == rejected
-                for p, r in result.rejected.items():
-                    want = dc.cross_distances(run_metric, run_cloud.points[[p]],
-                                              run_cloud.points[[r.witness]])[0, 0]
-                    assert np.float64(r.distance).tobytes() == want.tobytes()
-            position = {p: i for i, p in enumerate(result.order.tolist())}
-            for p, w in rejected.items():
-                start = position[p] - position[p] % block
-                if position[w] >= start:
-                    inside += 1
-                    continue
-                before += 1
-                # a kept point of p's own block is also in the ball, but the
-                # earlier-kept pre-block witness wins
-                contested += any(start <= position[q] < position[p]
-                                 and dist(pts[p], pts[q]) <= factor * values[p]
-                                 for q in kept)
+        kept, rejected, values = oracle_declutter(pts, k, kind, dist)
+        for run_cloud, run_metric in runs:
+            result = dc.declutter(run_cloud, run_metric, k, kind=dc.parse_kind(kind))
+            assert result.kept.tolist() == kept
+            assert {p: r.witness for p, r in result.rejected.items()} == rejected
+            for p, r in result.rejected.items():
+                want = dc.cross_distances(run_metric, run_cloud.points[[p]],
+                                          run_cloud.points[[r.witness]])[0, 0]
+                assert np.float64(r.distance).tobytes() == want.tobytes()
+        position = {p: i for i, p in enumerate(result.order.tolist())}
+        for p, w in rejected.items():
+            start = position[p] - position[p] % block
+            if position[w] >= start:
+                inside += 1
+                continue
+            before += 1
+            # a kept point of p's own block is also in the ball, but the
+            # earlier-kept pre-block witness wins
+            contested += any(start <= position[q] < position[p]
+                             and dist(pts[p], pts[q]) <= 2.0 * values[p]
+                             for q in kept)
     assert before > 0
     if block > 1:
         assert inside > 0 and contested > 0
@@ -232,16 +221,15 @@ def _with_block(block, run):
                        min_size=1, max_size=40),
        copies=st.integers(0, 10),
        kind=st.sampled_from(["euclidean", "manhattan"]),
-       factor=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
        data=st.data())
-def test_block_size_leaves_output_bytes_unchanged(coords, copies, kind, factor, data):
+def test_block_size_leaves_output_bytes_unchanged(coords, copies, kind, data):
     pts = np.array(coords + coords[:copies], dtype=float)  # duplicated points
     cloud, metric = dc.PointCloud.from_coords(pts), dc.Metric(kind)
     k = data.draw(st.integers(1, cloud.n))
     prof = dc.declutter(cloud, metric, k).profile
 
     def outcome():
-        result = dc.greedy_declutter(cloud, metric, prof, vicinity_factor=factor)
+        result = dc.greedy_declutter(cloud, metric, prof)
         dist = np.array([r.distance for r in result.rejected.values()])
         return json.dumps(result.to_dict()), dist.tobytes()
 

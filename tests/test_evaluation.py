@@ -110,11 +110,7 @@ def test_bound_certificate_invariant_and_rederivable():
 
 
 def test_hypothesis_gating_not_applicable():
-    cloud, metric, kref, cert, result = _certified_run(2)
-    loose = dc.declutter(cloud, metric, cert.k, vicinity_factor=3.0)
-    got = dc.verify_bound("thm3.3", cloud=cloud, metric=metric, kref=kref,
-                          certificate=cert, result=loose)
-    assert not got.applicable and got.passed is None
+    cloud, metric, kref, cert, _ = _certified_run(2)
     # uniformity absent -> prop3.4 not applicable
     dup = dc.PointCloud.from_coords(
         np.vstack([cloud.coords, cloud.coords[:1]]))
@@ -128,7 +124,7 @@ def test_hypothesis_gating_not_applicable():
     other = dc.declutter(cloud, metric, cert.k + 1)
     got = dc.verify_bound("thm3.3", cloud=cloud, metric=metric, kref=kref,
                           certificate=cert, result=other)
-    assert not got.applicable
+    assert not got.applicable and got.passed is None
 
 
 def _grid_prop34(side, k):
@@ -161,8 +157,7 @@ def test_prop34_rhs_is_zero_on_coincident_kept_points():
     cloud, metric, kref, cert, result = _certified_run(0)
     dup = dc.PointCloud.from_coords(np.vstack([cloud.coords, cloud.coords[3]]))
     both = dc.DeclutterResult(kept=np.arange(dup.n), rejected={},
-                              order=np.arange(dup.n), profile=result.profile,
-                              vicinity_factor=2.0)
+                              order=np.arange(dup.n), profile=result.profile)
     got = dc.verify_bound("prop3.4", cloud=dup, metric=metric, kref=kref,
                           certificate=cert, result=both)
     assert got.applicable and got.rhs == 0.0
