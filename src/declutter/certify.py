@@ -6,8 +6,18 @@ the evaluated sets (K' for the density condition, P for the sparsity-of-noise
 condition) and the smallest uniformity constant c; the adaptive variant
 weighs both conditions by a feature-size function. Every certificate, and
 :func:`estimate_epsilon_k`, comes from one builder that reads every k from
-one robust-distance sweep. Certificates gate the named bound checks in
-:mod:`declutter.evaluation`.
+one robust-distance sweep of the cloud. Certificates gate the named bound
+checks in :mod:`declutter.evaluation`.
+
+The density condition needs only the largest robust distance at a reference
+point. Every robust distance is 1-Lipschitz under the exact coordinate
+metrics certification takes, so the plain and weak certificates sweep every
+``_CERT_STRIDE``-th reference point and then only the points whose bound
+v(s) + |r - s| from their nearest swept point s can reach the sampled
+maximum. The maximiser is always swept and a max over the same floats is the
+same float, so the certificates are the bytes a full sweep gives. The
+adaptive certificate divides by feature sizes, which nothing checks to be
+1-Lipschitz, and sweeps every reference point.
 """
 from __future__ import annotations
 
@@ -15,10 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (GeometryError, GroundTruthRef, Metric, PointCloud,
-                       _positive_finite, _positive_int)
-from .neighbors import AUTO, build_index
+from .geometry import (GeometryError, GroundTruthRef, Metric, PointCloud, _flag,
+                       _number, _positive_finite, _positive_int)
+from .neighbors import (AUTO, _LIPSCHITZ_FLOOR, _LIPSCHITZ_SLACK, NeighborIndex,
+                        build_index, nearest_cross)
 from .robust import DistanceKind, RMS_K, values_at_scales
+
+# every this many reference ids, one is swept at every k before the
+# Lipschitz bounds pick the rest (_reference_maxima)
+_CERT_STRIDE = 16
 
 
 @dataclass
@@ -57,15 +72,18 @@ class SamplingCertificate:
 
     @staticmethod
     def from_dict(data: dict) -> "SamplingCertificate":
+        """The certificate a :meth:`to_dict` record holds; its numbers must be
+        JSON numbers and its flags JSON booleans (GeometryError otherwise)."""
         from .robust import parse_kind
+        c = data.get("uniformity_c")
         return SamplingCertificate(
             k=data["k"],
             kind=parse_kind(data["kind"]),
-            epsilon_k=float(data["epsilon_k"]),
-            uniformity_c=(None if data.get("uniformity_c") is None
-                          else float(data["uniformity_c"])),
-            weak_uniform=bool(data.get("weak_uniform", False)),
-            adaptive=bool(data.get("adaptive", False)),
+            epsilon_k=_number(data["epsilon_k"], "certificate epsilon_k"),
+            uniformity_c=None if c is None else _number(c, "certificate uniformity_c"),
+            weak_uniform=_flag(data.get("weak_uniform", False),
+                               "certificate weak_uniform"),
+            adaptive=_flag(data.get("adaptive", False), "certificate adaptive"),
             conditions=dict(data.get("conditions", {})),
         )
 
@@ -84,10 +102,13 @@ def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
     cond1 is the largest robust distance at a reference point (density of
     the reference), cond2 the largest excess of a cloud point's distance to
     the reference over its own robust distance (sparsity of noise). The
-    adaptive variant divides both by the feature size at the relevant
-    reference point (the nearest one for cond2; ties resolved to lowest id)
-    and also records, once for all k, how many cloud points have more than
-    one nearest reference point (``nearest_reference_ties``).
+    plain and weak cond1 come from :func:`_reference_maxima`, which sweeps
+    only the reference points that can hold the maximum and returns the
+    full sweep's floats. The adaptive variant divides both by the feature
+    size at the relevant reference point (the nearest one for cond2; ties
+    resolved to lowest id), so it sweeps every reference point, and it also
+    records, once for all k, how many cloud points have more than one
+    nearest reference point (``nearest_reference_ties``).
     """
     _require_coordinate(cloud, kref)
     if kref.cloud.n < 1:
@@ -95,20 +116,23 @@ def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
     if adaptive and not kref.has_feature_sizes:
         raise GeometryError("adaptive certification needs feature sizes on the reference")
     index = build_index(cloud, metric, AUTO)
-    ref_vals = values_at_scales(index, kref.points, ks, kind, threads=threads)
+    if adaptive:
+        cond1s = {k: float((v / kref.feature_sizes).max()) for k, v in
+                  values_at_scales(index, kref.points, ks, kind, threads).items()}
+    else:
+        cond1s = _reference_maxima(index, metric, kref.points, ks, kind, threads)
     own_vals = values_at_scales(index, cloud.coords, ks, kind, threads=threads)
     # each point's two nearest reference points by (distance, id): the first
     # is its nearest (ties to the lowest id), an equally near second a tie
     near_d, near_ids = build_index(kref.cloud, metric, AUTO)._nearest_rows(
         cloud.coords, min(2, kref.cloud.n), threads)
     dist_to_ref, nearest = near_d[:, 0], near_ids[:, 0]
-    # dividing by 1.0 is exact, so the plain conditions come out unchanged
-    f_ref = kref.feature_sizes if adaptive else 1.0
+    # dividing by 1.0 is exact, so the plain condition comes out unchanged
     f_near = kref.feature_sizes[nearest] if adaptive else 1.0
     ties = int((near_d[:, 1:] == near_d[:, :1]).sum()) if adaptive else None
     out: dict[int, SamplingCertificate] = {}
     for k, own in own_vals.items():
-        cond1 = float((ref_vals[k] / f_ref).max())
+        cond1 = cond1s[k]
         cond2 = float(((dist_to_ref - own) / f_near).max())
         epsilon = max(cond1, 0.0) if weak else max(cond1, cond2, 0.0)
         lo = float(own.min())
@@ -122,6 +146,37 @@ def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
             weak_uniform=bool(weak), adaptive=bool(adaptive),
             conditions=conditions)
     return out
+
+
+def _reference_maxima(index: NeighborIndex, metric: Metric, ref: np.ndarray, ks,
+                      kind: DistanceKind, threads: int) -> dict[int, float]:
+    """The largest robust distance at a reference point, at each k, as a full
+    sweep of the reference finds it.
+
+    Every ``_CERT_STRIDE``-th point is swept; every other point r is swept
+    only when its Lipschitz bound from its nearest sampled point s,
+    ``(v(s) + |r - s|) * (1 + _LIPSCHITZ_SLACK) + _LIPSCHITZ_FLOOR``, reaches
+    the sampled maximum at some k. The bound tops r's computed value, so a
+    point that exceeds the sampled maximum is swept. So is one whose running
+    sum overflows: its exact value lies past the overflow threshold that
+    every sampled value stays below, and its sweep raises as a full one
+    would.
+    """
+    sample = ref[::_CERT_STRIDE]
+    vals = values_at_scales(index, sample, ks, kind, threads)
+    top = {k: v.max() for k, v in vals.items()}
+    rest = np.flatnonzero(np.arange(ref.shape[0]) % _CERT_STRIDE)
+    if rest.size:
+        gap, near = nearest_cross(metric, ref[rest], sample, threads)
+        reach = np.zeros(rest.size, dtype=bool)
+        with np.errstate(over="ignore"):  # an infinite bound sweeps its point
+            for k, v in vals.items():
+                reach |= ((v[near] + gap) * (1.0 + _LIPSCHITZ_SLACK)
+                          + _LIPSCHITZ_FLOOR >= top[k])
+        if reach.any():
+            swept = values_at_scales(index, ref[rest[reach]], ks, kind, threads)
+            top = {k: max(t, swept[k].max()) for k, t in top.items()}
+    return {k: float(t) for k, t in top.items()}
 
 
 def estimate_epsilon_k(cloud: PointCloud, metric: Metric, kref: GroundTruthRef,

@@ -24,6 +24,8 @@ from .geometry import (
     GroundTruthRef,
     Metric,
     PointCloud,
+    _flag,
+    _number,
     _positive_int,
     _row_ids,
     load_matrix,
@@ -301,16 +303,29 @@ def _certs_from_file(path) -> dict[int, SamplingCertificate]:
     return {c.k: c for c in certs}
 
 
+def _iteration_index(value) -> int:
+    """value, or GeometryError unless it is a non-negative int."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise GeometryError(f"trace iteration i must be a non-negative integer, "
+                            f"got {value!r}")
+    return value
+
+
 def _trace_from_dir(args) -> ParfreeTrace:
+    """The parfree trace a ``parfree --dump-iterations`` directory holds. Its
+    scales must be integers (i from 0, k and k_effective from 1), its
+    resampling constant a JSON number and its degenerate flag a JSON
+    boolean, or the trace is refused (CliError)."""
     trace_path = os.path.join(args.trace_dir, "trace.json")
     try:
         with open(trace_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)["trace"]
-        scales = [(int(s["i"]), int(s["k"]), int(s["k_effective"]))
+        scales = [(_iteration_index(s["i"]), _positive_int(s["k"], "trace k"),
+                   _positive_int(s["k_effective"], "trace k_effective"))
                   for s in meta["iterations"]]
-        constant = float(meta["resampling_constant"])
+        constant = _number(meta["resampling_constant"], "trace resampling_constant")
         kind = parse_kind(meta["kind"])
-        degenerate = bool(meta.get("degenerate", False))
+        degenerate = _flag(meta.get("degenerate", False), "trace degenerate")
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot read trace {trace_path}: {exc!r}") from exc
     iterations = []

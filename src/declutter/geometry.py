@@ -297,6 +297,22 @@ def _positive_int(value, name: str, upper: int | None = None) -> int:
     return int(value)
 
 
+def _flag(value, name: str) -> bool:
+    """value, or GeometryError naming ``name`` unless it is a bool (a JSON
+    true or false, never a string or a number)."""
+    if not isinstance(value, bool):
+        raise GeometryError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    """value as a float, or GeometryError naming ``name`` unless it is an int
+    or a float (a JSON number, never a numeric string or a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GeometryError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _positive_finite(value, name: str) -> None:
     """GeometryError naming ``name`` unless value is finite and > 0."""
     if not (value > 0 and np.isfinite(value)):

@@ -42,6 +42,19 @@ AUTO = "auto"
 # differences and only sum them in another order)
 _RADIUS_SLACK = 1e-9
 
+# relative and absolute inflation of the 1-Lipschitz bound v(s) + |r - s| on
+# a reference point r's robust value from a point s (certify), so that the
+# inflated bound, as computed, is never below r's computed value. In normal
+# range a canonical distance (d coordinate terms summed in order) is within
+# (d + 3) * 2**-53 of exact, relatively, and a running sum of k values within
+# (k + 3) * 2**-53, so rounding moves value and bound apart by less than
+# 2 * (d + k + 8) * 2**-53: 1e-6 covers d + k up to about 2**32, beyond any
+# cloud whose k-NN rows fit in memory. A square below the least normal float
+# rounds to a multiple of the least subnormal instead, an absolute loss of
+# under 2**-515 in any value at d and k up to 2**40, which 2**-500 covers.
+_LIPSCHITZ_SLACK = 1e-6
+_LIPSCHITZ_FLOOR = 2.0 ** -500
+
 # the tree answers k-NN queries when k * 2**(d + _TREE_SHIFT) <= n; above
 # that the dense blocks are faster (BENCH_tree_rows.json)
 _TREE_SHIFT = 4

@@ -1,12 +1,18 @@
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import declutter as dc
+from declutter.robust import KIND_NAMES
 from conftest import (line_cloud, noisy_instance, oracle_epsilon, oracle_robust,
                       uniform_instance)
+
+# the module, which the package's ``certify`` function shadows
+certify_module = importlib.import_module("declutter.certify")
 
 
 def _line_ref():
@@ -227,3 +233,144 @@ def test_adaptive_tie_count_equals_the_dense_count(side):
     want = int(((block == block.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
     assert cert.conditions["nearest_reference_ties"] == want
     assert (want > 0) == (side > 1)
+
+
+def _full_sweep_certificates(cloud, metric, kref, ks, kind, weak):
+    """Plain or weak certificate records from a sweep of every reference
+    point (cond1) and a dense cloud-to-reference block (cond2)."""
+    index = dc.build_index(cloud, metric)
+    ref_vals = dc.values_at_scales(index, kref.points, ks, kind)
+    own_vals = dc.values_at_scales(index, cloud.coords, ks, kind)
+    d_ref = dc.cross_distances(metric, cloud.coords, kref.points).min(axis=1)
+    out = {}
+    for k in ref_vals:
+        cond1 = float(ref_vals[k].max())
+        cond2 = float((d_ref - own_vals[k]).max())
+        eps = max(cond1, 0.0) if weak else max(cond1, cond2, 0.0)
+        lo = float(own_vals[k].min())
+        out[k] = {"k": k, "kind": kind.name, "epsilon_k": eps,
+                  "uniformity_c": eps / lo if eps > 0 and lo > 0 else None,
+                  "weak_uniform": weak, "adaptive": False,
+                  "conditions": {"cond1_max": cond1, "cond2_max": cond2,
+                                 "min_robust_distance": lo}}
+    return out
+
+
+def _reference_coords(shape, rng, d):
+    if shape == "lattice":  # ties everywhere
+        side = int(rng.integers(2, 15 if d < 3 else 7))
+        axes = np.meshgrid(*[np.arange(side, dtype=float)] * d)
+        return 0.5 * np.stack(axes, -1).reshape(-1, d)
+    if shape == "duplicates":
+        distinct = rng.normal(size=(int(rng.integers(1, 8)), d))
+        return distinct[rng.integers(0, len(distinct), int(rng.integers(16, 200)))]
+    if shape == "clusters":
+        centres = rng.uniform(-5.0, 5.0, size=(int(rng.integers(2, 5)), d))
+        m = int(rng.integers(16, 300))
+        return (centres[rng.integers(0, len(centres), m)]
+                + rng.normal(scale=0.01, size=(m, d)))
+    if shape == "fewer than the stride":
+        return rng.normal(size=(int(rng.integers(1, 16)), d))
+    return rng.normal(size=(int(rng.integers(16, 300)), d))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["gaussian", "lattice", "duplicates", "clusters",
+                              "fewer than the stride"]),
+       shuffle=st.booleans(), d=st.integers(1, 3),
+       metric=st.sampled_from([dc.EUCLIDEAN, dc.MANHATTAN]),
+       kind=st.sampled_from(KIND_NAMES), weak=st.booleans(),
+       ks=st.lists(st.integers(1, 12), min_size=1, max_size=3))
+def test_pruned_reference_sweep_equals_the_full_sweep(seed, shape, shuffle, d,
+                                                      metric, kind, weak, ks):
+    # a stride over the reference ids picks the sample, so a shuffled
+    # reference is sampled unevenly in space; only the speed may depend on it
+    rng = np.random.default_rng(seed)
+    ref = _reference_coords(shape, rng, d)
+    if shuffle:
+        ref = ref[rng.permutation(len(ref))]
+    # cloud points on reference points tie their values; at least one point
+    on_ref = ref[rng.integers(0, len(ref), int(rng.integers(0, 40)))]
+    m = int(rng.integers(0 if len(on_ref) else 1, 30))
+    cloud = dc.PointCloud.from_coords(
+        np.vstack([on_ref, rng.normal(scale=2.0, size=(m, d))]))
+    kref = dc.GroundTruthRef(dc.PointCloud.from_coords(ref))
+    ks = sorted({min(k, cloud.n) for k in ks})
+    metric, kind = dc.Metric(metric), dc.parse_kind(kind)
+    got = dc.certify_scales(cloud, metric, kref, ks, kind=kind, weak=weak)
+    want = _full_sweep_certificates(cloud, metric, kref, ks, kind, weak)
+    assert sorted(got) == ks
+    for k in ks:
+        assert (json.dumps(got[k].to_dict(), sort_keys=True)
+                == json.dumps(want[k], sort_keys=True))
+
+
+def test_only_the_adaptive_certificate_sweeps_every_reference_point(monkeypatch):
+    # on a noisy sample the largest reference values sit where the noise
+    # thins the cloud, so the plain sweep rules most reference points out
+    cloud, metric, kref, _ = noisy_instance(0)
+    f = dc.feature_from_anchor(kref.points[0], 0.5)
+    akref = dc.GroundTruthRef(kref.cloud, f(kref.points))
+    queries = []
+    real = certify_module.values_at_scales
+
+    def recording(index, q, ks, kind, threads=1):
+        queries.append(len(q))
+        return real(index, q, ks, kind, threads)
+
+    monkeypatch.setattr(certify_module, "values_at_scales", recording)
+    n_ref, stride = kref.cloud.n, certify_module._CERT_STRIDE
+    for weak in (False, True):
+        queries.clear()
+        dc.certify_scales(cloud, metric, akref, [2, 8], weak=weak, adaptive=True)
+        assert queries == [n_ref, cloud.n]
+        queries.clear()
+        dc.certify_scales(cloud, metric, kref, [2, 8], weak=weak)
+        assert queries[0] == -(-n_ref // stride) and queries[-1] == cloud.n
+        assert sum(queries[:-1]) < n_ref / 2
+
+
+@pytest.mark.parametrize("metric", [dc.EUCLIDEAN, dc.MANHATTAN])
+@pytest.mark.parametrize("scaled", ["one point outside the sample", "everything"])
+def test_overflow_still_raises_when_pruned(metric, scaled):
+    # at 2**529 squared coordinate differences overflow, so Euclidean
+    # distances and Manhattan rms-k sums do; a full sweep raises on them,
+    # and so must the pruned one, even from a point the sample leaves out
+    cloud, _, kref, _ = noisy_instance(11, n_max=100)
+    pts, ref = cloud.coords, kref.points.copy()
+    if scaled == "everything":
+        pts, ref = pts * 2.0**529, ref * 2.0**529
+    else:
+        ref[5] = 2.0**529  # 5 is not a multiple of the stride
+    cloud = dc.PointCloud.from_coords(pts)
+    kref = dc.GroundTruthRef(dc.PointCloud.from_coords(ref))
+    metric = dc.Metric(metric)
+    raised = set()
+    for kind in map(dc.parse_kind, KIND_NAMES):
+        try:
+            want = _full_sweep_certificates(cloud, metric, kref, [4, 8], kind, False)
+        except dc.GeometryError:
+            raised.add(kind.name)
+            with pytest.raises(dc.GeometryError, match="overflow"):
+                dc.certify_scales(cloud, metric, kref, [4, 8], kind=kind)
+            continue
+        got = dc.certify_scales(cloud, metric, kref, [4, 8], kind=kind)
+        assert json.dumps(got[8].to_dict()) == json.dumps(want[8])
+    assert raised == ({"rms-k"} if metric.kind == dc.MANHATTAN
+                      else set(KIND_NAMES))
+
+
+def test_underflowing_squares_cannot_hide_the_maximum():
+    # in units of 2**-537 a square rounds to a whole number of the least
+    # subnormal: the sampled points 0 and 16 read sqrt(3) and sqrt(2), the
+    # unsampled point 1 reads 2, and its distance to point 16, 0.29, squares
+    # to 0, so a relative slack alone rules point 1 out; the floor sweeps it
+    ref = np.zeros((17, 1))
+    ref[[0, 1, 16], 0] = [-math.sqrt(3.0), 1.871, 1.58]
+    ref *= 2.0**-537
+    cloud = dc.PointCloud.from_coords([[0.0]])
+    kref = dc.GroundTruthRef(dc.PointCloud.from_coords(ref))
+    for kind in map(dc.parse_kind, KIND_NAMES):
+        cert = dc.certify(cloud, dc.Metric(), kref, 1, kind=kind)
+        assert cert.conditions["cond1_max"] == 2.0**-536

@@ -610,6 +610,13 @@ def test_eval_reads_a_report_without_rejections(tmp_path):
     ("epsilon_k", math.inf),    # thm3.3 used to pass with rhs inf
     ("uniformity_c", -1.0),     # prop3.4 used to pass with a negative lhs
     ("k", 8.9),                 # used to be read as 8
+    # flags used to be read with bool(), so "false" was True, and numbers
+    # with float(), so a numeric string passed
+    ("weak_uniform", "false"),
+    ("adaptive", "false"),
+    ("adaptive", 0),
+    ("epsilon_k", "0.01"),
+    ("uniformity_c", "2.0"),
 ])
 def test_eval_forged_certificate_exits_1(tmp_path, capsys, field, value):
     pts, ref, certs, report = _certified_artifacts(tmp_path, 8)
@@ -624,6 +631,44 @@ def test_eval_forged_certificate_exits_1(tmp_path, capsys, field, value):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(certs) in err and field in err
+
+
+@pytest.mark.parametrize("where, field, value, message", [
+    # each used to be read with int(), bool() or float(): 256.7 as 256,
+    # "false" as True, "4.5" as 4.5
+    ("iteration", "k", 256.7, "trace k must be an integer"),
+    ("iteration", "k", 0, "trace k=0 must be at least 1"),
+    ("iteration", "k_effective", "8", "trace k_effective must be an integer"),
+    ("iteration", "i", -1, "trace iteration i must be a non-negative integer"),
+    ("iteration", "i", 1.5, "trace iteration i must be a non-negative integer"),
+    ("iteration", "i", True, "trace iteration i must be a non-negative integer"),
+    ("trace", "degenerate", "false", "trace degenerate must be true or false"),
+    ("trace", "degenerate", 0, "trace degenerate must be true or false"),
+    ("trace", "resampling_constant", "4.5",
+     "trace resampling_constant must be a number"),
+])
+def test_eval_reads_a_trace_exactly_or_exits_1(tmp_path, capsys, where, field,
+                                               value, message):
+    pts = tmp_path / "points.csv"
+    dc.save_points(pts, dc.sample_shape(dc.Circle((0.0, 0.0), 1.0), 64,
+                                        seed=None)[1])
+    pf = tmp_path / "pf"
+    assert main(["parfree", "--points", str(pts), "--out-dir", str(pf),
+                 "--dump-iterations"]) == 0
+    argv = ["eval", "--points", str(pts), "--bounds", "lem4.5",
+            "--trace-dir", str(pf), "--strict"]
+    assert main(argv) == 0
+    path = pf / "trace.json"
+    data = json.loads(path.read_text())
+    target = data["trace"]
+    if where == "iteration":
+        target = target["iterations"][0]
+    target[field] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read trace ") and message in err
 
 
 @pytest.mark.parametrize("flag", [
