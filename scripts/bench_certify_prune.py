@@ -140,12 +140,13 @@ def sweep_table(seed: int, scale: float, metrics) -> list[dict]:
     return table
 
 
-def perfbench(checkout: str, seed: int, trace: int) -> dict:
+def perfbench(checkout: str, seed: int, trace: int,
+              workload: str = "certify_cli") -> dict:
     """The result line of one ``perfbench/run.py`` run in ``checkout``, with
     each metric read as its value."""
     out = subprocess.run(
         [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
-         "--workload", "certify_cli", "--seed", str(seed), "--seconds",
+         "--workload", workload, "--seed", str(seed), "--seconds",
          str(RUN_SECONDS), "--trace", str(trace)],
         cwd=checkout, check=True, capture_output=True, text=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
@@ -159,7 +160,8 @@ def summary(runs: list[dict]) -> dict:
            "attempted": sum(r["attempted"] for r in runs), "metrics": {}}
     for name in END_TO_END:
         vals = [r["metrics"][name] for r in runs]
-        q1, _, q3 = statistics.quantiles(vals, n=4, method="inclusive")
+        q1, _, q3 = (statistics.quantiles(vals, n=4, method="inclusive")
+                     if len(vals) > 1 else vals * 3)
         out["metrics"][name] = {"median": round(statistics.median(vals), 4),
                                 "q1": round(q1, 4), "q3": round(q3, 4),
                                 "runs": [round(v, 4) for v in vals]}

@@ -125,7 +125,6 @@ def _build_shape(args):
 
 
 def _cmd_gen(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     shape = _build_shape(args)
     feature_fn = None
     if args.mode == "adaptive":
@@ -138,15 +137,14 @@ def _cmd_gen(args) -> int:
     if args.mode == "adaptive" and args.sigma > 0:
         scales = feature_fn(sample)
     noisy = perturb_gaussian(sample, args.sigma, args.seed + 1, scales=scales)
-    tags = np.zeros(noisy.shape[0], dtype=bool)
-    if args.ambient > 0:
-        lo = noisy.min(axis=0)
-        hi = noisy.max(axis=0)
-        pad = 0.25 * float((hi - lo).max())
-        box = (lo - pad, hi + pad)
-        noisy, tags = add_ambient_noise(noisy, box, args.ambient, args.seed + 2,
-                                        min_clearance=args.clearance,
-                                        clearance_points=kref.points)
+    lo = noisy.min(axis=0)
+    hi = noisy.max(axis=0)
+    pad = 0.25 * float((hi - lo).max())
+    # also at --ambient 0, so that a bad count or clearance is refused
+    noisy, tags = add_ambient_noise(noisy, (lo - pad, hi + pad), args.ambient,
+                                    args.seed + 2, min_clearance=args.clearance,
+                                    clearance_points=kref.points)
+    os.makedirs(args.out_dir, exist_ok=True)
     save_points(os.path.join(args.out_dir, "points.csv"), noisy)
     np.savetxt(os.path.join(args.out_dir, "tags.csv"), tags.astype(int), fmt="%d")
     save_points(os.path.join(args.out_dir, "reference.csv"), kref.points)

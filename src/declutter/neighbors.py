@@ -59,6 +59,16 @@ _LIPSCHITZ_FLOOR = 2.0 ** -500
 # that the dense blocks are faster (BENCH_tree_rows.json)
 _TREE_SHIFT = 4
 
+# every tree's layout: median splits as in scipy's default, but each node
+# keeps its whole cell instead of shrinking it to its points. Queries far
+# from a dense sample (the clearance sampler, cond2) then run about twice as
+# fast and builds about 1.2 times as fast, and no other query shape the
+# library runs is slower beyond timing noise. Sliding-midpoint splits lose
+# 10-40% on Gaussian clouds in 5 and 9 dimensions, and leaves of 32 or 64
+# points lose 14-20% on Hausdorff queries into a small kept set
+# (BENCH_tree_layout.json, scripts/bench_tree_layout.py)
+_TREE_LAYOUT = {"leafsize": 16, "compact_nodes": False, "balanced_tree": True}
+
 
 class NeighborIndex:
     """Immutable query object over one cloud.
@@ -67,6 +77,12 @@ class NeighborIndex:
     result is kept, so concurrent readers need no locking. Callers that want
     the members' k-NN rows at several k read them in row blocks
     (:func:`robust.values_at_scales`) rather than from a stored table.
+
+    The tree has one layout, ``_TREE_LAYOUT``: leaves of 16 points, median
+    splits and cells not shrunk to their points. It is laid out for far
+    queries, since ambient noise lies far from the dense sample it is
+    tested against (``BENCH_tree_layout.json``). The layout only changes
+    which candidates the tree proposes, never an answer.
     """
 
     def __init__(self, cloud: PointCloud, metric: Metric, strategy: str = AUTO):
@@ -81,7 +97,8 @@ class NeighborIndex:
         self.metric = metric
         self.strategy = strategy
         self._p = 1 if metric.kind == MANHATTAN else 2
-        self._tree = cKDTree(cloud.coords) if strategy == KDTREE else None
+        self._tree = (cKDTree(cloud.coords, **_TREE_LAYOUT) if strategy == KDTREE
+                      else None)
 
     # -- queries ------------------------------------------------------------
 
@@ -207,10 +224,27 @@ class NeighborIndex:
 
     def _ball_candidates(self, q: np.ndarray, radii: np.ndarray, threads: int = 1):
         """Flat (query row, member id, canonical distance) triples for the
-        tree's closed-ball supersets, grouped by row and ascending in id."""
-        raw = self._tree.query_ball_point(q, radii * (1.0 + _RADIUS_SLACK),
-                                          p=self._p, workers=threads,
-                                          return_sorted=True)
+        tree's closed-ball supersets, grouped by row and ascending in id.
+
+        scipy refuses a ball query that meets a distance which overflows. No
+        distance the tree computes for a row exceeds the one to the farthest
+        corner of the members' bounding box, so a row whose corner distance
+        overflows takes every member as its candidates instead.
+        """
+        r = radii * (1.0 + _RADIUS_SLACK)
+        with np.errstate(over="ignore"):
+            corner = np.maximum(np.abs(q - self._tree.mins), np.abs(q - self._tree.maxes))
+            wide = ~np.isfinite((corner ** self._p).sum(axis=1))
+        if not wide.any():
+            raw = self._tree.query_ball_point(q, r, p=self._p, workers=threads,
+                                              return_sorted=True)
+        else:
+            raw = [np.arange(self.cloud.n)] * q.shape[0]
+            narrow = np.flatnonzero(~wide)
+            for i, c in zip(narrow, self._tree.query_ball_point(
+                    q[narrow], r[narrow], p=self._p, workers=threads,
+                    return_sorted=True)):
+                raw[i] = c
         counts = np.fromiter((len(c) for c in raw), dtype=np.intp, count=len(raw))
         cand = (np.concatenate(raw).astype(np.intp) if counts.sum()
                 else np.empty(0, dtype=np.intp))

@@ -337,11 +337,16 @@ def add_ambient_noise(points: np.ndarray, box, m: int, seed: int,
 
     ``min_clearance`` optionally keeps ambient points at least that far from
     ``clearance_points`` (ambient noise means points far from the hidden
-    set), via seeded rejection sampling.
+    set), via seeded rejection sampling. It must be non-negative, and a
+    positive one needs the points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if m < 0:
         raise GeometryError("ambient count must be non-negative")
+    if not min_clearance >= 0:  # NaN compares False
+        raise GeometryError(f"clearance must be non-negative, got {min_clearance!r}")
+    if min_clearance > 0 and clearance_points is None:
+        raise GeometryError("a positive clearance needs the points to keep clear of")
     if m == 0:
         return pts.copy(), np.zeros(pts.shape[0], dtype=bool)
     lo = np.asarray(box[0], dtype=np.float64)
@@ -355,7 +360,7 @@ def add_ambient_noise(points: np.ndarray, box, m: int, seed: int,
     total = 0
     for _ in range(64):
         draw = rng.uniform(lo, hi, size=(max(m, 4 * (m - total)), lo.shape[0]))
-        if min_clearance > 0 and clearance_points is not None:
+        if min_clearance > 0:
             d = nearest_cross(Metric(), draw, clearance_points)[0]
             draw = draw[d >= min_clearance]
         if draw.shape[0]:

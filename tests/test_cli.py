@@ -379,6 +379,21 @@ def test_infinite_constants_exit_1(tmp_path, capsys, flags):
     assert err.startswith("error: ") and "must be finite and positive" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--clearance", "nan"],
+    ["--clearance", "-1", "--ambient", "5"],
+    ["--ambient", "-5"],
+])
+def test_gen_refuses_a_bad_clearance_or_ambient_count(tmp_path, capsys, flags):
+    # each used to exit 0: the clearance was read only when ambient points
+    # were asked for, and then a NaN or negative one was ignored
+    out = tmp_path / "gen"
+    assert main(["gen", "--shape", "circle", "--n", "50", *flags,
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("figure", ["fig1", "fig2", "fig4", "fig5"])
 def test_repro_n_0_exits_1(tmp_path, capsys, figure):
     # --n 0 used to run the recipe at its default size

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import declutter as dc
 from declutter import geometry
@@ -248,6 +249,18 @@ def _tree_cases():
                          + [rng.normal(size=(100, 9)) + 20.0])
     huge = rng.normal(size=(600, 2))
     huge *= 2.5e159 / np.abs(huge).max()  # the distances overflow float64
+    # a dense closed curve (a square's outline at spacing 1/64) and sparse
+    # points far outside it. A far point's nearest curve points are nearly
+    # equally far, and exactly so at a half-spacing offset (the first four)
+    side = np.arange(-128, 128) / 64.0
+    edge = np.full(256, 2.0)
+    square = np.vstack([np.column_stack(c) for c in
+                        ((side, -edge), (edge, side), (-side, edge), (-edge, -side))])
+    half = 1.0 / 128
+    angle = rng.uniform(0.0, 2 * np.pi, size=60)
+    outliers = np.vstack([[[half, -5.0], [5.0, half], [-half, 5.0], [-5.0, -half]],
+                          rng.uniform(5.0, 8.0, size=(60, 1))
+                          * np.column_stack([np.cos(angle), np.sin(angle)])])
     return {
         "grid-euclidean-k3": (_grid(24, 2), "euclidean", 3),
         "grid-manhattan-k3": (_grid(24, 2), "manhattan", 3),
@@ -259,6 +272,7 @@ def _tree_cases():
         "overflow-euclidean-k4": (huge, "euclidean", 4),
         "permuted-euclidean-k5": (permuted, "euclidean", 5),
         "permuted-manhattan-k5": (permuted, "manhattan", 5),
+        "outliers-euclidean-k2": (np.vstack([square, outliers]), "euclidean", 2),
     }
 
 
@@ -294,8 +308,37 @@ def test_tree_rows_equal_dense_rows(case, monkeypatch):
     for i in range(0, q.shape[0], 29):
         assert tree.k_nearest(q[i], k) == brute.k_nearest(q[i], k)
     # ties at the k-th distance send rows to the ball fallback
-    tie_heavy = case.startswith(("grid", "lattice", "clusters", "permuted"))
+    tie_heavy = case.startswith(("grid", "lattice", "clusters", "permuted", "outliers"))
     assert (sum(ball_rows) > 0) == tie_heavy
+
+
+# every layout of the benchmark's grid (BENCH_tree_layout.json), scipy's
+# default (leafsize 16, compact and balanced) among them, and leafsize 1
+_LAYOUTS = [{"leafsize": leaf, "compact_nodes": compact, "balanced_tree": balanced}
+            for leaf in (1, 8, 16, 32, 64) for compact in (True, False)
+            for balanced in (True, False)]
+
+
+@pytest.mark.parametrize("case", sorted(_tree_cases()))
+def test_answers_do_not_depend_on_the_tree_layout(case):
+    # the tree only proposes candidates: canonical distances, the slack tie
+    # test and the closed-ball fallback decide every row, id and mask
+    pts, kind, k = _tree_cases()[case]
+    cloud, metric = dc.PointCloud.from_coords(pts), dc.Metric(kind)
+    brute = dc.build_index(cloud, metric, "brute")
+    q = _tree_queries(pts)
+    want_d, want_ids = brute._nearest_rows(q, k)
+    want_rows = brute.knn_distance_rows(q, k)
+    # each query's k-th distance puts members on the closed boundaries
+    want_mask = brute._captured(q, want_d[:, -1])
+    index = dc.build_index(cloud, metric, "kdtree")
+    for layout in _LAYOUTS:
+        index._tree = cKDTree(pts, **layout)
+        got_d, got_ids = index._nearest_rows(q, k)
+        assert got_d.tobytes() == want_d.tobytes(), layout
+        assert np.array_equal(got_ids, want_ids), layout
+        assert index.knn_distance_rows(q, k).tobytes() == want_rows.tobytes(), layout
+        assert np.array_equal(index._captured(q, want_d[:, -1]), want_mask), layout
 
 
 def test_tree_rows_recheck_rounding_near_ties():

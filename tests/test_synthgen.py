@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import declutter as dc
 
@@ -115,6 +116,46 @@ def test_add_ambient_noise_clearance():
     with pytest.raises(dc.GeometryError):
         dc.add_ambient_noise(pts, (np.full(2, -1.0), np.full(2, 1.0)), 10, 7,
                              min_clearance=5.0, clearance_points=ref)
+
+
+@pytest.mark.parametrize("clearance, clear_of", [
+    (5.0, None),
+    (float("nan"), np.zeros((1, 2))),
+    (float("nan"), None),
+    (-1.0, np.zeros((1, 2))),
+])
+def test_add_ambient_noise_refuses_an_unusable_clearance(clearance, clear_of):
+    # each used to be ignored: 5.0 with no points to keep clear of returned an
+    # ambient point 0.107 from the origin
+    for m in (0, 10):
+        with pytest.raises(dc.GeometryError, match="clearance"):
+            dc.add_ambient_noise(np.zeros((1, 2)), (np.full(2, -1.0), np.full(2, 1.0)),
+                                 m, 7, min_clearance=clearance,
+                                 clearance_points=clear_of)
+
+
+def test_clearance_sampler_equals_plain_rejection_sampling():
+    # the fig2 recipe at reduced size: every ambient point is far from a
+    # dense reference, where the tree's nearest answers hold most ties
+    t = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+    x = np.sign(np.cos(t)) * np.abs(np.cos(t)) ** 0.5
+    y = np.sign(np.sin(t)) * np.abs(np.sin(t)) ** 0.5
+    kref, sample = dc.sample_shape(dc.Polyline(np.column_stack([x, y]), closed=True),
+                                   500, seed=None)
+    noisy = dc.perturb_gaussian(sample, 0.01, 3)
+    lo, hi = noisy.min(axis=0) - 7.0, noisy.max(axis=0) + 7.0
+    got, tags = dc.add_ambient_noise(noisy, (lo, hi), 200, 4, min_clearance=5.0,
+                                     clearance_points=kref.points)
+    rng = np.random.default_rng(4)
+    accepted, total = [], 0
+    while total < 200:
+        draw = rng.uniform(lo, hi, size=(max(200, 4 * (200 - total)), 2))
+        draw = draw[cdist(draw, kref.points).min(axis=1) >= 5.0]
+        accepted.append(draw)
+        total += draw.shape[0]
+    want = np.vstack([noisy, *accepted])[:700]
+    assert got.tobytes() == want.tobytes()
+    assert tags.tolist() == [False] * 500 + [True] * 200
 
 
 def test_adaptive_sampling_density_tracks_feature():
