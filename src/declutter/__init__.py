@@ -34,8 +34,10 @@ from .geometry import (
     Metric,
     PointCloud,
     cross_distances,
+    load_ids,
     load_matrix,
     load_points,
+    save_ids,
     save_points,
     subset_cloud,
 )

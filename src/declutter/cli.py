@@ -28,8 +28,10 @@ from .geometry import (
     _number,
     _positive_int,
     _row_ids,
+    load_ids,
     load_matrix,
     load_points,
+    save_ids,
     save_points,
 )
 from .parfree import (
@@ -146,11 +148,11 @@ def _cmd_gen(args) -> int:
                                     clearance_points=kref.points)
     os.makedirs(args.out_dir, exist_ok=True)
     save_points(os.path.join(args.out_dir, "points.csv"), noisy)
-    np.savetxt(os.path.join(args.out_dir, "tags.csv"), tags.astype(int), fmt="%d")
+    save_ids(os.path.join(args.out_dir, "tags.csv"), tags.astype(int))
     save_points(os.path.join(args.out_dir, "reference.csv"), kref.points)
     if kref.has_feature_sizes:
         save_points(os.path.join(args.out_dir, "feature_sizes.csv"),
-                    kref.feature_sizes.reshape(-1, 1))
+                    kref.feature_sizes)
     _write_json(os.path.join(args.out_dir, "spec.json"),
                 _report(args, n_points=int(noisy.shape[0]),
                         n_ambient=int(tags.sum()),
@@ -174,14 +176,13 @@ def _cmd_declutter(args) -> int:
     kept_sorted = result.kept_ids
     if cloud.is_coordinate:
         save_points(os.path.join(args.out_dir, "kept.csv"), cloud.coords[kept_sorted])
-    np.savetxt(os.path.join(args.out_dir, "kept_ids.csv"), kept_sorted, fmt="%d")
+    save_ids(os.path.join(args.out_dir, "kept_ids.csv"), kept_sorted)
     _write_json(os.path.join(args.out_dir, "report.json"),
                 _report(args, result=result.to_dict()))
     if args.resample_C is not None:
         resampled = resample_step(cloud, metric, result.kept, result.profile,
                                   args.resample_C, strategy=args.strategy)
-        np.savetxt(os.path.join(args.out_dir, "resampled_ids.csv"), resampled,
-                   fmt="%d")
+        save_ids(os.path.join(args.out_dir, "resampled_ids.csv"), resampled)
         if cloud.is_coordinate:
             save_points(os.path.join(args.out_dir, "resampled.csv"),
                         cloud.coords[resampled])
@@ -203,7 +204,7 @@ def _cmd_parfree(args) -> int:
                                          threads=args.threads)
     if cloud.is_coordinate:
         save_points(os.path.join(args.out_dir, "p0.csv"), cloud.coords[final_ids])
-    np.savetxt(os.path.join(args.out_dir, "p0_ids.csv"), final_ids, fmt="%d")
+    save_ids(os.path.join(args.out_dir, "p0_ids.csv"), final_ids)
     _write_json(os.path.join(args.out_dir, "trace.json"),
                 _report(args, trace=trace.to_dict(),
                         n_final=int(final_ids.size)))
@@ -212,10 +213,10 @@ def _cmd_parfree(args) -> int:
         os.makedirs(it_dir, exist_ok=True)
         for it in trace.iterations:
             stem = os.path.join(it_dir, f"iter_{it.i:02d}")
-            np.savetxt(stem + "_input_ids.csv", it.input_ids, fmt="%d")
-            np.savetxt(stem + "_kept_ids.csv", it.kept_ids, fmt="%d")
-            np.savetxt(stem + "_resampled_ids.csv", it.resampled_ids, fmt="%d")
-            save_points(stem + "_profile.csv", it.profile_values.reshape(-1, 1))
+            save_ids(stem + "_input_ids.csv", it.input_ids)
+            save_ids(stem + "_kept_ids.csv", it.kept_ids)
+            save_ids(stem + "_resampled_ids.csv", it.resampled_ids)
+            save_points(stem + "_profile.csv", it.profile_values)
             if cloud.is_coordinate:
                 save_points(stem + "_points.csv", cloud.coords[it.resampled_ids])
     if cloud.is_coordinate:
@@ -331,9 +332,9 @@ def _trace_from_dir(args) -> ParfreeTrace:
     for i, k_target, k_effective in scales:
         stem = os.path.join(it_dir, f"iter_{i:02d}")
         try:
-            input_ids = np.loadtxt(stem + "_input_ids.csv", dtype=np.intp, ndmin=1)
-            kept_ids = np.loadtxt(stem + "_kept_ids.csv", dtype=np.intp, ndmin=1)
-            resampled = np.loadtxt(stem + "_resampled_ids.csv", dtype=np.intp, ndmin=1)
+            input_ids = load_ids(stem + "_input_ids.csv", "trace input id")
+            kept_ids = load_ids(stem + "_kept_ids.csv", "trace kept id")
+            resampled = load_ids(stem + "_resampled_ids.csv", "trace resampled id")
             values = load_points(stem + "_profile.csv").ravel()
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot read trace dumps {stem}_*.csv "
@@ -373,11 +374,7 @@ def _cmd_eval(args) -> int:
     trace = _trace_from_dir(args) if args.trace_dir else None
     resampled = None
     if args.resampled_ids:
-        try:
-            resampled = np.loadtxt(args.resampled_ids, dtype=np.intp, ndmin=1)
-        except (OSError, ValueError) as exc:
-            raise CliError(
-                f"cannot read resampled ids {args.resampled_ids}: {exc!r}") from exc
+        resampled = load_ids(args.resampled_ids, "resampled id")
 
     supplied = dict(cloud=cloud, kref=kref, result=result,
                     certificate=(None if result is None
@@ -476,7 +473,7 @@ def _repro_pipeline(args, shape, n_curve, n_ambient, sigma, clearance,
     metric = Metric()
     save_points(os.path.join(out, "reference.csv"), kref.points)
     save_points(os.path.join(out, "input.csv"), noisy)
-    np.savetxt(os.path.join(out, "tags.csv"), tags.astype(int), fmt="%d")
+    save_ids(os.path.join(out, "tags.csv"), tags.astype(int))
     is2d = noisy.shape[1] == 2
     if is2d:
         write_scatter_svg(os.path.join(out, "ground_truth.svg"),

@@ -40,6 +40,9 @@ _SYMMETRY_BAND = 256
 # index cells of the scratch a matrix gather fills its block through (128 KB)
 _GATHER_CELLS = 16_384
 
+# cells per chunk of a written table (4096 rows of 2-D points)
+_WRITE_CELLS = 8192
+
 
 class GeometryError(ValueError):
     """Malformed cloud, metric, query, or input file."""
@@ -371,14 +374,14 @@ class GroundTruthRef:
 # file I/O
 # ---------------------------------------------------------------------------
 
-def _load_table(path, what: str) -> np.ndarray:
+def _load_table(path, what: str, dtype=np.float64) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             sample = ""
             for line in fh:
-                stripped = line.strip()
-                if stripped and not stripped.startswith("#"):
-                    sample = stripped
+                # the delimiter is read from data, never from a comment
+                sample = line.split("#", 1)[0].strip()
+                if sample:
                     break
     except OSError as exc:
         raise GeometryError(f"cannot read {what} file {path}: {exc}") from exc
@@ -386,8 +389,7 @@ def _load_table(path, what: str) -> np.ndarray:
         raise GeometryError(f"{what} file {path} has no data rows")
     delim = "," if "," in sample else None
     try:
-        arr = np.loadtxt(path, comments="#", delimiter=delim, ndmin=2,
-                         dtype=np.float64)
+        arr = np.loadtxt(path, comments="#", delimiter=delim, ndmin=2, dtype=dtype)
     except ValueError as exc:
         raise GeometryError(f"malformed {what} file {path}: {exc}") from exc
     if not np.all(np.isfinite(arr)):
@@ -408,6 +410,41 @@ def load_matrix(path) -> np.ndarray:
     return arr
 
 
+def load_ids(path, what: str) -> np.ndarray:
+    """Load an id file: one integer per line, '#' comments (``what`` names
+    the file in errors)."""
+    arr = _load_table(path, what, np.intp)
+    if arr.shape[1] != 1:
+        raise GeometryError(f"{what} file {path} holds {arr.shape[1]} columns, "
+                            "not one id per line")
+    return arr[:, 0]
+
+
+def _write_rows(path, table, fmt: str) -> None:
+    """Write ``table`` with ``fmt`` per cell, comma-separated, one row per
+    line (a 1-D table is one column). The bytes are numpy's text writer's at
+    the same format and delimiter, but each chunk of rows is formatted with
+    one ``%`` rather than one per row."""
+    table = np.asarray(table)
+    if table.ndim < 2:
+        table = table.reshape(-1, 1)
+    if table.ndim != 2:
+        raise GeometryError(f"a table to write must be 1-D or 2-D, got {table.ndim}-D")
+    row = ",".join([fmt] * table.shape[1]) + "\n"
+    step = max(1, _WRITE_CELLS // max(1, table.shape[1]))
+    with open(path, "w", encoding="utf-8") as fh:
+        for s in range(0, table.shape[0], step):
+            chunk = table[s:s + step]
+            fh.write((row * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
 def save_points(path, points: np.ndarray) -> None:
-    """Write points as CSV with full double round-trip precision."""
-    np.savetxt(path, np.atleast_2d(points), fmt="%.17g", delimiter=",")
+    """Write points as CSV with full double round-trip precision, one point
+    per row (a 1-D array is n one-dimensional points, as in
+    :meth:`PointCloud.from_coords`)."""
+    _write_rows(path, points, "%.17g")
+
+
+def save_ids(path, ids) -> None:
+    """Write integer ids, one per line."""
+    _write_rows(path, ids, "%d")

@@ -5,6 +5,7 @@ import math
 import re
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +418,39 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_eval_refuses_empty_id_files(tmp_path, capsys):
+    # an empty --resampled-ids file or trace id dump exits 1 naming the file,
+    # with no numpy warning; lem4.4 alone would be not-applicable here (the
+    # certificate's uniformity constant is above 2), so no bound hides it
+    gen = tmp_path / "gen"
+    assert main(["gen", "--shape", "circle", "--n", "128", "--sigma", "0.02",
+                 "--ambient", "16", "--seed", "2", "--out-dir", str(gen)]) == 0
+    pts, ref = str(gen / "points.csv"), str(gen / "reference.csv")
+    certs, run, pf = tmp_path / "certs.json", tmp_path / "run", tmp_path / "pf"
+    assert main(["certify", "--points", pts, "--reference", ref, "--k", "4",
+                 "--out", str(certs)]) == 0
+    assert main(["declutter", "--points", pts, "--k", "4", "--resample-C", "4",
+                 "--out-dir", str(run)]) == 0
+    assert main(["parfree", "--points", pts, "--out-dir", str(pf),
+                 "--dump-iterations"]) == 0
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    dump = sorted((pf / "iterations").glob("*_kept_ids.csv"))[0]
+    dump.write_text("")
+    capsys.readouterr()
+    cases = [
+        (["--reference", ref, "--bounds", "lem4.4", "--report", str(run / "report.json"),
+          "--certificates", str(certs), "--resampled-ids", str(empty)], empty),
+        (["--bounds", "lem4.5", "--trace-dir", str(pf)], dump),
+    ]
+    for extra, culprit in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--points", pts] + extra) == 1
+        err = capsys.readouterr().err
+        assert str(culprit) in err and "has no data rows" in err
 
 
 # flags each bound needs besides the input cloud (README, "eval flags")

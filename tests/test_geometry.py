@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import declutter as dc
+from declutter import geometry
 from declutter.geometry import paired_distances
 from declutter.neighbors import nearest_cross
 from conftest import dist_euclidean, dist_manhattan, random_cloud
@@ -113,6 +115,80 @@ def test_point_file_whitespace_and_comments(tmp_path):
     path.write_text("# header\n0 0\n3 4\n")
     pts = dc.load_points(path)
     assert pts.shape == (2, 2)
+
+
+def test_delimiter_is_read_before_an_inline_comment(tmp_path):
+    # the comma in the comment does not make a whitespace file comma-separated
+    path = tmp_path / "points.txt"
+    path.write_text("1 2 # first point, on the axis\n3 4\n")
+    assert dc.load_points(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_a_1d_array_saves_as_one_point_per_row(tmp_path):
+    # save_points reads a 1-D array as PointCloud.from_coords does: n points
+    # in one dimension, so the reloaded cloud is the same cloud
+    values = np.array([0.5, -2.0, 3.25])
+    path = tmp_path / "line.csv"
+    dc.save_points(path, values)
+    assert path.read_text() == "0.5\n-2\n3.25\n"
+    assert np.array_equal(dc.load_points(path),
+                          dc.PointCloud.from_coords(values).coords)
+
+
+def test_id_file_roundtrip_and_refusals(tmp_path):
+    path = tmp_path / "ids.csv"
+    dc.save_ids(path, np.array([4, 0, 17]))
+    assert path.read_text() == "4\n0\n17\n"
+    assert dc.load_ids(path, "kept id").tolist() == [4, 0, 17]
+    for text, message in (("", "has no data rows"), ("# none\n", "has no data rows"),
+                          ("1,2\n", "not one id per line"), ("1.5\n", "malformed")):
+        path.write_text(text)
+        with pytest.raises(dc.GeometryError, match=message):
+            dc.load_ids(path, "kept id")
+
+
+def _savetxt_bytes(path, table, fmt):
+    np.savetxt(path, table, fmt=fmt, delimiter=",")
+    return path.read_bytes()
+
+
+# doubles that format differently from their neighbours: signed zeros and
+# infinities, nan, the subnormal range and the ends of the finite range
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                                -5e-324, 2.2250738585072009e-308, 1e-310,
+                                1.7976931348623157e308, -1.7976931348623157e308,
+                                1.79e308, -1.8e307, 0.1, 1.0 / 3.0])
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True,
+                                            allow_subnormal=True))
+
+
+@st.composite
+def _shapes(draw):
+    """A table shape: empty, no columns, small, or a row count one below, at
+    or one above the number of rows in one chunk of the writer, or just over
+    two chunks."""
+    ncol = draw(st.integers(0, 4))
+    step = geometry._WRITE_CELLS // max(1, ncol)
+    rows = draw(st.one_of(st.integers(0, 6),
+                          st.sampled_from([step - 1, step, step + 1, 2 * step + 1])))
+    return rows, ncol
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_writers_write_numpys_text_bytes(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("writer")
+    shape = data.draw(_shapes())
+    if data.draw(st.booleans()) and shape[1] == 1:
+        shape = (shape[0],)  # a 1-D table is one column
+    table = data.draw(arrays(np.float64, shape, elements=_FLOATS, fill=_FLOATS))
+    dc.save_points(tmp / "points.csv", table)
+    assert (tmp / "points.csv").read_bytes() == _savetxt_bytes(
+        tmp / "oracle.csv", table, "%.17g")
+    ids = data.draw(arrays(np.intp, shape[0], elements=st.integers(-2**62, 2**62),
+                           fill=st.integers(0, 2**40)))
+    dc.save_ids(tmp / "ids.csv", ids)
+    assert (tmp / "ids.csv").read_bytes() == _savetxt_bytes(tmp / "oracle.csv", ids, "%d")
 
 
 def test_loader_rejects_nan(tmp_path):
