@@ -261,10 +261,20 @@ def _cmd_certify(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
+def _json_ids(value, n: int, name: str) -> np.ndarray:
+    """value as a vector of ids, or GeometryError naming ``name`` unless it is
+    a flat JSON list of integers in 0..n-1 (geometry._row_ids). A bool is an
+    int to Python and numpy reads ``[true]`` as id 1, so neither type decides."""
+    if not (isinstance(value, list) and all(type(i) is int for i in value)):
+        raise GeometryError(f"{name} must be integers in a flat list")
+    # an empty JSON list reads as floats, so none is an empty int array
+    return _row_ids(value or np.empty(0, np.intp), n, name)
+
+
 def _result_from_report(path) -> tuple[DeclutterResult, float | None]:
     """The declutter result a report holds, and the resampling constant its
     run recorded (None when it ran without --resample-C). Its ids must be
-    integers (geometry._row_ids), never truncated."""
+    integers in flat lists (_json_ids), never truncated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
@@ -277,15 +287,14 @@ def _result_from_report(path) -> tuple[DeclutterResult, float | None]:
                                      kind=parse_kind(data["kind"]),
                                      values=np.asarray(data["profile_values"]))
         records = data["rejected"]
-        # an empty JSON list reads as floats, so none is an empty int array
-        listed = [r["witness"] for r in records.values()] or np.empty(0, np.intp)
-        witnesses = _row_ids(listed, prof.n, "rejection witnesses")
+        witnesses = _json_ids([r["witness"] for r in records.values()], prof.n,
+                              "rejection witnesses")
         rejected = {int(i): Rejection(witness=w, distance=float(r["distance"]))
                     for (i, r), w in zip(records.items(), witnesses.tolist())}
-        # kept ids keep their JSON type: evaluation rejects any but integers
         result = DeclutterResult(
-            kept=np.asarray(data["kept_order"]), rejected=rejected,
-            order=_row_ids(data["processing_order"], prof.n, "processing order"),
+            kept=_json_ids(data["kept_order"], prof.n, "kept_order"),
+            rejected=rejected,
+            order=_json_ids(data["processing_order"], prof.n, "processing order"),
             profile=prof)
         return result, None if recorded is None else float(recorded)
     except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -297,7 +306,7 @@ def _certs_from_file(path) -> dict[int, SamplingCertificate]:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)["certificates"]
         certs = [SamplingCertificate.from_dict(d) for d in data]
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CliError(f"cannot read certificates {path}: {exc!r}") from exc
     return {c.k: c for c in certs}
 

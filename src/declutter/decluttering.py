@@ -43,7 +43,7 @@ _BLOCK = 64
 VICINITY_FACTOR = 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rejection:
     """Why a point was dropped: the earliest-kept point found inside its
     vicinity ball, and the distance to it."""
@@ -102,7 +102,7 @@ def greedy_declutter(cloud: PointCloud, metric: Metric,
         raise GeometryError("profile does not cover this cloud")
     kept, order, dropped, witness, witness_distance = _greedy_pass(
         metric, cloud.points, prof.values)
-    rejected = {p: Rejection(witness=w, distance=x) for p, w, x in zip(
+    rejected = {p: Rejection(w, x) for p, w, x in zip(
         dropped.tolist(), witness.tolist(), witness_distance.tolist())}
     return DeclutterResult(kept=kept, rejected=rejected, order=order, profile=prof)
 

@@ -34,8 +34,9 @@ _CDIST_NAME = {EUCLIDEAN: "euclidean", MANHATTAN: "cityblock"}
 # cells per dense distance block; keeps peak chunk memory around 32 MB
 _CHUNK_CELLS = 4_000_000
 
-# rows per band of the matrix symmetry check
-_SYMMETRY_BAND = 256
+# rows and columns of a tile of the distance-matrix check: a tile and its
+# mirror (1 MB) stay in cache while they are compared
+_MATRIX_TILE = 256
 
 # index cells of the scratch a matrix gather fills its block through (128 KB)
 _GATHER_CELLS = 16_384
@@ -71,16 +72,11 @@ class Metric:
             m = np.ascontiguousarray(self.matrix, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise GeometryError("distance matrix must be square")
-            if not np.all(np.isfinite(m)):
-                raise GeometryError("distance matrix contains NaN/Inf")
-            if np.any(np.signbit(m)):
-                if np.any(m < 0):
-                    raise GeometryError("distance matrix has negative entries")
+            fault, negative_zero = _matrix_fault(m)
+            if fault:
+                raise GeometryError(fault)
+            if negative_zero:
                 m = m + 0.0  # -0.0 becomes +0.0, so sorting cannot flip a sign
-            if np.any(np.diagonal(m) != 0.0):
-                raise GeometryError("distance matrix diagonal must be zero")
-            if not _symmetric(m):
-                raise GeometryError("distance matrix must be symmetric")
             object.__setattr__(self, "matrix", m)
         elif self.matrix is not None:
             raise GeometryError(f"{self.kind} metric does not take a matrix")
@@ -91,15 +87,46 @@ class Metric:
         return self.kind in (EUCLIDEAN, MANHATTAN)
 
 
-def _symmetric(m: np.ndarray) -> bool:
-    """Whether the square matrix equals its transpose, compared one band of
-    ``_SYMMETRY_BAND`` rows at a time against the matching column band, so
-    the transposed side reads whole cache lines instead of walking ``m.T``."""
-    for i in range(0, m.shape[0], _SYMMETRY_BAND):
-        j = i + _SYMMETRY_BAND
-        if not np.array_equal(m[i:j, i:], m[i:, i:j].T):
-            return False
-    return True
+def _matrix_fault(m: np.ndarray) -> tuple[str | None, bool]:
+    """(the first fault of a square distance matrix, or None; whether it
+    holds a -0.0), from one pass over tile pairs.
+
+    Faults, first first: an entry that is NaN or infinite, a negative entry,
+    a nonzero diagonal entry, an entry that differs from its transpose. Each
+    upper tile ``m[I, J]`` (I <= J) is read with its mirror ``m[J, I]``
+    while both are in cache, so every cell is read from memory once. A tile
+    equal to its mirror's transpose holds the mirror's values, zeros in the
+    same cells, so the mirror's range is read only where the two differ, and
+    the signs of both only where the tile holds a zero.
+    """
+    n = m.shape[0]
+    negative = diagonal = asymmetric = negative_zero = False
+    for i in range(0, n, _MATRIX_TILE):
+        rows = slice(i, i + _MATRIX_TILE)
+        for j in range(i, n, _MATRIX_TILE):
+            tile = m[rows, j:j + _MATRIX_TILE]
+            mirror = tile if i == j else m[j:j + _MATRIX_TILE, rows]
+            low = tile.min()
+            if not (np.isfinite(low) and np.isfinite(tile.max())):
+                return "distance matrix contains NaN/Inf", False
+            negative |= bool(low < 0)
+            if i == j:
+                diagonal |= bool(np.any(tile.diagonal()))
+            if not np.array_equal(tile, mirror.T):
+                asymmetric = True
+                low = mirror.min()
+                if not (np.isfinite(low) and np.isfinite(mirror.max())):
+                    return "distance matrix contains NaN/Inf", False
+                negative |= bool(low < 0)
+            elif low == 0 and not negative_zero:
+                negative_zero = bool(np.signbit(tile).any() or np.signbit(mirror).any())
+    if negative:
+        return "distance matrix has negative entries", False
+    if diagonal:
+        return "distance matrix diagonal must be zero", False
+    if asymmetric:
+        return "distance matrix must be symmetric", False
+    return None, negative_zero
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ k-prefix is the result, and at k = 1 its ids are the block's argmin. Both
 strategies return identical results, id for id and byte for byte. Ties are
 broken by ascending point id everywhere. :func:`nearest_cross` is the k = 1
 row over an index of the targets, for coordinate rows and matrix ids alike.
+The clearance test (whether the nearest member is at least a radius away)
+asks the tree one bounded question per row block and takes the canonical
+path only for rows within the slack of the radius.
 """
 from __future__ import annotations
 
@@ -211,6 +214,38 @@ class NeighborIndex:
             if rows.size:
                 dist[rows], ids[rows] = self._dense_rows(q[rows], k, threads)
         return dist, ids
+
+    def _clear_of(self, queries, radius: float) -> np.ndarray:
+        """Boolean mask: True where the query's canonical distance to its
+        nearest member is at least ``radius`` (a non-negative float).
+
+        On the tree path each row block asks one bounded question: the
+        nearest member within ``radius`` inflated by twice the slack. A row
+        with nothing inside that bound is clear, since every member's
+        canonical distance is then at least ``radius``; that holds too when
+        the tree's distance overflows. A row whose tree distance falls in
+        the slack band around ``radius`` is rechecked from canonical
+        distances, and a row below the band is not clear. The bound is
+        applied to the p-th powers of distances, so a radius whose p-th
+        power is not a normal float (it underflows or overflows) is answered
+        from :meth:`_nearest_rows` instead, as is every query without the
+        tree (dense blocks).
+        """
+        q = self.cloud.query_array(queries)
+        with np.errstate(over="ignore", under="ignore"):
+            bound = np.float64(radius) * (1.0 + 2 * _RADIUS_SLACK)
+            power = bound ** self._p
+        if not (self._tree_serves(1) and np.finfo(np.float64).tiny <= power < np.inf):
+            return self._nearest_rows(q, 1)[0][:, 0] >= radius
+        clear = np.empty(q.shape[0], dtype=bool)
+        for sl in row_chunks(q.shape[0], self._row_cells(1)):
+            near = self._tree.query(q[sl], k=1, p=self._p, distance_upper_bound=bound)[0]
+            clear[sl] = near >= bound  # inf: no member inside the bound
+            band = sl.start + np.flatnonzero(
+                (near >= radius * (1.0 - 2 * _RADIUS_SLACK)) & (near < bound))
+            if band.size:
+                clear[band] = self._nearest_rows(q[band], 1)[0][:, 0] >= radius
+        return clear
 
     def _ball_rows(self, q: np.ndarray, radii: np.ndarray, k: int,
                    threads: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, GroundTruthRef, Metric, PointCloud
-from .neighbors import nearest_cross
+from .neighbors import build_index, nearest_cross
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +339,13 @@ def add_ambient_noise(points: np.ndarray, box, m: int, seed: int,
     ``clearance_points`` (ambient noise means points far from the hidden
     set), via seeded rejection sampling. It must be non-negative, and a
     positive one needs the points.
+
+    Each draw of the rejection loop is tested in chunks, each sized to the
+    points still needed over the acceptance rate seen so far, by one bounded
+    query per chunk against an index built once
+    (:meth:`NeighborIndex._clear_of`), and testing stops at the m-th
+    accepted point. Every draw is still taken whole and in the same order,
+    so the points are the same bytes as testing every draw in full.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if m < 0:
@@ -355,17 +362,29 @@ def add_ambient_noise(points: np.ndarray, box, m: int, seed: int,
         raise GeometryError("ambient box must have positive extent in every dimension")
     if lo.shape[0] != pts.shape[1]:
         raise GeometryError("ambient box dimension does not match the points")
+    index = None
+    if min_clearance > 0:
+        index = build_index(PointCloud.from_coords(np.atleast_2d(clearance_points)),
+                            Metric())
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
-    total = 0
+    total = tested = 0
     for _ in range(64):
         draw = rng.uniform(lo, hi, size=(max(m, 4 * (m - total)), lo.shape[0]))
-        if min_clearance > 0:
-            d = nearest_cross(Metric(), draw, clearance_points)[0]
-            draw = draw[d >= min_clearance]
-        if draw.shape[0]:
+        if index is None:
             accepted.append(draw)
             total += draw.shape[0]
+        start = 0
+        while total < m and start < draw.shape[0]:
+            need = m - total
+            step = need if total == 0 else -(-need * tested // total)
+            chunk = draw[start:start + step]
+            start += step
+            tested += chunk.shape[0]
+            chunk = chunk[index._clear_of(chunk, min_clearance)]
+            if chunk.shape[0]:
+                accepted.append(chunk)
+                total += chunk.shape[0]
         if total >= m:
             break
     if total < m:

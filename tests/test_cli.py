@@ -646,6 +646,41 @@ def test_eval_reads_a_report_exactly_or_exits_1(tmp_path, capsys, field, value,
     assert err.startswith("error: ") and str(report) in err and message in err
 
 
+@pytest.mark.parametrize("value", [
+    # each used to end in a traceback from numpy inside evaluation
+    3, "0,1", None, {"0": 1}, [None], [{}], [[0, 1]],
+    [True],  # used to be read as id 1, and eval exited 0
+])
+def test_eval_reads_kept_ids_as_a_flat_list_of_integers(tmp_path, capsys, value):
+    pts, ref, certs, report = _certified_artifacts(tmp_path, 4)
+    data = json.loads(report.read_text())
+    data["result"]["kept_order"] = value
+    report.write_text(json.dumps(data))
+    assert main(["eval", "--points", str(pts), "--reference", str(ref),
+                 "--bounds", "thm3.3,prop3.4,thmD.2", "--certificates", str(certs),
+                 "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(report) in err and "kept_order must be integers in a flat list" in err
+
+
+@pytest.mark.parametrize("value", [
+    # each used to raise AttributeError (``data.get``) through main
+    "certificates", {"k": 8}, [5], ["k"], [None], [[{"k": 8}]],
+])
+def test_eval_reads_certificates_as_a_list_of_objects(tmp_path, capsys, value):
+    pts, ref, certs, report = _certified_artifacts(tmp_path, 4)
+    data = json.loads(certs.read_text())
+    data["certificates"] = value
+    certs.write_text(json.dumps(data))
+    assert main(["eval", "--points", str(pts), "--reference", str(ref),
+                 "--bounds", "thm3.3,prop3.4,thmD.2", "--certificates", str(certs),
+                 "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"cannot read certificates {certs}" in err
+
+
 def test_eval_reads_a_report_without_rejections(tmp_path):
     # at k = 1 every robust distance is 0, so every point is kept
     pts, ref, certs, report = _certified_artifacts(tmp_path, 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,22 @@ def test_line_example_kept_and_witnesses():
     assert result.rejected[1].witness == 0
     assert result.rejected[3].witness == 0  # earliest kept point wins
     assert result.rejected[3].distance == 100.0
+
+
+def test_rejection_is_a_frozen_value_record():
+    # equality and repr by field, no field can be set, and no per-record
+    # __dict__ (slots), so no attribute can be added either
+    r = dc.Rejection(witness=3, distance=0.5)
+    assert r == dc.Rejection(3, 0.5) and r != dc.Rejection(3, 0.25)
+    assert repr(r) == "Rejection(witness=3, distance=0.5)"
+    assert hash(r) == hash(dc.Rejection(3, 0.5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.witness = 4
+    # a frozen slotted dataclass refuses other names with a TypeError on
+    # some Python versions and an AttributeError on others
+    with pytest.raises((AttributeError, TypeError)):
+        r.extra = 4
+    assert not hasattr(r, "__dict__") and r == dc.Rejection(3, 0.5)
 
 
 def test_single_point_kept():

@@ -186,7 +186,7 @@ def test_fortran_and_transposed_matrices_read_the_same():
 @pytest.mark.parametrize("cell", ["last band", "first off-diagonal band",
                                   "first off-diagonal band, lower side"])
 def test_asymmetric_pair_is_rejected_in_any_band(cell):
-    band = geometry._SYMMETRY_BAND
+    band = geometry._MATRIX_TILE
     n = 2 * band + 10
     i, j = {"last band": (n - 1, n - 2),
             "first off-diagonal band": (3, band + 5),
@@ -196,3 +196,105 @@ def test_asymmetric_pair_is_rejected_in_any_band(cell):
     m[i, j] += 1.0
     with pytest.raises(dc.GeometryError, match="symmetric"):
         dc.Metric("precomputed", matrix=m)
+
+
+# -- the tiled matrix check ------------------------------------------------------
+
+def _whole_matrix_fault(m):
+    """The message the metric's checks give, each made over the whole matrix
+    in turn, or None."""
+    if not np.all(np.isfinite(m)):
+        return "contains NaN/Inf"
+    if np.any(m < 0):
+        return "negative entries"
+    if np.any(np.diagonal(m) != 0.0):
+        return "diagonal must be zero"
+    if not np.array_equal(m, m.T):
+        return "must be symmetric"
+    return None
+
+
+def _fault(m, kind, i, j):
+    """Put one fault of this kind at cell (i, j) (and its mirror, for the
+    faults that keep the matrix symmetric)."""
+    if kind == "diagonal":
+        m[i, i] = 1.0
+    elif kind == "asymmetric":
+        m[i, j] += 1.0
+    elif kind in ("negative", "negative zero"):
+        m[i, j] = m[j, i] = -1.0 if kind == "negative" else -0.0
+    elif kind == "one-sided negative zero":  # equal to its +0.0 mirror
+        m[i, j], m[j, i] = -0.0, 0.0
+    else:
+        m[i, j] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+                   "one-sided negative": -2.0}[kind]
+
+
+_FAULT_KINDS = ["nan", "inf", "-inf", "negative", "one-sided negative", "diagonal",
+                "asymmetric", "negative zero", "one-sided negative zero"]
+
+
+def _check_like_the_whole_matrix(m):
+    want = _whole_matrix_fault(m)
+    if want is not None:
+        with pytest.raises(dc.GeometryError, match=want):
+            dc.Metric("precomputed", matrix=m)
+        return
+    before = m.copy()
+    got = dc.Metric("precomputed", matrix=m).matrix
+    assert not np.signbit(got).any()
+    assert np.array_equal(got, m)
+    assert m.tobytes() == before.tobytes()  # the caller's matrix is left as it is
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 23), tile=st.sampled_from([1, 2, 3, 5, 8, 256]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       faults=st.lists(st.tuples(st.sampled_from(_FAULT_KINDS), st.integers(0, 999),
+                                 st.integers(0, 999)), max_size=4))
+def test_tiled_matrix_check_equals_the_whole_matrix_checks(n, tile, seed, faults):
+    # the same message, first fault first, wherever the faults sit among the
+    # tiles, ragged edge tiles included
+    m = _random_matrix(n, seed)
+    for kind, i, j in faults:
+        _fault(m, kind, i % n, j % n)
+    with mock.patch.object(geometry, "_MATRIX_TILE", tile):
+        _check_like_the_whole_matrix(m)
+
+
+_TILE = geometry._MATRIX_TILE
+# a diagonal tile, an upper and a lower off-diagonal tile, and the ragged
+# 10-cell edge tile of a matrix 2 tiles and 10 cells wide
+_CELLS = {"diagonal tile": (_TILE + 3, _TILE + 7),
+          "upper tile": (3, _TILE + 5),
+          "lower tile": (_TILE + 5, 3),
+          "ragged edge tile": (2 * _TILE + 9, 2 * _TILE + 4)}
+
+
+@pytest.mark.parametrize("kind", _FAULT_KINDS)
+@pytest.mark.parametrize("where", sorted(_CELLS))
+def test_matrix_fault_in_any_tile(where, kind):
+    m = _random_matrix(2 * _TILE + 10, 6)
+    _fault(m, kind, *_CELLS[where])
+    _check_like_the_whole_matrix(m)
+
+
+def test_first_fault_wins_from_any_tile():
+    # faults of falling rank in tiles the check reads ever earlier: each
+    # verdict is the highest-ranked fault left, not the first one read
+    good = _random_matrix(2 * _TILE + 10, 7)
+    m = good.copy()
+    placed = {"asymmetric": (2, 3), "diagonal": (_TILE + 1, _TILE + 1),
+              "one-sided negative": (2 * _TILE + 2, _TILE + 8),
+              "nan": (2 * _TILE + 9, 2 * _TILE + 9)}
+    for kind, (i, j) in placed.items():
+        _fault(m, kind, i, j)
+    for kind, message in (("nan", "NaN/Inf"), ("one-sided negative", "negative entries"),
+                          ("diagonal", "diagonal must be zero"),
+                          ("asymmetric", "must be symmetric")):
+        assert message in _whole_matrix_fault(m)
+        with pytest.raises(dc.GeometryError, match=message):
+            dc.Metric("precomputed", matrix=m)
+        i, j = placed[kind]
+        m[i, j] = good[i, j]  # mend it
+    dc.Metric("precomputed", matrix=m)

@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 import declutter as dc
-from declutter import geometry
+from declutter import geometry, neighbors
 from declutter.neighbors import NeighborIndex, nearest_cross
 from conftest import dist_manhattan, line_cloud, oracle_knn_ids, random_cloud
 
@@ -447,3 +451,39 @@ def test_tree_crossover_halves_per_dimension(dim, n, k_max):
     tree = dc.build_index(cloud, dc.Metric(), "kdtree")
     assert tree._tree_serves(k_max) and not tree._tree_serves(k_max + 1)
     assert not dc.build_index(cloud, dc.Metric(), "brute")._tree_serves(1)
+
+
+# -- the clearance predicate ----------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3, 9]), kind=st.sampled_from(["euclidean", "manhattan"]),
+       exponent=st.sampled_from([-540, -500, 0, 500]), huge=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_clear_of_equals_the_canonical_nearest_distance(dim, kind, exponent, huge, seed):
+    # True exactly where cdist's nearest distance is at least the radius, on
+    # radii that equal attained distances and their neighbouring floats, with
+    # duplicated members, scaled coordinates and distances that overflow. In
+    # 9-D the tree sums squares in another order than cdist, so its nearest
+    # distance can sit an ulp off the canonical one
+    rng = np.random.default_rng(seed)
+    grid = np.round(rng.normal(size=(40, dim)) * 8) / 8  # exact ties
+    pts = np.vstack([grid, grid[:10], rng.normal(size=(30, dim))]) * 2.0 ** exponent
+    q = np.vstack([pts[::7], rng.normal(size=(40, dim)) * 3,
+                   (np.round(rng.normal(size=(20, dim)) * 8) + 0.5) / 8]) * 2.0 ** exponent
+    if huge:  # members and queries far apart enough that distances overflow
+        pts[-3:] = -1.7e308
+        q = np.vstack([q, np.full((3, dim), 1.7e308), np.full((2, dim), -1.7e308)])
+    block = cdist(q, pts, "cityblock" if kind == "manhattan" else "euclidean")
+    nearest = block.min(axis=1)
+    attained = np.concatenate([rng.choice(nearest, size=6), rng.choice(block.ravel(), size=3)])
+    radii = np.concatenate([attained, np.nextafter(attained, np.inf),
+                            np.nextafter(attained, 0.0), [0.0, 2.0 ** exponent]])
+    cloud, metric = dc.PointCloud.from_coords(pts), dc.Metric(kind)
+    brute = dc.build_index(cloud, metric, "brute")
+    tree = dc.build_index(cloud, metric, "kdtree")
+    with mock.patch.object(neighbors, "_TREE_SHIFT", -10):  # the tree answers
+        assert tree._tree_serves(1)
+        for r in radii:
+            want = nearest >= r
+            assert np.array_equal(brute._clear_of(q, r), want), r
+            assert np.array_equal(tree._clear_of(q, r), want), r

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import declutter as dc
+from declutter.neighbors import NeighborIndex
 
 
 def test_circle_grid_four_points():
@@ -156,6 +157,34 @@ def test_clearance_sampler_equals_plain_rejection_sampling():
     want = np.vstack([noisy, *accepted])[:700]
     assert got.tobytes() == want.tobytes()
     assert tags.tolist() == [False] * 500 + [True] * 200
+
+
+def test_clearance_sampler_takes_a_second_draw_as_plain_rejection_sampling_does(
+        monkeypatch):
+    # about a fifth of the box is clear of the circle, so the first draw of
+    # 4m points falls short of m and the second is tested in chunks too,
+    # up to the m-th accepted point only
+    kref, sample = dc.sample_shape(dc.Circle((0.0, 0.0), 1.0), 300, seed=None)
+    lo, hi = np.full(2, -1.5), np.full(2, 1.5)
+    m, seed = 150, 11
+    tested = []
+    real = NeighborIndex._clear_of
+    monkeypatch.setattr(NeighborIndex, "_clear_of", lambda self, q, r: (
+        tested.append(len(q)), real(self, q, r))[1])
+    got, tags = dc.add_ambient_noise(sample, (lo, hi), m, seed, min_clearance=0.6,
+                                     clearance_points=kref.points)
+    rng = np.random.default_rng(seed)
+    accepted, total, drawn = [], 0, []
+    while total < m:
+        draw = rng.uniform(lo, hi, size=(max(m, 4 * (m - total)), 2))
+        drawn.append(draw.shape[0])
+        draw = draw[cdist(draw, kref.points).min(axis=1) >= 0.6]
+        accepted.append(draw)
+        total += draw.shape[0]
+    assert len(drawn) >= 2 and drawn[0] <= sum(tested) < sum(drawn)
+    want = np.vstack([sample, *accepted])[:300 + m]
+    assert got.tobytes() == want.tobytes()
+    assert tags.tolist() == [False] * 300 + [True] * m
 
 
 def test_adaptive_sampling_density_tracks_feature():
