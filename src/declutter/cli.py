@@ -271,10 +271,20 @@ def _json_ids(value, n: int, name: str) -> np.ndarray:
     return _row_ids(value or np.empty(0, np.intp), n, name)
 
 
+def _json_numbers(value, name: str) -> np.ndarray:
+    """value as a float vector, or GeometryError naming ``name`` unless it is
+    a flat JSON list of numbers (the geometry._number rule: never a numeric
+    string or a bool)."""
+    if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
+        raise GeometryError(f"{name} must be numbers in a flat list")
+    return np.array(value, dtype=np.float64)
+
+
 def _result_from_report(path) -> tuple[DeclutterResult, float | None]:
     """The declutter result a report holds, and the resampling constant its
     run recorded (None when it ran without --resample-C). Its ids must be
-    integers in flat lists (_json_ids), never truncated."""
+    integers in flat lists (_json_ids), never truncated, and its profile
+    values and rejection distances JSON numbers."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
@@ -285,11 +295,13 @@ def _result_from_report(path) -> tuple[DeclutterResult, float | None]:
                            f"; declutter runs only at {VICINITY_FACTOR!r}")
         prof = RobustDistanceProfile(k=_positive_int(data["k"], "report k"),
                                      kind=parse_kind(data["kind"]),
-                                     values=np.asarray(data["profile_values"]))
+                                     values=_json_numbers(data["profile_values"],
+                                                          "profile_values"))
         records = data["rejected"]
         witnesses = _json_ids([r["witness"] for r in records.values()], prof.n,
                               "rejection witnesses")
-        rejected = {int(i): Rejection(witness=w, distance=float(r["distance"]))
+        rejected = {int(i): Rejection(witness=w,
+                                      distance=_number(r["distance"], "rejection distance"))
                     for (i, r), w in zip(records.items(), witnesses.tolist())}
         result = DeclutterResult(
             kept=_json_ids(data["kept_order"], prof.n, "kept_order"),

@@ -73,6 +73,18 @@ _TREE_SHIFT = 4
 _TREE_LAYOUT = {"leafsize": 16, "compact_nodes": False, "balanced_tree": True}
 
 
+def _tree_bound(radius, p: int) -> float | None:
+    """The ``distance_upper_bound`` under which a tree query with Minkowski
+    p finds every point canonically within ``radius``: the radius inflated
+    by twice the slack. None when the bound's p-th power is not a normal
+    float: the tree compares p-th powers, and one that underflows or
+    overflows loses the slack."""
+    with np.errstate(over="ignore", under="ignore"):
+        bound = np.float64(radius) * (1.0 + 2 * _RADIUS_SLACK)
+        power = bound ** p
+    return bound if np.finfo(np.float64).tiny <= power < np.inf else None
+
+
 class NeighborIndex:
     """Immutable query object over one cloud.
 
@@ -232,10 +244,8 @@ class NeighborIndex:
         tree (dense blocks).
         """
         q = self.cloud.query_array(queries)
-        with np.errstate(over="ignore", under="ignore"):
-            bound = np.float64(radius) * (1.0 + 2 * _RADIUS_SLACK)
-            power = bound ** self._p
-        if not (self._tree_serves(1) and np.finfo(np.float64).tiny <= power < np.inf):
+        bound = _tree_bound(radius, self._p)
+        if not (self._tree_serves(1) and bound is not None):
             return self._nearest_rows(q, 1)[0][:, 0] >= radius
         clear = np.empty(q.shape[0], dtype=bool)
         for sl in row_chunks(q.shape[0], self._row_cells(1)):

@@ -32,7 +32,7 @@ import numpy as np
 from .decluttering import _greedy_pass
 from .geometry import (GeometryError, Metric, PointCloud, _member_ids, _positive_finite,
                        _positive_int, subset_cloud)
-from .neighbors import AUTO, NeighborIndex, build_index, nearest_cross
+from .neighbors import AUTO, KDTREE, NeighborIndex, build_index, nearest_cross
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, _check_kind, _sweep
 # profile stays a module attribute: perfbench's self-test looks it up here
 from .robust import profile  # noqa: F401
@@ -189,8 +189,8 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
             schedule = [min(2 ** j, int(current.size)) for j in range(i, 0, -1)]
             values, radii = _set_values(index, schedule, kind, threads, shrunk)
         prof = RobustDistanceProfile(k=k_eff, kind=kind, values=values[k_eff])
-        kept, _, dropped, witness, _ = _greedy_pass(metric, sub_cloud.points,
-                                                    prof.values)
+        kept, _, dropped, witness, _ = _greedy_pass(
+            metric, sub_cloud.points, prof.values, index.strategy == KDTREE)
         resampled_local = _resample(index, kept, C * prof.values[kept])
         iterations.append(ParfreeIteration(
             i=i,

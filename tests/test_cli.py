@@ -664,6 +664,50 @@ def test_eval_reads_kept_ids_as_a_flat_list_of_integers(tmp_path, capsys, value)
     assert str(report) in err and "kept_order must be integers in a flat list" in err
 
 
+def _as_strings(values):
+    return [repr(v) for v in values]
+
+
+def _one_true(values):
+    return [True] + values[1:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # each used to pass eval with exit 0: numbers were read with
+    # np.asarray and float(), so numeric strings and bools were numbers
+    pytest.param(lambda r: r.update(profile_values=_as_strings(r["profile_values"])),
+                 "profile_values must be numbers in a flat list", id="string-profile-values"),
+    pytest.param(lambda r: r.update(profile_values=_one_true(r["profile_values"])),
+                 "profile_values must be numbers in a flat list", id="bool-profile-value"),
+    pytest.param(lambda r: next(iter(r["rejected"].values())).update(distance=True),
+                 "rejection distance must be a number", id="bool-distance"),
+    pytest.param(lambda r: next(iter(r["rejected"].values())).update(distance="0.5"),
+                 "rejection distance must be a number", id="string-distance"),
+    # and these ended in a traceback or a numpy error message
+    pytest.param(lambda r: r.update(profile_values=[r["profile_values"]]),
+                 "profile_values must be numbers in a flat list", id="nested-profile-values"),
+    pytest.param(lambda r: r.update(profile_values=None),
+                 "profile_values must be numbers in a flat list", id="null-profile-values"),
+    pytest.param(lambda r: next(iter(r["rejected"].values())).update(distance=None),
+                 "rejection distance must be a number", id="null-distance"),
+])
+def test_eval_reads_report_numbers_as_json_numbers(tmp_path, capsys, edit, message):
+    pts, ref, certs, report = _certified_artifacts(tmp_path, 4)
+    argv = ["eval", "--points", str(pts), "--reference", str(ref),
+            "--bounds", "thm3.3", "--certificates", str(certs), "--strict",
+            "--report", str(report)]
+    assert main(argv) == 0
+    data = json.loads(report.read_text())
+    assert data["result"]["rejected"]  # a distance to edit
+    edit(data["result"])
+    report.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(report) in err and message in err
+
+
 @pytest.mark.parametrize("value", [
     # each used to raise AttributeError (``data.get``) through main
     "certificates", {"k": 8}, [5], ["k"], [None], [[{"k": 8}]],
