@@ -26,7 +26,13 @@ Shapes (seed 1):
 - ``hausdorff``: the 40000 reference points at k = 1 into the points
   ``declutter`` keeps at k = 16 on the ``certify_cli`` cloud;
 - ``fig2_captured``: the resampling balls (``_captured``) of every round of
-  ``parfree`` on the ``fig2_parfree`` cloud, replayed;
+  ``parfree`` on the ``fig2_parfree`` cloud, replayed. When the balls hold
+  many members, ``_captured`` checks each member against its nearest ball
+  centre first, from a tree of its own over the centres, and walks the
+  balls only for the members that check leaves open, over a tree of those
+  members. The member tree with the layout under test now serves only the
+  ball walk of rounds whose balls hold few members (or whose check leaves
+  most members open), and counts the balls' members;
 - ``torus_self_k17``, ``torus_self_k65``: self k-NN rows of the ``repro
   fig5`` cloud (2400 points in 3-D);
 - ``gauss9_nearest``: 2000 standard Gaussian points at k = 1 into 8192

@@ -17,6 +17,8 @@ import resource
 import sys
 import time
 
+import numpy as np
+
 from declutter import Metric, PointCloud, parfree_declutter
 from declutter import add_ambient_noise, perturb_gaussian, sample_shape
 from declutter.cli import _rounded_square
@@ -26,17 +28,22 @@ THREADS = 2
 LIMIT_MB = 400.0
 
 
+def recipe(n_curve: int, ambient: int) -> tuple[PointCloud, np.ndarray]:
+    """(cloud, ambient tags) of the fig2 recipe at these point counts."""
+    kref, sample = sample_shape(_rounded_square(1.0), n_curve, seed=None)
+    noisy = perturb_gaussian(sample, 0.01, SEED)
+    lo, hi = noisy.min(axis=0), noisy.max(axis=0)
+    pts, tags = add_ambient_noise(noisy, (lo - 7.0, hi + 7.0), ambient, SEED + 1,
+                                  min_clearance=5.0, clearance_points=kref.points)
+    return PointCloud.from_coords(pts), tags
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-curve", type=int, default=16000)
     ap.add_argument("--ambient", type=int, default=4000)
     args = ap.parse_args(argv)
-    kref, sample = sample_shape(_rounded_square(1.0), args.n_curve, seed=None)
-    noisy = perturb_gaussian(sample, 0.01, SEED)
-    lo, hi = noisy.min(axis=0), noisy.max(axis=0)
-    pts, tags = add_ambient_noise(noisy, (lo - 7.0, hi + 7.0), args.ambient, SEED + 1,
-                                  min_clearance=5.0, clearance_points=kref.points)
-    cloud = PointCloud.from_coords(pts)
+    cloud, tags = recipe(args.n_curve, args.ambient)
     start = time.perf_counter()
     ids, trace = parfree_declutter(cloud, Metric(), strategy="kdtree", threads=THREADS)
     job_s = time.perf_counter() - start

@@ -7,6 +7,7 @@ under ``eval --strict``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -679,10 +680,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser :func:`main` reads, built once per process: parsing
+    keeps no state in it, and building every subcommand's flags costs more
+    than most parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (CliError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

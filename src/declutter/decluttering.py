@@ -177,7 +177,10 @@ class _Pass:
         self.p = 1 if metric.kind == MANHATTAN else 2
         self.members = members
         self.order = np.lexsort((np.arange(n), values))
-        self.radii = VICINITY_FACTOR * values
+        # a radius that overflows is infinite, which is the exact decision:
+        # every finite distance lies inside it
+        with np.errstate(over="ignore"):
+            self.radii = VICINITY_FACTOR * values
         self.kept_buf = np.empty_like(members)  # kept members, selection order
         self.kept = np.empty(n, dtype=np.intp)  # kept ids, selection order
         self.m = 0

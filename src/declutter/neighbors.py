@@ -14,7 +14,9 @@ broken by ascending point id everywhere. :func:`nearest_cross` is the k = 1
 row over an index of the targets, for coordinate rows and matrix ids alike.
 The clearance test (whether the nearest member is at least a radius away)
 asks the tree one bounded question per row block and takes the canonical
-path only for rows within the slack of the radius.
+path only for rows within the slack of the radius. Resampling's captured
+mask checks each member against its nearest ball centre and walks balls
+only for the members that check leaves open (:meth:`NeighborIndex._captured`).
 """
 from __future__ import annotations
 
@@ -71,6 +73,13 @@ _TREE_SHIFT = 4
 # points lose 14-20% on Hausdorff queries into a small kept set
 # (BENCH_tree_layout.json, scripts/bench_tree_layout.py)
 _TREE_LAYOUT = {"leafsize": 16, "compact_nodes": False, "balanced_tree": True}
+
+# resampling checks members against their nearest ball centre first when the
+# balls hold at least _CAPTURE_LOAD candidates per member, estimated from
+# every _CAPTURE_STRIDE-th ball; below that, walking the balls alone is
+# faster (BENCH_resample.json, scripts/bench_resample.py)
+_CAPTURE_LOAD = 2
+_CAPTURE_STRIDE = 32
 
 
 def _tree_bound(radius, p: int) -> float | None:
@@ -267,19 +276,25 @@ class NeighborIndex:
         pick = order[first[:, None] + np.arange(k)]
         return d[pick], cand[pick]
 
+    def _wide(self, q: np.ndarray) -> np.ndarray:
+        """Mask of the query rows the tree cannot ball-query. scipy refuses a
+        ball query that meets a distance which overflows, and no distance
+        the tree computes for a row exceeds the one to the farthest corner
+        of the members' bounding box: the rows whose corner distance
+        overflows."""
+        with np.errstate(over="ignore"):
+            corner = np.maximum(np.abs(q - self._tree.mins), np.abs(q - self._tree.maxes))
+            return ~np.isfinite((corner ** self._p).sum(axis=1))
+
     def _ball_candidates(self, q: np.ndarray, radii: np.ndarray, threads: int = 1):
         """Flat (query row, member id, canonical distance) triples for the
         tree's closed-ball supersets, grouped by row and ascending in id.
 
-        scipy refuses a ball query that meets a distance which overflows. No
-        distance the tree computes for a row exceeds the one to the farthest
-        corner of the members' bounding box, so a row whose corner distance
-        overflows takes every member as its candidates instead.
+        Rows that :meth:`_wide` flags take every member as their candidates.
         """
-        r = radii * (1.0 + _RADIUS_SLACK)
         with np.errstate(over="ignore"):
-            corner = np.maximum(np.abs(q - self._tree.mins), np.abs(q - self._tree.maxes))
-            wide = ~np.isfinite((corner ** self._p).sum(axis=1))
+            r = radii * (1.0 + _RADIUS_SLACK)
+        wide = self._wide(q)
         if not wide.any():
             raw = self._tree.query_ball_point(q, r, p=self._p, workers=threads,
                                               return_sorted=True)
@@ -366,18 +381,62 @@ class NeighborIndex:
         return result
 
     def _captured(self, q: np.ndarray, radii: np.ndarray) -> np.ndarray:
-        """Boolean mask of the members inside some query's closed ball,
-        marked block by block without building any ball's id array."""
-        captured = np.zeros(self.cloud.n, dtype=bool)
+        """Boolean mask of the members inside some query's closed ball.
+
+        Dense blocks mark it block by block. On the tree path, when the
+        balls hold many candidates per member (:meth:`_ball_load`), it takes
+        two phases. First, one tree over the ball centres gives each member
+        its nearest centre c, and the member is captured when its canonical
+        distance to c is within c's radius. Second, the members that check
+        leaves open go through the ball pass: each ball's candidates from a
+        tree, decided by canonical distances. The first phase marks only
+        true captures and the pass is exact over every other member, so the
+        tree's choice of c decides which members reach the pass, never the
+        mask. When the balls hold few candidates, or most members are left
+        open, the pass runs alone on this index's own tree; otherwise on a
+        tree over the open members.
+        """
+        n = self.cloud.n
+        captured = np.zeros(n, dtype=bool)
         if self._tree is not None:
-            for sl in row_chunks(q.shape[0], self._ball_cells()):
-                row, cand, d = self._ball_candidates(q[sl], radii[sl])
-                captured[cand[d <= radii[sl][row]]] = True
+            if q.shape[0] and self._ball_load(q, radii) >= _CAPTURE_LOAD * n:
+                centres = cKDTree(q, **_TREE_LAYOUT)
+                for sl in row_chunks(n, self._row_cells(1)):
+                    pts = self.cloud.points[sl]
+                    # a member whose tree distances all overflow gets the
+                    # missing centre m, read as the last one: any centre
+                    # whose ball holds the member is a true capture
+                    near = np.minimum(centres.query(pts, k=1, p=self._p)[1],
+                                      q.shape[0] - 1)
+                    d = paired_distances(self.metric, pts, q[near])
+                    captured[sl] = d <= radii[near]
+            open_ids = np.flatnonzero(~captured)
+            if open_ids.size == 0:
+                return captured
+            index = self
+            if 2 * open_ids.size <= n:
+                index = NeighborIndex(PointCloud.from_coords(self.cloud.points[open_ids]),
+                                      self.metric, KDTREE)
+            for sl in row_chunks(q.shape[0], index._ball_cells()):
+                row, cand, d = index._ball_candidates(q[sl], radii[sl])
+                hit = cand[d <= radii[sl][row]]
+                captured[hit if index is self else open_ids[hit]] = True
             return captured
         for sl in row_chunks(q.shape[0], self.cloud.n):
             block = cross_distances(self.metric, q[sl], self.cloud.points)
             captured |= (block <= radii[sl, None]).any(axis=0)
         return captured
+
+    def _ball_load(self, q: np.ndarray, radii: np.ndarray) -> float:
+        """Estimated member count of all the closed balls together: the
+        mean over every ``_CAPTURE_STRIDE``-th ball, times the ball count. A
+        ball the tree cannot query (:meth:`_wide`) counts every member."""
+        pick = slice(None, None, _CAPTURE_STRIDE)
+        qs, rs = q[pick], radii[pick]
+        wide = self._wide(qs)
+        held = self._tree.query_ball_point(qs[~wide], rs[~wide], p=self._p,
+                                           return_length=True)
+        return (held.sum() + wide.sum() * self.cloud.n) * q.shape[0] / qs.shape[0]
 
 
 def build_index(cloud: PointCloud, metric: Metric, strategy: str = AUTO) -> NeighborIndex:

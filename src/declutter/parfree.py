@@ -21,6 +21,15 @@ point inside their previous K-ball, and every other member's values are
 copied from the previous set's, byte for byte. A sub-cloud selects points of
 the input, so every round measures with the input's metric (on a
 matrix-backed cloud, the input's matrix).
+
+Resampling marks the captured members on one mask
+(:meth:`neighbors.NeighborIndex._captured`). On the kd-tree path, when the
+balls hold at least two members per member, each member is first checked
+against its nearest kept point, found from a tree over the kept points, and
+only the members that check leaves open walk the balls. The check marks
+only true captures and the ball walk is exact over every other member, so
+the mask is that of walking every ball. A radius C * d_k(q) that overflows
+is infinite, the exact decision, since every finite distance lies inside it.
 """
 from __future__ import annotations
 
@@ -103,7 +112,15 @@ def resample_step(cloud: PointCloud, metric: Metric, kept_ids,
     if prof.n != cloud.n:
         raise GeometryError("profile does not cover this cloud")
     return _resample(build_index(cloud, metric, strategy), kept_ids,
-                     C * prof.values[kept_ids])
+                     _ball_radii(C, prof.values[kept_ids]))
+
+
+def _ball_radii(C: float, values: np.ndarray) -> np.ndarray:
+    """C times the kept points' robust values. A product that overflows is
+    an infinite radius, which is the exact decision: every finite distance
+    lies inside it."""
+    with np.errstate(over="ignore"):
+        return C * values
 
 
 def _resample(index: NeighborIndex, kept_ids: np.ndarray,
@@ -191,7 +208,7 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
         prof = RobustDistanceProfile(k=k_eff, kind=kind, values=values[k_eff])
         kept, _, dropped, witness, _ = _greedy_pass(
             metric, sub_cloud.points, prof.values, index.strategy == KDTREE)
-        resampled_local = _resample(index, kept, C * prof.values[kept])
+        resampled_local = _resample(index, kept, _ball_radii(C, prof.values[kept]))
         iterations.append(ParfreeIteration(
             i=i,
             k_target=k_target,

@@ -888,3 +888,38 @@ def test_every_declared_flag_is_read(tmp_path, capsys):
               for name, p in sub.choices.items() for action in p._actions
               if action.dest != "help" and action.dest not in read[name]]
     assert not unread, f"declared flags that no run reads: {unread}"
+
+
+def test_declutter_resample_C_whose_radii_overflow(tmp_path, capsys):
+    # C times a robust distance overflows to an infinite ball, which holds
+    # every point: no warning, and every id is resampled
+    pts = tmp_path / "points.csv"
+    dc.save_points(pts, np.random.default_rng(68).normal(size=(300, 2)) * 1e150)
+    run = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["declutter", "--points", str(pts), "--k", "8",
+                     "--resample-C", "1e160", "--out-dir", str(run)]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    assert dc.load_ids(run / "resampled_ids.csv", "id").tolist() == list(range(300))
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    # one parser serves every call in the process, a failed parse included
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: (built.append(1), real())[1])
+    cli._parser.cache_clear()
+    try:
+        assert main(["certify", "--k"]) == 1
+        assert capsys.readouterr().err.startswith("error: argument --k: expected one argument")
+        pts = tmp_path / "points.csv"
+        _write_line_points(pts)
+        out = tmp_path / "run"
+        assert main(["declutter", "--points", str(pts), "--k", "2",
+                     "--out-dir", str(out)]) == 0
+        assert dc.load_points(out / "kept.csv").ravel().tolist() == [0.0, 2.0]
+        assert json.loads((out / "report.json").read_text())["config"]["k"] == 2
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()

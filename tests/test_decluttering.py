@@ -489,3 +489,22 @@ def test_a_last_candidate_inside_the_slack_band_takes_the_dense_compare(monkeypa
     assert builds and got == _pass_outcome(cloud, metric, prof, False)
     assert json.loads(got[4])["rejected"] == {"2": {"witness": 0,
                                                     "distance": canonical[0]}}
+
+
+@pytest.mark.parametrize("strategy", ["brute", "kdtree"])
+def test_vicinity_radii_that_overflow_decide_as_the_scaled_cloud(strategy):
+    # 2 * d_k overflows on the cloud and not on the cloud scaled by 2^-4. An
+    # infinite radius holds every finite distance, so both keep and reject
+    # the same points, and the witness distances scale exactly
+    pts = np.array([[0.0], [1.0e308], [1.7e308]])
+    metric = dc.Metric("manhattan")
+    big, small = (dc.declutter(dc.PointCloud.from_coords(pts * scale), metric, 2,
+                               kind=dc.KTH_NN, strategy=strategy)
+                  for scale in (1.0, 2.0 ** -4))
+    limit = np.finfo(np.float64).max / decluttering.VICINITY_FACTOR
+    assert (big.profile.values > limit).any() and (small.profile.values <= limit).all()
+    assert big.kept.tolist() == small.kept.tolist()
+    assert {p: r.witness for p, r in big.rejected.items()} == {
+        p: r.witness for p, r in small.rejected.items()}
+    for p, r in big.rejected.items():
+        assert small.rejected[p].distance == r.distance * 2.0 ** -4

@@ -487,3 +487,104 @@ def test_clear_of_equals_the_canonical_nearest_distance(dim, kind, exponent, hug
             want = nearest >= r
             assert np.array_equal(brute._clear_of(q, r), want), r
             assert np.array_equal(tree._clear_of(q, r), want), r
+
+
+# -- resampling's captured mask -------------------------------------------------
+
+def _captured_every_way(index, q, radii):
+    """The kd-tree index's mask with the nearest-centre phase forced on, at
+    the load rule, and off."""
+    masks = []
+    for load in (0, neighbors._CAPTURE_LOAD, np.inf):
+        with mock.patch.object(neighbors, "_CAPTURE_LOAD", load):
+            masks.append(index._captured(q, radii))
+    return masks
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), kind=st.sampled_from(["euclidean", "manhattan"]),
+       exponent=st.sampled_from([-540, 0, 500]), huge=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_captured_on_the_tree_equals_brute(dim, kind, exponent, huge, seed):
+    # integer grids with duplicated members, radii equal to attained
+    # distances (members on the closed boundaries) and their neighbouring
+    # floats, radius-0 balls, far centres with radii that reach one member,
+    # scaled coordinates and tree distances that overflow
+    rng = np.random.default_rng(seed)
+    grid = np.round(rng.normal(size=(60, dim)) * 3)
+    pts = np.vstack([grid, grid[:15], rng.normal(size=(20, dim))]) * 2.0 ** exponent
+    far = np.round(rng.normal(size=(4, dim)) * 3 + 40) * 2.0 ** exponent
+    q = np.vstack([pts[::5], (np.round(rng.normal(size=(10, dim)) * 3) + 0.5)
+                   * 2.0 ** exponent, far])
+    if huge:  # members and centres far apart enough that distances overflow
+        pts[-3:] = -1.7e308
+        q = np.vstack([q, np.full((2, dim), 1.7e308)])
+    metric = dc.Metric(kind)
+    block = dc.cross_distances(metric, q, pts)
+    radii = block[np.arange(q.shape[0]), rng.integers(0, pts.shape[0], size=q.shape[0])]
+    radii = np.where(np.isfinite(radii), radii, 0.0)
+    radii[rng.random(q.shape[0]) < 0.3] = 0.0
+    step = rng.random(q.shape[0])
+    radii[step < 0.2] = np.nextafter(radii[step < 0.2], np.inf)
+    radii[step > 0.8] = np.nextafter(radii[step > 0.8], 0.0)
+    cloud = dc.PointCloud.from_coords(pts)
+    want = (block <= radii[:, None]).any(axis=0)
+    assert np.array_equal(dc.build_index(cloud, metric, "brute")._captured(q, radii), want)
+    for got in _captured_every_way(dc.build_index(cloud, metric, "kdtree"), q, radii):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+def test_a_member_only_a_far_centre_captures(kind):
+    # the member at 0 has its nearest centre at 0.5 with a radius-0 ball, and
+    # only the far centre at 100, whose radius is exactly its distance,
+    # captures it: the nearest-centre check leaves it open and the ball pass
+    # marks it
+    pts = np.array([[0.0, 0.0], [0.25, 0.0], [3.0, 0.0], [50.0, 0.0]])
+    q = np.array([[0.5, 0.0], [100.0, 0.0]])
+    radii = np.array([0.0, 100.0])
+    index = dc.build_index(dc.PointCloud.from_coords(pts), dc.Metric(kind), "kdtree")
+    for got in _captured_every_way(index, q, radii):
+        assert got.tolist() == [True, True, True, True]
+    radii[1] = np.nextafter(100.0, 0.0)
+    for got in _captured_every_way(index, q, radii):
+        assert got.tolist() == [False, True, True, True]
+
+
+def test_no_ball_is_walked_when_every_nearest_centre_captures(monkeypatch):
+    # 20 balls that each hold the whole cloud: the nearest-centre check
+    # captures every member and no ball query runs
+    pts = np.random.default_rng(65).uniform(size=(500, 2))
+    index = dc.build_index(dc.PointCloud.from_coords(pts), dc.Metric(), "kdtree")
+    walked = []
+    real = NeighborIndex._ball_candidates
+    monkeypatch.setattr(NeighborIndex, "_ball_candidates", lambda self, qq, *rest: (
+        walked.append(qq.shape[0]), real(self, qq, *rest))[1])
+    assert index._captured(pts[:20], np.full(20, 2.0)).all()
+    # members on the closed boundary of their nearest centre's ball
+    line = dc.build_index(dc.PointCloud.from_coords(np.arange(4.0)[:, None]),
+                          dc.Metric("manhattan"), "kdtree")
+    with mock.patch.object(neighbors, "_CAPTURE_LOAD", 0):
+        assert line._captured(np.array([[0.0], [2.0]]), np.ones(2)).all()
+    assert walked == []
+    # a ball that misses some member is walked, over the open members only
+    radii = np.full(20, 2.0)
+    pts_far = np.vstack([pts, [[9.0, 9.0]]])
+    index = dc.build_index(dc.PointCloud.from_coords(pts_far), dc.Metric(), "kdtree")
+    sizes = []
+    monkeypatch.setattr(NeighborIndex, "_ball_candidates", lambda self, qq, *rest: (
+        sizes.append(self.cloud.n), real(self, qq, *rest))[1])
+    assert index._captured(pts[:20], radii).tolist() == [True] * 500 + [False]
+    assert sizes == [1]
+
+
+@pytest.mark.parametrize("strategy", ["brute", "kdtree"])
+def test_captured_with_no_ball_and_with_one(strategy):
+    pts = np.random.default_rng(66).normal(size=(200, 2))
+    index = dc.build_index(dc.PointCloud.from_coords(pts), dc.Metric(), strategy)
+    assert index.ball_ids_many(pts[:0], np.zeros(0)) == []
+    assert not index._captured(pts[:0], np.zeros(0)).any()
+    radius = dc.cross_distances(dc.Metric(), pts[:1], pts)[0, 17]
+    want = dc.cross_distances(dc.Metric(), pts[:1], pts)[0] <= radius
+    assert index._captured(pts[:1], np.array([radius])).tolist() == want.tolist()
+    assert index.ball_ids_many(pts[:1], [radius])[0].tolist() == np.flatnonzero(want).tolist()

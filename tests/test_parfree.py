@@ -409,3 +409,31 @@ def test_a_point_removed_at_exactly_the_kth_distance_is_reswept(monkeypatch):
     swept.clear()
     parfree_module._set_values(after, [1, 2, 3], dc.RMS_K, 1, shrunk)
     assert swept == [[0.0, 2.0, 8.0, 9.0]]
+
+
+@pytest.mark.parametrize("case", ["gauss-euclidean", "line-manhattan"])
+@pytest.mark.parametrize("strategy", ["brute", "kdtree"])
+def test_ball_radii_that_overflow_decide_as_the_scaled_cloud(case, strategy):
+    # C * d_k overflows on the cloud and, for some kept point, not on the
+    # cloud scaled by 2^-4. An infinite radius holds every finite distance,
+    # so both resample the same ids, one step and through the whole loop
+    pts, metric, kind, k, C = {
+        "gauss-euclidean": (np.random.default_rng(67).normal(size=(300, 2)) * 1e150,
+                            dc.Metric(), dc.RMS_K, 8, 1e160),
+        "line-manhattan": (np.array([[0.0], [1.0e308], [1.7e308]]),
+                           dc.Metric("manhattan"), dc.KTH_NN, 2, dc.THEORETICAL_C),
+    }[case]
+    runs = []
+    for scale in (1.0, 2.0 ** -4):
+        cloud = dc.PointCloud.from_coords(pts * scale)
+        prof = dc.profile(cloud, dc.build_index(cloud, metric, strategy), k, kind)
+        kept = dc.greedy_declutter(cloud, metric, prof).kept
+        ids, trace = dc.parfree_declutter(cloud, metric, kind, C=C, strategy=strategy)
+        runs.append((prof.values[kept], kept.tolist(),
+                     dc.resample_step(cloud, metric, kept, prof, C, strategy).tolist(),
+                     ids.tolist(), [(it.kept_ids.tolist(), it.resampled_ids.tolist(),
+                                     it.rejected) for it in trace.iterations]))
+    (big_values, *big), (small_values, *small) = runs
+    limit = np.finfo(np.float64).max / C
+    assert (big_values > limit).any() and (small_values <= limit).any()
+    assert big == small
