@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .certify import SamplingCertificate, certify_scales
-from .decluttering import VICINITY_FACTOR, DeclutterResult, Rejection, declutter
+from .decluttering import (VICINITY_FACTOR, DeclutterResult, Rejection, _declutter_on,
+                           declutter)
 from .evaluation import BOUND_NAMES, BOUNDS, hausdorff, verify_bound
 from .figures import write_scatter_svg
 from .geometry import (
@@ -27,6 +28,7 @@ from .geometry import (
     PointCloud,
     _flag,
     _number,
+    _positive_finite,
     _positive_int,
     _row_ids,
     load_ids,
@@ -40,9 +42,11 @@ from .parfree import (
     THEORETICAL_C,
     ParfreeIteration,
     ParfreeTrace,
+    _ball_radii,
+    _resample,
     parfree_declutter,
-    resample_step,
 )
+from .neighbors import build_index
 from .robust import RobustDistanceProfile, parse_kind
 from .synthgen import (
     Circle,
@@ -172,8 +176,8 @@ def _cmd_declutter(args) -> int:
     cloud, metric = _load_cloud(args)
     kind = parse_kind(args.kind)
     os.makedirs(args.out_dir, exist_ok=True)
-    result = declutter(cloud, metric, args.k, kind=kind, strategy=args.strategy,
-                       threads=args.threads)
+    index = build_index(cloud, metric, args.strategy)  # resampling reuses it
+    result = _declutter_on(index, args.k, kind, args.threads)
     kept_sorted = result.kept_ids
     if cloud.is_coordinate:
         save_points(os.path.join(args.out_dir, "kept.csv"), cloud.coords[kept_sorted])
@@ -181,8 +185,9 @@ def _cmd_declutter(args) -> int:
     _write_json(os.path.join(args.out_dir, "report.json"),
                 _report(args, result=result.to_dict()))
     if args.resample_C is not None:
-        resampled = resample_step(cloud, metric, result.kept, result.profile,
-                                  args.resample_C, strategy=args.strategy)
+        _positive_finite(args.resample_C, "resampling constant")
+        resampled = _resample(index, result.kept, _ball_radii(
+            args.resample_C, result.profile.values[result.kept]))
         save_ids(os.path.join(args.out_dir, "resampled_ids.csv"), resampled)
         if cloud.is_coordinate:
             save_points(os.path.join(args.out_dir, "resampled.csv"),

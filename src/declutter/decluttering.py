@@ -51,8 +51,8 @@ from scipy.spatial import cKDTree
 from . import geometry
 from .geometry import (MANHATTAN, GeometryError, Metric, PointCloud, cross_distances,
                        paired_distances, row_chunks)
-from .neighbors import (_RADIUS_SLACK, _TREE_LAYOUT, _TREE_SHIFT, AUTO, KDTREE, _tree_bound,
-                        build_index)
+from .neighbors import (_RADIUS_SLACK, _TREE_LAYOUT, _TREE_SHIFT, AUTO, KDTREE, NeighborIndex,
+                        _tree_bound, build_index)
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, profile
 
 # points per block of the greedy scan, read from BENCH_greedy_blocks.json
@@ -116,7 +116,14 @@ def declutter(cloud: PointCloud, metric: Metric, k: int,
     (:func:`robust.profile`) followed by :func:`greedy_declutter`, on the
     index's strategy: the brute strategy keeps the dense scan.
     """
-    index = build_index(cloud, metric, strategy)
+    return _declutter_on(build_index(cloud, metric, strategy), k, kind, threads)
+
+
+def _declutter_on(index: NeighborIndex, k: int, kind: DistanceKind,
+                  threads: int) -> DeclutterResult:
+    """:func:`declutter` over the index's cloud, on an index the caller
+    keeps (the CLI resamples on it)."""
+    cloud, metric = index.cloud, index.metric
     prof = profile(cloud, index, k, kind, threads=threads)
     if index.strategy == KDTREE:
         return greedy_declutter(cloud, metric, prof)  # a coordinate cloud

@@ -242,7 +242,7 @@ def _check_lem42(a, inputs):
     rows = index.knn_distance_rows(cloud.points[pick], k, a.threads)
     kk = float(k)
     factors = np.sqrt(kk / (kk - np.arange(1, k + 1) + 1.0))
-    rms = _prefix_values(rows.copy(), [k], RMS_K)[k]
+    rms = _prefix_values(rows, [k], RMS_K)[k]
     return float((rows - factors[None, :] * rms[:, None]).max()), 0.0
 
 

@@ -380,6 +380,50 @@ def test_infinite_constants_exit_1(tmp_path, capsys, flags):
     assert err.startswith("error: ") and "must be finite and positive" in err
 
 
+@pytest.mark.parametrize("strategy", ["auto", "kdtree", "brute"])
+def test_declutter_resamples_on_its_own_index(tmp_path, monkeypatch, strategy):
+    # --resample-C reuses the index the declutter pass built over the cloud,
+    # and writes what declutter followed by resample_step gives
+    pts = np.random.default_rng(21).normal(size=(600, 2))
+    pts[:40] *= 6.0
+    points = tmp_path / "points.csv"
+    dc.save_points(points, pts)
+    loaded, builds = [], []
+    load = cli._load_cloud
+    init = dc.NeighborIndex.__init__
+
+    def loading(args):
+        loaded.append(load(args))
+        return loaded[-1]
+
+    def building(self, cloud, *args, **kwargs):
+        builds.append(cloud)
+        init(self, cloud, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_load_cloud", loading)
+    monkeypatch.setattr(dc.NeighborIndex, "__init__", building)
+    run = tmp_path / "run"
+    assert main(["declutter", "--points", str(points), "--k", "8", "--resample-C", "4",
+                 "--strategy", strategy, "--out-dir", str(run)]) == 0
+    cloud, metric = loaded[0]
+    assert sum(c is cloud for c in builds) == 1
+    monkeypatch.undo()
+    result = dc.declutter(cloud, metric, 8, strategy=strategy)
+    resampled = dc.resample_step(cloud, metric, result.kept, result.profile, 4.0,
+                                 strategy=strategy)
+    assert 0 < result.kept.size < resampled.size < cloud.n
+    want = tmp_path / "want"
+    want.mkdir()
+    dc.save_ids(want / "kept_ids.csv", result.kept_ids)
+    dc.save_points(want / "kept.csv", pts[result.kept_ids])
+    dc.save_ids(want / "resampled_ids.csv", resampled)
+    dc.save_points(want / "resampled.csv", pts[resampled])
+    report = json.loads((run / "report.json").read_text())
+    assert report["result"] == result.to_dict()
+    for path in want.iterdir():
+        assert (run / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 @pytest.mark.parametrize("flags", [
     ["--clearance", "nan"],
     ["--clearance", "-1", "--ambient", "5"],

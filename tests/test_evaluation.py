@@ -1,9 +1,11 @@
+import collections
 import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import declutter as dc
 from declutter import geometry
@@ -503,3 +505,75 @@ def test_every_bound_gates_its_certificates(gated_runs, name, fault):
         got = dc.verify_bound(name, **{**args, "certificates": spoiled})
         assert not got.applicable, i
         assert got.inputs["reason"].endswith(f"at scale {i}")
+
+
+@st.composite
+def _circle_instances(draw):
+    """A noisy circle with ambient points (n 60-400, up to n/3 ambient), or,
+    one time in three, a near-regular ``uniform_instance``-style sample whose
+    uniformity constant can meet the c <= 2 gates; with a metric, a kind
+    and a k."""
+    uniform = draw(st.integers(0, 2)) == 0
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    rng = np.random.default_rng(seed)
+    metric = dc.Metric(draw(st.sampled_from(["euclidean", "manhattan"])))
+    kind = draw(st.sampled_from([dc.RMS_K, dc.AVG_K, dc.KTH_NN]))
+    k = draw(st.sampled_from([2, 4, 8, 16]))
+    radius = float(rng.uniform(0.5, 2.0))
+    shape = dc.Circle((float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))), radius)
+    if uniform:
+        n = draw(st.integers(60, 240))
+        kref, pts = dc.sample_shape(shape, n, seed=None)
+        pts = dc.perturb_gaussian(pts, 0.02 * shape.length / n, seed)
+    else:
+        n = draw(st.integers(60, 400))
+        ambient = draw(st.integers(0, n // 3))
+        sigma = draw(st.sampled_from([0.0, 0.002, 0.01, 0.03]))
+        kref, pts = dc.sample_shape(shape, n - ambient, seed=seed)
+        pts = dc.perturb_gaussian(pts, sigma * radius, seed + 1)
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        pad = 0.5 * float((hi - lo).max())
+        pts, _ = dc.add_ambient_noise(pts, (lo - pad, hi + pad), ambient, seed + 2)
+    cloud = dc.PointCloud.from_coords(pts)
+    return cloud, metric, kref, kind, k, uniform
+
+
+def test_every_applicable_bound_holds_on_random_instances():
+    # the paper's bounds as an oracle: on any instance, a bound whose
+    # hypotheses the certificates meet must pass; a failure is a wrong
+    # algorithm or a wrong check, and the message names the bound and draw
+    applicable = collections.Counter()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(instance=_circle_instances())
+    def check(instance):
+        cloud, metric, kref, kind, k, uniform = instance
+        cert = dc.certify(cloud, metric, kref, k, kind=kind)
+        result = dc.declutter(cloud, metric, k, kind=kind)
+        resampled = dc.resample_step(cloud, metric, result.kept, result.profile,
+                                     dc.THEORETICAL_C)
+        _, trace = dc.parfree_declutter(cloud, metric, kind=kind)
+        runs = {"lem4.2": {"k": k}, "lem4.5": {"trace": trace},
+                "lem4.4": {"kref": kref, "certificate": cert, "result": result,
+                           "resampled_ids": resampled, "C": dc.THEORETICAL_C}}
+        for name in ("thm3.3", "lem3.1", "lem3.2", "prop3.4", "thmD.2"):
+            runs[name] = {"kref": kref, "certificate": cert, "result": result}
+        if uniform:  # full at i0 = 1, weak at every scale above
+            ks = [2 ** i for i in range(1, trace.iterations[0].i + 1)]
+            certs = {**dc.certify_scales(cloud, metric, kref, ks[:1], kind=kind),
+                     **dc.certify_scales(cloud, metric, kref, ks[1:], kind=kind,
+                                         weak=True)}
+            runs["thm4.1"] = {"kref": kref, "trace": trace, "certificates": certs,
+                              "i0": 1}
+        for name, inputs in runs.items():
+            got = dc.verify_bound(name, cloud=cloud, metric=metric, **inputs)
+            if got.applicable:
+                applicable[name] += 1
+                assert got.passed, (name, cloud.n, metric.kind, kind.name, k,
+                                    uniform, got.to_dict())
+
+    check()
+    floors = {"thm3.3": 100, "lem3.1": 100, "lem3.2": 100, "prop3.4": 100,
+              "thmD.2": 100, "lem4.2": 100, "lem4.5": 100, "lem4.4": 30,
+              "thm4.1": 30}
+    assert all(applicable[name] >= floor for name, floor in floors.items()), applicable

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import declutter as dc
 import declutter.geometry as geometry
+import declutter.robust as robust
 from declutter.neighbors import NeighborIndex
 from conftest import line_cloud, oracle_robust, random_cloud
 
@@ -350,3 +352,88 @@ def test_matrix_sweep_holds_one_distance_block(kind):
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * block + len(ks) * n * 8 + scratch, (ks, peak / block)
+
+
+def _cumsum_values(rows, ks, kind):
+    """The running sums as a row-wise cumsum gives them, or None when the
+    value at the largest k is not finite."""
+    with np.errstate(over="ignore"):
+        x = rows * rows if kind == dc.RMS_K else rows.copy()
+        sums = np.cumsum(x, axis=1)
+    vals = {k: sums[:, k - 1] / k for k in ks}
+    if kind == dc.RMS_K:
+        vals = {k: np.sqrt(v) for k, v in vals.items()}
+    return vals if np.all(np.isfinite(vals[ks[-1]])) else None
+
+
+def _check_prefix_values(rows, ks, kind, tile_rows):
+    """_prefix_values with at least ``tile_rows`` rows summed down tiles
+    against the cumsum reference; the rows must come back unchanged."""
+    before = rows.copy()
+    want = _cumsum_values(rows, ks, kind)
+    with mock.patch.object(robust, "_TILE_ROWS", tile_rows):
+        if want is None:
+            with pytest.raises(dc.GeometryError,
+                               match=f"{kind.name} distances overflow float64"):
+                robust._prefix_values(rows, ks, kind)
+        else:
+            got = robust._prefix_values(rows, ks, kind)
+            assert sorted(got) == ks
+            for k in ks:
+                assert got[k].tobytes() == want[k].tobytes(), k
+    assert rows.tobytes() == before.tobytes()  # the rows are not consumed
+
+
+def _distance_rows(rng, m, n_cols, style, scale):
+    if style == "ties":
+        rows = rng.integers(0, 4, size=(m, n_cols)).astype(float)
+    elif style == "zeros":
+        rows = rng.exponential(size=(m, n_cols)) * (rng.random((m, n_cols)) < 0.5)
+    elif style == "subnormal":
+        rows = rng.integers(0, 1000, size=(m, n_cols)) * 5e-324
+    elif style == "overflow":  # the running sum overflows halfway along
+        rows = rng.random((m, n_cols))
+        rows[:, n_cols // 2:] += 2.0 ** 1022 / max(1.0, scale)
+    else:
+        rows = rng.exponential(size=(m, n_cols))
+    return np.sort(rows * scale, axis=1)
+
+
+@st.composite
+def _prefix_cases(draw):
+    m = draw(st.one_of(st.integers(0, 70), st.sampled_from([2049, 3001])))
+    width = max(8, robust._TILE_CELLS // max(m, 1))
+    n_cols = draw(st.sampled_from([width - 1, width, width + 1, 2 * width]))
+    edges = [1, n_cols] + [e + d for e in (width, 2 * width) for d in (-1, 0, 1)
+                           if e + d <= n_cols]
+    ks = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(1, n_cols)),
+                       min_size=1, max_size=8))
+    style = draw(st.sampled_from(["spread", "ties", "zeros", "subnormal", "overflow"]))
+    scale = draw(st.sampled_from([1.0, 2.0 ** -500, 2.0 ** 500]))
+    pad = draw(st.sampled_from([0, 3]))  # rows may be a prefix of wider rows
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = _distance_rows(rng, m, n_cols + pad, style, scale)[:, :n_cols]
+    return rows, sorted(set(ks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_prefix_cases(), kind=st.sampled_from([dc.RMS_K, dc.AVG_K]),
+       tile_rows=st.sampled_from([0, 2, robust._TILE_ROWS]))
+def test_tiled_running_sums_equal_cumsum(case, kind, tile_rows):
+    # tiles end at every k and every width columns; each query adds its
+    # entries in cumsum's order whatever the tile edges, the values and m,
+    # also where fewer rows than the library's threshold are summed in tiles
+    _check_prefix_values(*case, kind, tile_rows)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("tile_rows", [0, 2, robust._TILE_ROWS])
+@pytest.mark.parametrize("kind", [dc.RMS_K, dc.AVG_K], ids=lambda k: k.name)
+def test_running_sums_of_one_and_two_rows(m, tile_rows, kind):
+    # a reduce over a single row would be numpy's pairwise sum, whose bytes
+    # differ from the sequential sum on this row, so one row never reaches
+    # it; two rows do once the threshold allows
+    rows = np.sort(np.random.default_rng(27).exponential(size=(m, 4096)), axis=1)
+    x = rows[0] * rows[0] if kind == dc.RMS_K else rows[0]
+    assert np.add.reduce(x) != np.cumsum(x)[-1]
+    _check_prefix_values(rows, [1, 7, 8, 9, 1000, 4096], kind, tile_rows)
