@@ -16,8 +16,9 @@ metrics certification takes, so the plain and weak certificates sweep every
 v(s) + |r - s| from their nearest swept point s can reach the sampled
 maximum. The maximiser is always swept and a max over the same floats is the
 same float, so the certificates are the bytes a full sweep gives. The
-adaptive certificate divides by feature sizes, which nothing checks to be
-1-Lipschitz, and sweeps every reference point.
+adaptive certificate prunes the same way: correctly rounded division is
+monotone, so a point's bound divided by its feature size tops its computed
+v(r) / f(r) whatever the feature sizes are.
 """
 from __future__ import annotations
 
@@ -101,14 +102,13 @@ def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
 
     cond1 is the largest robust distance at a reference point (density of
     the reference), cond2 the largest excess of a cloud point's distance to
-    the reference over its own robust distance (sparsity of noise). The
-    plain and weak cond1 come from :func:`_reference_maxima`, which sweeps
-    only the reference points that can hold the maximum and returns the
-    full sweep's floats. The adaptive variant divides both by the feature
-    size at the relevant reference point (the nearest one for cond2; ties
-    resolved to lowest id), so it sweeps every reference point, and it also
-    records, once for all k, how many cloud points have more than one
-    nearest reference point (``nearest_reference_ties``).
+    the reference over its own robust distance (sparsity of noise). cond1
+    comes from :func:`_reference_maxima`, which sweeps only the reference
+    points that can hold the maximum and returns the full sweep's floats.
+    The adaptive variant divides both by the feature size at the relevant
+    reference point (the nearest one for cond2; ties resolved to lowest id),
+    and it also records, once for all k, how many cloud points have more
+    than one nearest reference point (``nearest_reference_ties``).
     """
     _require_coordinate(cloud, kref)
     if kref.cloud.n < 1:
@@ -116,11 +116,8 @@ def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
     if adaptive and not kref.has_feature_sizes:
         raise GeometryError("adaptive certification needs feature sizes on the reference")
     index = build_index(cloud, metric, AUTO)
-    if adaptive:
-        cond1s = {k: float((v / kref.feature_sizes).max()) for k, v in
-                  values_at_scales(index, kref.points, ks, kind, threads).items()}
-    else:
-        cond1s = _reference_maxima(index, metric, kref.points, ks, kind, threads)
+    cond1s = _reference_maxima(index, metric, kref.points, ks, kind, threads,
+                               kref.feature_sizes if adaptive else None)
     own_vals = values_at_scales(index, cloud.coords, ks, kind, threads=threads)
     # each point's two nearest reference points by (distance, id): the first
     # is its nearest (ties to the lowest id), an equally near second a tie
@@ -149,33 +146,38 @@ def _certificates(cloud: PointCloud, metric: Metric, kref: GroundTruthRef, ks,
 
 
 def _reference_maxima(index: NeighborIndex, metric: Metric, ref: np.ndarray, ks,
-                      kind: DistanceKind, threads: int) -> dict[int, float]:
-    """The largest robust distance at a reference point, at each k, as a full
+                      kind: DistanceKind, threads: int,
+                      sizes: np.ndarray | None = None) -> dict[int, float]:
+    """The largest robust distance at a reference point, each divided by the
+    point's feature size in ``sizes`` (by 1.0 without), at each k, as a full
     sweep of the reference finds it.
 
     Every ``_CERT_STRIDE``-th point is swept; every other point r is swept
     only when its Lipschitz bound from its nearest sampled point s,
-    ``(v(s) + |r - s|) * (1 + _LIPSCHITZ_SLACK) + _LIPSCHITZ_FLOOR``, reaches
-    the sampled maximum at some k. The bound tops r's computed value, so a
-    point that exceeds the sampled maximum is swept. So is one whose running
-    sum overflows: its exact value lies past the overflow threshold that
-    every sampled value stays below, and its sweep raises as a full one
-    would.
+    ``(v(s) + |r - s|) * (1 + _LIPSCHITZ_SLACK) + _LIPSCHITZ_FLOOR``, divided
+    by f(r), reaches the sampled maximum at some k. The bound tops r's
+    computed value and division rounds monotonically, so a point that
+    exceeds the sampled maximum is swept. So is one whose running sum
+    overflows: its exact value lies past the overflow threshold that every
+    sampled value stays below, and its sweep raises as a full one would.
     """
+    # dividing by 1.0 is exact, so the plain maxima come out unchanged
+    f = np.ones(ref.shape[0]) if sizes is None else sizes
     sample = ref[::_CERT_STRIDE]
     vals = values_at_scales(index, sample, ks, kind, threads)
-    top = {k: v.max() for k, v in vals.items()}
+    top = {k: (v / f[::_CERT_STRIDE]).max() for k, v in vals.items()}
     rest = np.flatnonzero(np.arange(ref.shape[0]) % _CERT_STRIDE)
     if rest.size:
         gap, near = nearest_cross(metric, ref[rest], sample, threads)
         reach = np.zeros(rest.size, dtype=bool)
         with np.errstate(over="ignore"):  # an infinite bound sweeps its point
             for k, v in vals.items():
-                reach |= ((v[near] + gap) * (1.0 + _LIPSCHITZ_SLACK)
-                          + _LIPSCHITZ_FLOOR >= top[k])
+                reach |= (((v[near] + gap) * (1.0 + _LIPSCHITZ_SLACK)
+                           + _LIPSCHITZ_FLOOR) / f[rest] >= top[k])
         if reach.any():
-            swept = values_at_scales(index, ref[rest[reach]], ks, kind, threads)
-            top = {k: max(t, swept[k].max()) for k, t in top.items()}
+            picked = rest[reach]
+            swept = values_at_scales(index, ref[picked], ks, kind, threads)
+            top = {k: max(t, (swept[k] / f[picked]).max()) for k, t in top.items()}
     return {k: float(t) for k, t in top.items()}
 
 

@@ -314,7 +314,8 @@ def _result_from_report(path) -> tuple[DeclutterResult, float | None]:
             rejected=rejected,
             order=_json_ids(data["processing_order"], prof.n, "processing order"),
             profile=prof)
-        return result, None if recorded is None else float(recorded)
+        return result, (None if recorded is None
+                        else _number(recorded, "config resample_C"))
     except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CliError(f"cannot read declutter report {path}: {exc!r}") from exc
 

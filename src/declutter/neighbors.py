@@ -71,13 +71,13 @@ _TREE_SHIFT = 4
 # library runs is slower beyond timing noise. Sliding-midpoint splits lose
 # 10-40% on Gaussian clouds in 5 and 9 dimensions, and leaves of 32 or 64
 # points lose 14-20% on Hausdorff queries into a small kept set
-# (BENCH_tree_layout.json, scripts/bench_tree_layout.py)
+# (BENCH_tree_layout.json; git show bbe28ed:scripts/bench_tree_layout.py)
 _TREE_LAYOUT = {"leafsize": 16, "compact_nodes": False, "balanced_tree": True}
 
 # resampling checks members against their nearest ball centre first when the
 # balls hold at least _CAPTURE_LOAD candidates per member, estimated from
 # every _CAPTURE_STRIDE-th ball; below that, walking the balls alone is
-# faster (BENCH_resample.json, scripts/bench_resample.py)
+# faster (BENCH_resample.json; git show bbe28ed:scripts/bench_resample.py)
 _CAPTURE_LOAD = 2
 _CAPTURE_STRIDE = 32
 

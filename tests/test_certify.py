@@ -235,24 +235,32 @@ def test_adaptive_tie_count_equals_the_dense_count(side):
     assert (want > 0) == (side > 1)
 
 
-def _full_sweep_certificates(cloud, metric, kref, ks, kind, weak):
-    """Plain or weak certificate records from a sweep of every reference
-    point (cond1) and a dense cloud-to-reference block (cond2)."""
+def _full_sweep_certificates(cloud, metric, kref, ks, kind, weak, adaptive=False):
+    """Certificate records from a sweep of every reference point (cond1) and
+    a dense cloud-to-reference block (cond2); adaptive ones divide both by
+    the feature size at the reference point (for cond2 the nearest one, the
+    lowest id among equals)."""
     index = dc.build_index(cloud, metric)
     ref_vals = dc.values_at_scales(index, kref.points, ks, kind)
     own_vals = dc.values_at_scales(index, cloud.coords, ks, kind)
-    d_ref = dc.cross_distances(metric, cloud.coords, kref.points).min(axis=1)
+    block = dc.cross_distances(metric, cloud.coords, kref.points)
+    d_ref = block.min(axis=1)
+    f = kref.feature_sizes if adaptive else np.ones(kref.cloud.n)
+    f_near = f[block.argmin(axis=1)]
     out = {}
     for k in ref_vals:
-        cond1 = float(ref_vals[k].max())
-        cond2 = float((d_ref - own_vals[k]).max())
+        cond1 = float((ref_vals[k] / f).max())
+        cond2 = float(((d_ref - own_vals[k]) / f_near).max())
         eps = max(cond1, 0.0) if weak else max(cond1, cond2, 0.0)
         lo = float(own_vals[k].min())
         out[k] = {"k": k, "kind": kind.name, "epsilon_k": eps,
                   "uniformity_c": eps / lo if eps > 0 and lo > 0 else None,
-                  "weak_uniform": weak, "adaptive": False,
+                  "weak_uniform": weak, "adaptive": adaptive,
                   "conditions": {"cond1_max": cond1, "cond2_max": cond2,
                                  "min_robust_distance": lo}}
+        if adaptive:
+            out[k]["conditions"]["nearest_reference_ties"] = int(
+                ((block == d_ref[:, None]).sum(axis=1) > 1).sum())
     return out
 
 
@@ -281,34 +289,41 @@ def _reference_coords(shape, rng, d):
        shuffle=st.booleans(), d=st.integers(1, 3),
        metric=st.sampled_from([dc.EUCLIDEAN, dc.MANHATTAN]),
        kind=st.sampled_from(KIND_NAMES), weak=st.booleans(),
-       ks=st.lists(st.integers(1, 12), min_size=1, max_size=3))
+       ks=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       adaptive=st.booleans(), f_exp=st.integers(-500, 500))
 def test_pruned_reference_sweep_equals_the_full_sweep(seed, shape, shuffle, d,
-                                                      metric, kind, weak, ks):
+                                                      metric, kind, weak, ks,
+                                                      adaptive, f_exp):
     # a stride over the reference ids picks the sample, so a shuffled
     # reference is sampled unevenly in space; only the speed may depend on it
     rng = np.random.default_rng(seed)
     ref = _reference_coords(shape, rng, d)
     if shuffle:
         ref = ref[rng.permutation(len(ref))]
+    # adaptive pruning assumes nothing of the feature sizes: these are not
+    # 1-Lipschitz and lie anywhere from 2**-501 to 2**501
+    sizes = rng.uniform(0.5, 2.0, len(ref)) * 2.0 ** f_exp if adaptive else None
     # cloud points on reference points tie their values; at least one point
     on_ref = ref[rng.integers(0, len(ref), int(rng.integers(0, 40)))]
     m = int(rng.integers(0 if len(on_ref) else 1, 30))
     cloud = dc.PointCloud.from_coords(
         np.vstack([on_ref, rng.normal(scale=2.0, size=(m, d))]))
-    kref = dc.GroundTruthRef(dc.PointCloud.from_coords(ref))
+    kref = dc.GroundTruthRef(dc.PointCloud.from_coords(ref), sizes)
     ks = sorted({min(k, cloud.n) for k in ks})
     metric, kind = dc.Metric(metric), dc.parse_kind(kind)
-    got = dc.certify_scales(cloud, metric, kref, ks, kind=kind, weak=weak)
-    want = _full_sweep_certificates(cloud, metric, kref, ks, kind, weak)
+    got = dc.certify_scales(cloud, metric, kref, ks, kind=kind, weak=weak,
+                            adaptive=adaptive)
+    want = _full_sweep_certificates(cloud, metric, kref, ks, kind, weak, adaptive)
     assert sorted(got) == ks
     for k in ks:
         assert (json.dumps(got[k].to_dict(), sort_keys=True)
                 == json.dumps(want[k], sort_keys=True))
 
 
-def test_only_the_adaptive_certificate_sweeps_every_reference_point(monkeypatch):
+def test_every_certificate_prunes_its_reference_sweep(monkeypatch):
     # on a noisy sample the largest reference values sit where the noise
-    # thins the cloud, so the plain sweep rules most reference points out
+    # thins the cloud, so the sweep rules most reference points out, also
+    # when the adaptive certificate divides them by feature sizes
     cloud, metric, kref, _ = noisy_instance(0)
     f = dc.feature_from_anchor(kref.points[0], 0.5)
     akref = dc.GroundTruthRef(kref.cloud, f(kref.points))
@@ -322,13 +337,11 @@ def test_only_the_adaptive_certificate_sweeps_every_reference_point(monkeypatch)
     monkeypatch.setattr(certify_module, "values_at_scales", recording)
     n_ref, stride = kref.cloud.n, certify_module._CERT_STRIDE
     for weak in (False, True):
-        queries.clear()
-        dc.certify_scales(cloud, metric, akref, [2, 8], weak=weak, adaptive=True)
-        assert queries == [n_ref, cloud.n]
-        queries.clear()
-        dc.certify_scales(cloud, metric, kref, [2, 8], weak=weak)
-        assert queries[0] == -(-n_ref // stride) and queries[-1] == cloud.n
-        assert sum(queries[:-1]) < n_ref / 2
+        for ref, adaptive in ((kref, False), (akref, True)):
+            queries.clear()
+            dc.certify_scales(cloud, metric, ref, [2, 8], weak=weak, adaptive=adaptive)
+            assert queries[0] == -(-n_ref // stride) and queries[-1] == cloud.n
+            assert sum(queries[:-1]) < n_ref / 2
 
 
 @pytest.mark.parametrize("metric", [dc.EUCLIDEAN, dc.MANHATTAN])

@@ -147,6 +147,33 @@ def test_eval_lem44_reads_the_reports_resampling_constant(tmp_path, capsys):
     assert checked_C(absent + ["--C", "2"]) == 2.0
 
 
+@pytest.mark.parametrize("recorded", ["4", True])
+def test_eval_reads_the_recorded_resampling_constant_as_a_number(tmp_path, capsys,
+                                                                 recorded):
+    # a numeric string or a boolean is no recorded constant: read as a float,
+    # true would check lem4.4 at C = 1 on ids resampled at C = 4
+    kref, sample = dc.sample_shape(dc.Circle((0.0, 0.0), 1.0), 128, seed=None)
+    pts, ref = tmp_path / "points.csv", tmp_path / "reference.csv"
+    dc.save_points(pts, dc.perturb_gaussian(sample, 0.0005, 3))
+    dc.save_points(ref, kref.points)
+    certs, run = tmp_path / "certs.json", tmp_path / "run"
+    assert main(["certify", "--points", str(pts), "--reference", str(ref),
+                 "--k", "4", "--out", str(certs)]) == 0
+    assert main(["declutter", "--points", str(pts), "--k", "4",
+                 "--resample-C", "4", "--out-dir", str(run)]) == 0
+    report = run / "report.json"
+    data = json.loads(report.read_text())
+    data["config"]["resample_C"] = recorded
+    report.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["eval", "--points", str(pts), "--reference", str(ref),
+                 "--certificates", str(certs), "--bounds", "lem4.4",
+                 "--resampled-ids", str(run / "resampled_ids.csv"),
+                 "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert str(report) in err and "config resample_C must be a number" in err
+
+
 def test_eval_parfree_bounds(tmp_path):
     shape = dc.Circle((0.0, 0.0), 1.0)
     kref, sample = dc.sample_shape(shape, 128, seed=None)

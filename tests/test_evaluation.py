@@ -509,11 +509,13 @@ def test_every_bound_gates_its_certificates(gated_runs, name, fault):
 
 @st.composite
 def _circle_instances(draw):
-    """A noisy circle with ambient points (n 60-400, up to n/3 ambient), or,
-    one time in three, a near-regular ``uniform_instance``-style sample whose
+    """A noisy circle with ambient points (n 60-400, up to n/3 ambient), half
+    of them sampled adaptively to ``feature_from_anchor`` sizes, or, one time
+    in three, a near-regular ``uniform_instance``-style sample whose
     uniformity constant can meet the c <= 2 gates; with a metric, a kind
     and a k."""
     uniform = draw(st.integers(0, 2)) == 0
+    adaptive = not uniform and draw(st.booleans())
     seed = draw(st.integers(0, 2 ** 31 - 1))
     rng = np.random.default_rng(seed)
     metric = dc.Metric(draw(st.sampled_from(["euclidean", "manhattan"])))
@@ -529,13 +531,21 @@ def _circle_instances(draw):
         n = draw(st.integers(60, 400))
         ambient = draw(st.integers(0, n // 3))
         sigma = draw(st.sampled_from([0.0, 0.002, 0.01, 0.03]))
-        kref, pts = dc.sample_shape(shape, n - ambient, seed=seed)
+        if adaptive:  # spacing grows away from an anchor on the circle
+            theta = rng.uniform(0.0, 2 * np.pi)
+            anchor = np.add(shape.center, radius * np.array([np.cos(theta),
+                                                             np.sin(theta)]))
+            f = dc.feature_from_anchor(anchor, float(rng.uniform(0.05, 0.5)) * radius)
+            kref, pts = dc.sample_shape(shape, n - ambient, mode="adaptive",
+                                        seed=seed, feature_fn=f)
+        else:
+            kref, pts = dc.sample_shape(shape, n - ambient, seed=seed)
         pts = dc.perturb_gaussian(pts, sigma * radius, seed + 1)
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         pad = 0.5 * float((hi - lo).max())
         pts, _ = dc.add_ambient_noise(pts, (lo - pad, hi + pad), ambient, seed + 2)
     cloud = dc.PointCloud.from_coords(pts)
-    return cloud, metric, kref, kind, k, uniform
+    return cloud, metric, kref, kind, k, uniform, adaptive
 
 
 def test_every_applicable_bound_holds_on_random_instances():
@@ -547,7 +557,7 @@ def test_every_applicable_bound_holds_on_random_instances():
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(instance=_circle_instances())
     def check(instance):
-        cloud, metric, kref, kind, k, uniform = instance
+        cloud, metric, kref, kind, k, uniform, adaptive = instance
         cert = dc.certify(cloud, metric, kref, k, kind=kind)
         result = dc.declutter(cloud, metric, k, kind=kind)
         resampled = dc.resample_step(cloud, metric, result.kept, result.profile,
@@ -558,6 +568,10 @@ def test_every_applicable_bound_holds_on_random_instances():
                            "resampled_ids": resampled, "C": dc.THEORETICAL_C}}
         for name in ("thm3.3", "lem3.1", "lem3.2", "prop3.4", "thmD.2"):
             runs[name] = {"kref": kref, "certificate": cert, "result": result}
+        if adaptive:
+            runs["thm3.7"] = {"kref": kref, "result": result,
+                              "certificate": dc.certify(cloud, metric, kref, k,
+                                                        kind=kind, adaptive=True)}
         if uniform:  # full at i0 = 1, weak at every scale above
             ks = [2 ** i for i in range(1, trace.iterations[0].i + 1)]
             certs = {**dc.certify_scales(cloud, metric, kref, ks[:1], kind=kind),
@@ -570,10 +584,10 @@ def test_every_applicable_bound_holds_on_random_instances():
             if got.applicable:
                 applicable[name] += 1
                 assert got.passed, (name, cloud.n, metric.kind, kind.name, k,
-                                    uniform, got.to_dict())
+                                    uniform, adaptive, got.to_dict())
 
     check()
     floors = {"thm3.3": 100, "lem3.1": 100, "lem3.2": 100, "prop3.4": 100,
               "thmD.2": 100, "lem4.2": 100, "lem4.5": 100, "lem4.4": 30,
-              "thm4.1": 30}
+              "thm4.1": 30, "thm3.7": 30}
     assert all(applicable[name] >= floor for name, floor in floors.items()), applicable
