@@ -10,11 +10,12 @@ from, and fails on the first answer that is not its oracle's bytes:
   plain and divided by ``feature_from_anchor`` sizes, against a sweep of
   every reference point;
 - ``test_tree_layout``: every ``cKDTree`` layout of a grid, on the query
-  shapes the library runs, against the brute index;
+  shapes the library runs and on an integer grid's exact ties, against the
+  brute index;
 - ``test_table_writer``: ``save_points`` and ``save_ids`` against
   ``np.savetxt`` on edge values and chunk-boundary shapes;
 - ``test_clearance``: the clearance sampler against ``plain`` rejection
-  sampling;
+  sampling, also on draws at the clearance and one float either side;
 - ``test_greedy``: the kd-tree greedy pass against the dense pass, at the
   chosen constants and at small ones;
 - ``test_resample``: the kd-tree ``_captured`` mask against the brute
@@ -137,7 +138,8 @@ LAYOUTS = [{"leafsize": leaf, "compact_nodes": compact, "balanced_tree": balance
 LAYOUT_SHAPES = ("far_nn1", "far_nn2", "cond2", "torus_outliers",
                  "circle20k_self_k16", "certify_self_k33", "hausdorff",
                  "fig2_captured", "torus_self_k17", "torus_self_k65",
-                 "gauss9_nearest", "gauss5_self_k8")
+                 "gauss9_nearest", "gauss5_self_k8", "grid_self_k2", "grid_self_k5",
+                 "grid_centre_k3", "grid_centre_k4")
 
 
 def _with_tree(index: NeighborIndex, layout: dict) -> NeighborIndex:
@@ -201,6 +203,11 @@ def layout_shapes() -> dict:
     gauss9, gauss9_q = (rng.normal(size=(int(8192 * SCALE), 9)),
                         rng.normal(size=(int(2000 * SCALE), 9)))
     gauss5 = rng.normal(size=(int(4096 * SCALE), 5))
+    # an integer grid ties exactly: a member's 4 nearest others, and a cell
+    # centre's 4 corners, are equidistant; k = 2 and 3 cut through a tie,
+    # k = 5 and 4 end on one, so only the (distance, id) order decides
+    grid = np.argwhere(np.ones((40, 40))).astype(np.float64)
+    centres = grid + 0.5
     return {
         "far_nn1": _rows(kref.points, draws, 1),
         "far_nn2": _rows(kref.points, draws, 2),
@@ -214,6 +221,10 @@ def layout_shapes() -> dict:
         "torus_self_k65": _rows(torus_cloud, torus_cloud, 65, rule_free=True),
         "gauss9_nearest": _rows(gauss9, gauss9_q, 1, rule_free=True),
         "gauss5_self_k8": _rows(gauss5, gauss5, 8, rule_free=True),
+        "grid_self_k2": _rows(grid, grid, 2),
+        "grid_self_k5": _rows(grid, grid, 5),
+        "grid_centre_k3": _rows(grid, centres, 3),
+        "grid_centre_k4": _rows(grid, centres, 4),
     }
 
 
@@ -309,6 +320,35 @@ def test_clearance(recipe, seed):
     assert got.tobytes() == plain(*args, **kwargs).tobytes()
 
 
+class FixedDraws:
+    """A stand-in for ``np.random.default_rng(seed)`` whose uniform draws
+    repeat fixed rows, whatever the box."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def uniform(self, low, high, size):
+        return np.resize(self.rows, size)
+
+
+def test_clearance_on_the_boundary():
+    # members on a grid of spacing 2, and draws 0.5 to the right of each
+    # member and one float either side: their canonical distance is the
+    # clearance, or one float below or above it, so each draw lies in the
+    # tree's slack band and only the canonical distance decides; then draws
+    # midway between members, clear by far
+    members = 2.0 * np.argwhere(np.ones((10, 10))).astype(np.float64)
+    x = members[:, :1] + 0.5
+    draws = np.vstack([np.hstack([np.nextafter(x, step), members[:, 1:]])
+                       for step in (-np.inf, x, np.inf)] + [members + [1.0, 0.0]])
+    args = (np.zeros((1, 2)), ([-1.0, -1.0], [20.0, 20.0]), members.shape[0], SEED)
+    kwargs = {"min_clearance": 0.5, "clearance_points": members}
+    with mock.patch.object(np.random, "default_rng", lambda seed: FixedDraws(draws)):
+        got = synthgen.add_ambient_noise(*args, **kwargs)[0]
+        want = plain(*args, **kwargs)
+    assert got.tobytes() == want.tobytes()
+
+
 # -- greedy -----------------------------------------------------------------
 
 GAUSSIAN_DIMS = (3, 5, 9)
@@ -387,7 +427,8 @@ def resample_calls(name: str, seed: int) -> list:
         fig2 = Fig2Parfree(n_curve=int(3500 * SCALE), ambient=int(1000 * SCALE))
         return captured_calls(fig2.setup(seed, None)["cloud"])
     if name == "guard20k":
-        return captured_calls(guard_recipe(int(16000 * SCALE), int(4000 * SCALE))[0])
+        return captured_calls(guard_recipe(int(16000 * SCALE), int(4000 * SCALE),
+                                           seed)[0])
     if name == "all_in_balls":  # every ball holds every point
         pts = np.random.default_rng(seed).uniform(size=(int(10000 * SCALE), 2))
         m = int(300 * SCALE)

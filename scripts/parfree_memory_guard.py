@@ -28,12 +28,12 @@ THREADS = 2
 LIMIT_MB = 400.0
 
 
-def recipe(n_curve: int, ambient: int) -> tuple[PointCloud, np.ndarray]:
+def recipe(n_curve: int, ambient: int, seed: int = SEED) -> tuple[PointCloud, np.ndarray]:
     """(cloud, ambient tags) of the fig2 recipe at these point counts."""
     kref, sample = sample_shape(_rounded_square(1.0), n_curve, seed=None)
-    noisy = perturb_gaussian(sample, 0.01, SEED)
+    noisy = perturb_gaussian(sample, 0.01, seed)
     lo, hi = noisy.min(axis=0), noisy.max(axis=0)
-    pts, tags = add_ambient_noise(noisy, (lo - 7.0, hi + 7.0), ambient, SEED + 1,
+    pts, tags = add_ambient_noise(noisy, (lo - 7.0, hi + 7.0), ambient, seed + 1,
                                   min_clearance=5.0, clearance_points=kref.points)
     return PointCloud.from_coords(pts), tags
 

@@ -30,7 +30,7 @@ from .geometry import (GeometryError, GroundTruthRef, Metric, PointCloud, _flag,
                        _number, _positive_finite, _positive_int)
 from .neighbors import (AUTO, _LIPSCHITZ_FLOOR, _LIPSCHITZ_SLACK, NeighborIndex,
                         build_index, nearest_cross)
-from .robust import DistanceKind, RMS_K, values_at_scales
+from .robust import DistanceKind, RMS_K, parse_kind, values_at_scales
 
 # every this many reference ids, one is swept at every k before the
 # Lipschitz bounds pick the rest (_reference_maxima)
@@ -75,7 +75,6 @@ class SamplingCertificate:
     def from_dict(data: dict) -> "SamplingCertificate":
         """The certificate a :meth:`to_dict` record holds; its numbers must be
         JSON numbers and its flags JSON booleans (GeometryError otherwise)."""
-        from .robust import parse_kind
         c = data.get("uniformity_c")
         return SamplingCertificate(
             k=data["k"],

@@ -267,112 +267,82 @@ def _cmd_certify(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _json_ids(value, n: int, name: str) -> np.ndarray:
-    """value as a vector of ids, or GeometryError naming ``name`` unless it is
-    a flat JSON list of integers in 0..n-1 (geometry._row_ids). A bool is an
-    int to Python and numpy reads ``[true]`` as id 1, so neither type decides."""
-    if not (isinstance(value, list) and all(type(i) is int for i in value)):
-        raise GeometryError(f"{name} must be integers in a flat list")
-    # an empty JSON list reads as floats, so none is an empty int array
-    return _row_ids(value or np.empty(0, np.intp), n, name)
+def _read_json(path, what: str, read):
+    """``read`` applied to the JSON document at path. Every error in opening,
+    parsing or reading it (a missing or mistyped field, a value its check
+    refuses) is CliError naming ``what`` and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return read(json.load(fh))
+    except (OSError, LookupError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc!r}") from exc
 
 
-def _json_numbers(value, name: str) -> np.ndarray:
-    """value as a float vector, or GeometryError naming ``name`` unless it is
-    a flat JSON list of numbers (the geometry._number rule: never a numeric
-    string or a bool)."""
-    if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
-        raise GeometryError(f"{name} must be numbers in a flat list")
-    return np.array(value, dtype=np.float64)
+def _json_list(value, name: str, n: int | None = None) -> np.ndarray:
+    """value as ids in 0..n-1, or as floats when n is None; GeometryError
+    naming ``name`` unless it is a flat JSON list of integers (of numbers
+    when n is None). Item types decide exactly: a bool is never an id or a
+    number, nor a numeric string a number."""
+    types, word = ((int, float), "numbers") if n is None else ((int,), "integers")
+    if not (isinstance(value, list) and all(type(v) in types for v in value)):
+        raise GeometryError(f"{name} must be {word} in a flat list")
+    if n is None:
+        return np.array(value, dtype=np.float64)
+    return _row_ids(np.array(value, dtype=np.intp), n, name)
 
 
-def _result_from_report(path) -> tuple[DeclutterResult, float | None]:
+def _report_result(report) -> tuple[DeclutterResult, float | None]:
     """The declutter result a report holds, and the resampling constant its
-    run recorded (None when it ran without --resample-C). Its ids must be
-    integers in flat lists (_json_ids), never truncated, and its profile
-    values and rejection distances JSON numbers."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-        data = report["result"]
-        recorded = report.get("config", {}).get("resample_C")
-        if data["vicinity_factor"] != VICINITY_FACTOR:
-            raise CliError(f"{path} records vicinity factor {data['vicinity_factor']!r}"
-                           f"; declutter runs only at {VICINITY_FACTOR!r}")
-        prof = RobustDistanceProfile(k=_positive_int(data["k"], "report k"),
-                                     kind=parse_kind(data["kind"]),
-                                     values=_json_numbers(data["profile_values"],
-                                                          "profile_values"))
-        records = data["rejected"]
-        witnesses = _json_ids([r["witness"] for r in records.values()], prof.n,
-                              "rejection witnesses")
-        rejected = {int(i): Rejection(witness=w,
-                                      distance=_number(r["distance"], "rejection distance"))
-                    for (i, r), w in zip(records.items(), witnesses.tolist())}
-        result = DeclutterResult(
-            kept=_json_ids(data["kept_order"], prof.n, "kept_order"),
-            rejected=rejected,
-            order=_json_ids(data["processing_order"], prof.n, "processing order"),
-            profile=prof)
-        return result, (None if recorded is None
-                        else _number(recorded, "config resample_C"))
-    except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CliError(f"cannot read declutter report {path}: {exc!r}") from exc
+    run recorded (None when it ran without --resample-C)."""
+    data = report["result"]
+    if data["vicinity_factor"] != VICINITY_FACTOR:
+        raise GeometryError(f"the run records vicinity factor {data['vicinity_factor']!r}"
+                            f"; declutter runs only at {VICINITY_FACTOR!r}")
+    prof = RobustDistanceProfile(k=_positive_int(data["k"], "report k"),
+                                 kind=parse_kind(data["kind"]),
+                                 values=_json_list(data["profile_values"],
+                                                   "profile_values"))
+    records = data["rejected"]
+    witnesses = _json_list([r["witness"] for r in records.values()],
+                           "rejection witnesses", prof.n)
+    rejected = {int(i): Rejection(witness=w,
+                                  distance=_number(r["distance"], "rejection distance"))
+                for (i, r), w in zip(records.items(), witnesses.tolist())}
+    result = DeclutterResult(
+        kept=_json_list(data["kept_order"], "kept_order", prof.n), rejected=rejected,
+        order=_json_list(data["processing_order"], "processing order", prof.n),
+        profile=prof)
+    recorded = report.get("config", {}).get("resample_C")
+    return result, None if recorded is None else _number(recorded, "config resample_C")
 
 
-def _certs_from_file(path) -> dict[int, SamplingCertificate]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)["certificates"]
-        certs = [SamplingCertificate.from_dict(d) for d in data]
-    except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CliError(f"cannot read certificates {path}: {exc!r}") from exc
-    return {c.k: c for c in certs}
-
-
-def _iteration_index(value) -> int:
-    """value, or GeometryError unless it is a non-negative int."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise GeometryError(f"trace iteration i must be a non-negative integer, "
-                            f"got {value!r}")
-    return value
-
-
-def _trace_from_dir(args) -> ParfreeTrace:
-    """The parfree trace a ``parfree --dump-iterations`` directory holds. Its
-    scales must be integers (i from 0, k and k_effective from 1), its
-    resampling constant a JSON number and its degenerate flag a JSON
-    boolean, or the trace is refused (CliError)."""
-    trace_path = os.path.join(args.trace_dir, "trace.json")
-    try:
-        with open(trace_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)["trace"]
-        scales = [(_iteration_index(s["i"]), _positive_int(s["k"], "trace k"),
-                   _positive_int(s["k_effective"], "trace k_effective"))
-                  for s in meta["iterations"]]
-        constant = _number(meta["resampling_constant"], "trace resampling_constant")
-        kind = parse_kind(meta["kind"])
-        degenerate = _flag(meta.get("degenerate", False), "trace degenerate")
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"cannot read trace {trace_path}: {exc!r}") from exc
-    iterations = []
-    it_dir = os.path.join(args.trace_dir, "iterations")
-    for i, k_target, k_effective in scales:
-        stem = os.path.join(it_dir, f"iter_{i:02d}")
-        try:
-            input_ids = load_ids(stem + "_input_ids.csv", "trace input id")
-            kept_ids = load_ids(stem + "_kept_ids.csv", "trace kept id")
-            resampled = load_ids(stem + "_resampled_ids.csv", "trace resampled id")
-            values = load_points(stem + "_profile.csv").ravel()
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read trace dumps {stem}_*.csv "
-                           f"(run parfree --dump-iterations): {exc!r}") from exc
-        iterations.append(ParfreeIteration(
-            i=i, k_target=k_target, k_effective=k_effective,
-            input_ids=input_ids, kept_ids=kept_ids, resampled_ids=resampled,
-            profile_values=values))
-    return ParfreeTrace(iterations=iterations, resampling_constant=constant,
-                        kind=kind, degenerate=degenerate)
+def _trace_from_dir(trace_dir) -> ParfreeTrace:
+    """The parfree trace a ``parfree --dump-iterations`` directory holds:
+    ``trace.json`` and each round's id and profile dumps. A round's i must be
+    an integer from 0, its k and k_effective from 1, the resampling constant
+    a JSON number and the degenerate flag a JSON boolean."""
+    def read(doc):
+        meta, rounds = doc["trace"], []
+        for s in meta["iterations"]:
+            i = s["i"]
+            if type(i) is not int or i < 0:
+                raise GeometryError(f"trace iteration i must be a non-negative "
+                                    f"integer, got {i!r}")
+            stem = os.path.join(trace_dir, "iterations", f"iter_{i:02d}")
+            rounds.append(ParfreeIteration(
+                i=i, k_target=_positive_int(s["k"], "trace k"),
+                k_effective=_positive_int(s["k_effective"], "trace k_effective"),
+                input_ids=load_ids(stem + "_input_ids.csv", "trace input id"),
+                kept_ids=load_ids(stem + "_kept_ids.csv", "trace kept id"),
+                resampled_ids=load_ids(stem + "_resampled_ids.csv", "trace resampled id"),
+                profile_values=load_points(stem + "_profile.csv").ravel()))
+        return ParfreeTrace(
+            iterations=rounds, kind=parse_kind(meta["kind"]),
+            resampling_constant=_number(meta["resampling_constant"],
+                                        "trace resampling_constant"),
+            degenerate=_flag(meta.get("degenerate", False), "trace degenerate"))
+    return _read_json(os.path.join(trace_dir, "trace.json"), "trace", read)
 
 
 # the eval flag that supplies each verify_bound input named in BOUNDS
@@ -389,7 +359,8 @@ def _cmd_eval(args) -> int:
     names = [tok for tok in args.bounds.split(",") if tok]
     if not names or not set(names) <= set(BOUND_NAMES):
         raise CliError(f"--bounds takes names from {BOUND_NAMES}, got {args.bounds!r}")
-    result, recorded = _result_from_report(args.report) if args.report else (None, None)
+    result, recorded = (_read_json(args.report, "declutter report", _report_result)
+                        if args.report else (None, None))
     C = args.C
     # lem4.4, the one bound that reads C, checks the resampled ids at the
     # constant that produced them
@@ -398,8 +369,11 @@ def _cmd_eval(args) -> int:
             raise CliError(f"--C {C!r} differs from the resample_C {recorded!r} "
                            f"recorded in {args.report}")
         C = recorded
-    certs = _certs_from_file(args.certificates) if args.certificates else {}
-    trace = _trace_from_dir(args) if args.trace_dir else None
+    certs = {}
+    if args.certificates:
+        certs = _read_json(args.certificates, "certificates", lambda doc: {
+            c.k: c for c in map(SamplingCertificate.from_dict, doc["certificates"])})
+    trace = _trace_from_dir(args.trace_dir) if args.trace_dir else None
     resampled = None
     if args.resampled_ids:
         resampled = load_ids(args.resampled_ids, "resampled id")
@@ -578,11 +552,15 @@ def _cmd_repro(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _thread_count(text: str) -> int:
-    """A --threads value: a positive integer, else a usage error."""
-    if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _int_from(low: int):
+    """The argparse type of an integer flag of at least ``low`` (--threads
+    from 1, --seed from 0): anything else is a usage error."""
+    def parse(text: str) -> int:
+        if not (text.isdecimal() and int(text) >= low):
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, "
+                                             f"got {text!r}")
+        return int(text)
+    return parse
 
 
 def _add_cloud_inputs(p) -> None:
@@ -591,7 +569,7 @@ def _add_cloud_inputs(p) -> None:
     p.add_argument("--matrix", help="precomputed distance matrix CSV")
     p.add_argument("--metric", choices=("euclidean", "manhattan"),
                    default="euclidean")
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_int_from(1), default=1)
 
 
 def build_parser() -> _Parser:
@@ -616,7 +594,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ambient", type=int, default=0)
     p.add_argument("--clearance", type=float, default=0.0)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--emit-figures", action="store_true")
     p.set_defaults(func=_cmd_gen)
 
@@ -671,7 +649,7 @@ def build_parser() -> _Parser:
     p.add_argument("--i0", type=int, default=None)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", help="write bound certificates JSON here")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("repro", help="end-to-end figure recipes")
@@ -679,8 +657,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--ambient", type=int, default=None)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--seed", type=_int_from(0), default=0)
+    p.add_argument("--threads", type=_int_from(1), default=1)
     p.set_defaults(func=_cmd_repro)
 
     return parser

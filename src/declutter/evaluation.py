@@ -184,7 +184,7 @@ def _parfree_gate(a) -> None:
     trace = a.trace
     if trace.degenerate or not trace.iterations:
         raise _NotApplicable("degenerate run")
-    if abs(trace.resampling_constant - THEORETICAL_C) > 1e-12:
+    if not abs(trace.resampling_constant - THEORETICAL_C) <= 1e-12:  # NaN too
         raise _NotApplicable("asserted only at the theoretical resampling constant")
     if trace.clamped:
         raise _NotApplicable("k was clamped during the run")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, GroundTruthRef, Metric, PointCloud
+from .geometry import GeometryError, GroundTruthRef, Metric, PointCloud, _positive_finite
 from .neighbors import build_index, nearest_cross
 
 
@@ -91,8 +91,7 @@ class Circle(_Curve):
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise GeometryError("circle radius must be positive")
+        _positive_finite(self.radius, "circle radius")
 
     def _at(self, s: np.ndarray) -> np.ndarray:
         theta = s / self.radius
@@ -166,8 +165,8 @@ class TwoScaleLoops(Shape):
     center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if not (self.big_radius > 0 and self.loop_radius > 0):
-            raise GeometryError("radii must be positive")
+        _positive_finite(self.big_radius, "big radius")
+        _positive_finite(self.loop_radius, "loop radius")
         if self.loop_radius >= self.big_radius:
             raise GeometryError("loop radius must be smaller than the big radius")
         if self.loop_count < 2:
@@ -257,6 +256,8 @@ class SurfaceGrid(Shape):
 def torus_grid(big_radius: float, tube_radius: float, nu: int = 96,
                nv: int = 48) -> SurfaceGrid:
     """Standard torus in 3-D, gridded over both angles."""
+    _positive_finite(big_radius, "ring radius")
+    _positive_finite(tube_radius, "tube radius")
     if tube_radius >= big_radius:
         raise GeometryError("tube radius must be smaller than the ring radius")
     u = np.arange(nu) * (2.0 * math.pi / nu)
@@ -274,8 +275,7 @@ def torus_grid(big_radius: float, tube_radius: float, nu: int = 96,
 
 def feature_from_anchor(anchor, floor: float):
     """f(x) = floor + d(x, anchor): positive and 1-Lipschitz by construction."""
-    if not (floor > 0):
-        raise GeometryError("feature floor must be positive")
+    _positive_finite(floor, "feature floor")
     anchor = np.asarray(anchor, dtype=np.float64)
 
     def f(points: np.ndarray) -> np.ndarray:
@@ -314,8 +314,8 @@ def perturb_gaussian(points: np.ndarray, sigma: float, seed: int,
                      scales: np.ndarray | None = None) -> np.ndarray:
     """Add i.i.d. zero-mean Gaussian offsets per coordinate. ``scales``
     multiplies sigma per point (adaptive noise)."""
-    if sigma < 0:
-        raise GeometryError("sigma must be non-negative")
+    if not 0 <= sigma < np.inf:  # NaN fails both
+        raise GeometryError(f"sigma must be finite and non-negative, got {sigma!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if sigma == 0:
         return pts.copy()

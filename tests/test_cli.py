@@ -1,15 +1,18 @@
 import argparse
 import collections
+import io
 import json
 import math
 import re
 import shutil
 import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import declutter as dc
 from declutter import cli
@@ -994,3 +997,179 @@ def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
         assert built == [1]
     finally:
         cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "50"],
+    ["repro", "fig1", "--n", "60"],
+    ["eval", "--bounds", "lem4.2", "--k", "5"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_1(tmp_path, capsys, argv):
+    # each used to end in numpy's "expected non-negative integer" traceback
+    pts = tmp_path / "points.csv"
+    _write_line_points(pts)
+    out = ["--points", str(pts)] if argv[0] == "eval" else ["--out-dir",
+                                                             str(tmp_path / "out")]
+    assert main([*argv, *out, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["points.csv"]  # nothing written
+
+
+@pytest.mark.parametrize("flags, name", [
+    # each used to exit 0 with NaN or Inf points, or exit 1 with an error
+    # that named no parameter
+    (["--sigma", "nan"], "sigma"),
+    (["--sigma", "inf"], "sigma"),
+    (["--radius", "inf"], "circle radius"),
+    (["--shape", "torus", "--big-radius", "inf"], "ring radius"),
+    (["--shape", "loops", "--big-radius", "inf"], "big radius"),
+    (["--shape", "loops", "--loop-radius", "nan"], "loop radius"),
+    (["--mode", "adaptive", "--feature-floor", "inf", "--sigma", "0.01"],
+     "feature floor"),
+])
+def test_gen_refuses_non_finite_shape_and_noise(tmp_path, capsys, flags, name):
+    out = tmp_path / "gen"
+    assert main(["gen", "--n", "50", *flags, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not out.exists()
+
+
+def test_eval_nan_resampling_constant_is_not_the_theoretical_one(tmp_path, capsys):
+    # a NaN constant used to pass the parameter-free gate, and lem4.5 passed
+    shape = dc.Circle((0.0, 0.0), 1.0)
+    kref, sample = dc.sample_shape(shape, 64, seed=None)
+    pts, ref = tmp_path / "points.csv", tmp_path / "reference.csv"
+    dc.save_points(pts, dc.perturb_gaussian(sample, 0.0005, 4))
+    dc.save_points(ref, kref.points)
+    pf, certs = tmp_path / "pf", tmp_path / "certs.json"
+    assert main(["parfree", "--points", str(pts), "--out-dir", str(pf),
+                 "--dump-iterations"]) == 0
+    assert main(["certify", "--points", str(pts), "--reference", str(ref),
+                 "--k", "2,4,8,16,32,64", "--out", str(certs)]) == 0
+    argv = ["eval", "--points", str(pts), "--reference", str(ref),
+            "--bounds", "lem4.5,thm4.1", "--trace-dir", str(pf),
+            "--certificates", str(certs), "--i0", "1", "--out", str(tmp_path / "b.json")]
+    assert main(argv) == 0
+    assert all(b["applicable"] for b in json.loads((tmp_path / "b.json").read_text())
+               ["bounds"])
+    data = json.loads((pf / "trace.json").read_text())
+    data["trace"]["resampling_constant"] = math.nan
+    (pf / "trace.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(argv) == 0
+    bounds = json.loads((tmp_path / "b.json").read_text())["bounds"]
+    assert [b["applicable"] for b in bounds] == [False, False]
+    assert all("theoretical resampling constant" in b["inputs"]["reason"]
+               for b in bounds)
+    assert capsys.readouterr().out.count("not-applicable") == 2
+
+
+# -- eval on mutated artifacts ---------------------------------------------
+
+_HUGE = "@1e400@"  # written as the bare JSON number 1e400, read as inf
+_DELETE = object()
+# 10**400 is an integer no float holds
+_JUNK = [None, True, "4", 1.5, -1, [], {}, [[1]], math.nan, _HUGE, 10 ** 400, _DELETE]
+_BAD_CSV = [
+    lambda t: "", lambda t: "# a comment\n", lambda t: "x\n",
+    lambda t: t + "1,2\n", lambda t: t + "nan\n", lambda t: t + "1e400\n",
+    lambda t: t + "-1\n", lambda t: t + "1.5\n", lambda t: t + "99999999999999999999\n",
+    lambda t: "\n".join(t.splitlines()[:-1]) + "\n", lambda t: t.replace("\n", ";"),
+    lambda t: t.replace(".", ","), lambda t: t + t, lambda t: "\x00" + t,
+]
+
+
+def _fields(doc, path=()):
+    """The path of the document and of every field in it; a list's fields
+    are those of its first item."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else [(0, doc[0])] if isinstance(doc, list) and doc else [])
+    for key, value in items:
+        yield from _fields(value, path + (key,))
+
+
+def _mutated(doc, path, junk):
+    """The JSON text of doc with the field at path replaced by junk, or
+    deleted (the whole document: an empty file)."""
+    if not path:
+        if junk is _DELETE:
+            return ""
+        doc = junk
+    else:
+        doc = json.loads(json.dumps(doc))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if junk is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = junk
+    return json.dumps(doc).replace(f'"{_HUGE}"', "1e400")
+
+
+@pytest.fixture(scope="module")
+def eval_artifacts(tmp_path_factory):
+    """(eval argv reading every artifact kind, {name: path}) on a near-regular
+    circle sample with four far ambient points, where all four bounds the
+    argv names apply: a declutter report with its resampled ids,
+    certificates, and a parfree trace with its dumps."""
+    root = tmp_path_factory.mktemp("artifacts")
+    run, pf, certs = root / "run", root / "pf", root / "certs.json"
+    pts, ref = root / "points.csv", root / "reference.csv"
+    kref, sample = dc.sample_shape(dc.Circle((0.0, 0.0), 1.0), 96, seed=None)
+    cloud, _ = dc.add_ambient_noise(dc.perturb_gaussian(sample, 0.0005, 4),
+                                    ([-2.0, -2.0], [2.0, 2.0]), 4, 5,
+                                    min_clearance=0.5, clearance_points=kref.points)
+    dc.save_points(pts, cloud)
+    dc.save_points(ref, kref.points)
+    for argv in (["declutter", "--points", str(pts), "--k", "16", "--resample-C", "4",
+                  "--out-dir", str(run)],
+                 ["certify", "--points", str(pts), "--reference", str(ref),
+                  "--k", "2,4,8,16,32,64", "--out", str(certs)],
+                 ["parfree", "--points", str(pts), "--out-dir", str(pf),
+                  "--dump-iterations"]):
+        assert main(argv) == 0, argv
+    paths = {"report.json": run / "report.json", "certificates": certs,
+             "trace.json": pf / "trace.json",
+             "resampled ids": run / "resampled_ids.csv", "points": pts}
+    first = json.loads(paths["trace.json"].read_text())["trace"]["iterations"][0]["i"]
+    for part in ("input_ids", "kept_ids", "resampled_ids", "profile"):
+        paths[part] = pf / "iterations" / f"iter_{first:02d}_{part}.csv"
+    argv = ["eval", "--points", str(pts), "--reference", str(ref),
+            "--bounds", "thm3.3,lem4.4,lem4.5,thm4.1", "--report", str(run / "report.json"),
+            "--certificates", str(certs), "--trace-dir", str(pf),
+            "--resampled-ids", str(run / "resampled_ids.csv"), "--i0", "3"]
+    assert main(argv + ["--out", str(root / "bounds.json")]) == 0
+    assert all(b["applicable"] and b["passed"]
+               for b in json.loads((root / "bounds.json").read_text())["bounds"])
+    return argv, paths
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_eval_exits_0_or_1_on_any_mutated_artifact(eval_artifacts, data):
+    # one artifact at a time: a JSON field replaced or deleted, or a CSV
+    # file's text broken; eval reads it, refuses it or checks what it
+    # holds, and no exception or warning escapes main
+    argv, paths = eval_artifacts
+    path = paths[data.draw(st.sampled_from(sorted(paths)), label="artifact")]
+    text = path.read_text()
+    if path.suffix == ".json":
+        doc = json.loads(text)
+        broken = _mutated(doc, data.draw(st.sampled_from(list(_fields(doc))),
+                                         label="field"),
+                          data.draw(st.sampled_from(_JUNK), label="junk"))
+    else:
+        broken = data.draw(st.sampled_from(_BAD_CSV), label="edit")(text)
+    err = io.StringIO()
+    try:
+        path.write_text(broken)
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        path.write_text(text)
+    assert rc in (0, 1)
+    assert rc == 0 or err.getvalue().startswith("error: ")

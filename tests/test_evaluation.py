@@ -425,6 +425,17 @@ def test_parameter_free_bounds_require_an_exact_metric():
     assert "coordinates" in got.inputs["reason"]
 
 
+@pytest.mark.parametrize("C", [math.nan, math.inf, dc.PRACTICAL_C])
+def test_parameter_free_bounds_need_the_theoretical_constant(C):
+    # a NaN constant used to pass the gate, and lem4.5 was checked
+    args = _uniform_loop_run()
+    args["trace"] = replace(args["trace"], resampling_constant=C)
+    for name in ("thm4.1", "lem4.5"):
+        got = dc.verify_bound(name, **args)
+        assert not got.applicable and got.passed is None
+        assert "theoretical resampling constant" in got.inputs["reason"]
+
+
 def test_lem45_rejects_a_short_profile():
     args = _uniform_loop_run()
     first = args["trace"].iterations[0]

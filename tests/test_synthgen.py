@@ -32,6 +32,22 @@ def test_invalid_shapes():
         dc.TwoScaleLoops(1.0, 2.0, 8)  # loop radius must stay below the ring
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_shape_and_noise_parameters_must_be_finite(bad):
+    # each used to give NaN or Inf points, refused later (if at all) with
+    # an error that named no parameter
+    makers = {"circle radius": lambda: dc.Circle((0.0, 0.0), bad),
+              "big radius": lambda: dc.TwoScaleLoops(bad, 0.25, 8),
+              "loop radius": lambda: dc.TwoScaleLoops(2.0, bad, 8),
+              "ring radius": lambda: dc.torus_grid(bad, 0.5),
+              "tube radius": lambda: dc.torus_grid(2.0, bad),
+              "feature floor": lambda: dc.feature_from_anchor((0.0, 0.0), bad),
+              "sigma": lambda: dc.perturb_gaussian(np.zeros((3, 2)), bad, 1)}
+    for name, make in makers.items():
+        with pytest.raises(dc.GeometryError, match=name):
+            make()
+
+
 def test_on_shape_within_tolerance():
     shapes = [dc.Circle((0.3, -0.2), 1.7),
               dc.Polyline(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])),
