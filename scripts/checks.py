@@ -8,7 +8,8 @@ from, and fails on the first answer that is not its oracle's bytes:
 
 - ``test_certify_prune``: pruned cond1 (``certify._reference_maxima``),
   plain and divided by ``feature_from_anchor`` sizes, against a sweep of
-  every reference point;
+  every reference point, also on a tie-heavy grid reference where the
+  tree's proposed swept point is often not the lowest-id nearest one;
 - ``test_tree_layout``: every ``cKDTree`` layout of a grid, on the query
   shapes the library runs and on an integer grid's exact ties, against the
   brute index;
@@ -50,7 +51,8 @@ from declutter import (AVG_K, PRACTICAL_C, RMS_K, THEORETICAL_C, GeometryError,
                        parfree_declutter, profile, robust, save_ids,
                        save_points, subset_cloud, synthgen, values_at_scales)
 from declutter.certify import _reference_maxima
-from declutter.neighbors import NeighborIndex
+from declutter.neighbors import (_PRUNE_STRIDE, NeighborIndex, _target_index,
+                                 nearest_cross)
 from declutter.robust import KIND_NAMES, parse_kind
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -109,16 +111,29 @@ def same_bytes(got, want) -> bool:
 CERT_KS = [8, 16, 32]
 
 
+def grid_reference() -> np.ndarray:
+    """The points of a grid of spacing 1/16 over the ``certify_cli`` cloud's
+    box, twice over: many reference points lie equally near several swept
+    points, repeated ones at distance 0."""
+    grid = np.indices((49, 49)).reshape(2, -1).T / 16.0 - 1.5
+    return np.vstack([grid, grid])
+
+
 @pytest.mark.parametrize("kind", KIND_NAMES)
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
-@pytest.mark.parametrize("shuffled", [False, True], ids=["certify_cli",
-                                                         "certify_cli shuffled"])
-def test_certify_prune(shuffled, metric, kind):
+@pytest.mark.parametrize("reference", ["certify_cli", "certify_cli shuffled", "grid"])
+def test_certify_prune(reference, metric, kind):
     # a permuted reference makes the stride sample uneven in space
     cloud, ref = certify_cli_gen(SEED)
-    if shuffled:
+    if reference == "certify_cli shuffled":
         ref = ref[np.random.default_rng(SEED).permutation(ref.shape[0])]
     metric, kind = Metric(metric), parse_kind(kind)
+    if reference == "grid":
+        ref = grid_reference()
+        rest = np.flatnonzero(np.arange(ref.shape[0]) % _PRUNE_STRIDE)
+        sample = ref[::_PRUNE_STRIDE]
+        proposed = _target_index(metric, sample)._proposals(ref[rest], 1)[1]
+        assert np.any(proposed != nearest_cross(metric, ref[rest], sample)[1])
     index = build_index(PointCloud.from_coords(cloud), metric)
     full = values_at_scales(index, ref, CERT_KS, kind)
     sizes = feature_from_anchor(ref[0], 0.2)(ref)

@@ -24,6 +24,7 @@ from .evaluation import (
     hausdorff,
     relaxed_bound,
     verify_bound,
+    verify_bounds,
 )
 from .geometry import (
     EUCLIDEAN,

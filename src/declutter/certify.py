@@ -13,12 +13,12 @@ The density condition needs only the largest robust distance at a reference
 point. Every robust distance is 1-Lipschitz under the exact coordinate
 metrics certification takes, so the plain and weak certificates sweep every
 ``_CERT_STRIDE``-th reference point and then only the points whose bound
-v(s) + |r - s| from their nearest swept point s can reach the sampled
-maximum. The maximiser is always swept and a max over the same floats is the
-same float, so the certificates are the bytes a full sweep gives. The
-adaptive certificate prunes the same way: correctly rounded division is
-monotone, so a point's bound divided by its feature size tops its computed
-v(r) / f(r) whatever the feature sizes are.
+v(s) + |r - s| from a swept point s can reach the sampled maximum; the
+bound holds for any s. The maximiser is always swept and a max
+over the same floats is the same float, so the certificates are the bytes a
+full sweep gives. The adaptive certificate prunes the same way: correctly
+rounded division is monotone, so a point's bound divided by its feature size
+tops its computed v(r) / f(r) whatever the feature sizes are.
 """
 from __future__ import annotations
 
@@ -29,12 +29,9 @@ import numpy as np
 from .geometry import (GeometryError, GroundTruthRef, Metric, PointCloud, _flag,
                        _number, _positive_finite, _positive_int)
 from .neighbors import (AUTO, _LIPSCHITZ_FLOOR, _LIPSCHITZ_SLACK, NeighborIndex,
-                        build_index, nearest_cross)
+                        _PRUNE_STRIDE as _CERT_STRIDE, _stride_pruned, _target_index,
+                        build_index)
 from .robust import DistanceKind, RMS_K, parse_kind, values_at_scales
-
-# every this many reference ids, one is swept at every k before the
-# Lipschitz bounds pick the rest (_reference_maxima)
-_CERT_STRIDE = 16
 
 
 @dataclass
@@ -152,31 +149,38 @@ def _reference_maxima(index: NeighborIndex, metric: Metric, ref: np.ndarray, ks,
     sweep of the reference finds it.
 
     Every ``_CERT_STRIDE``-th point is swept; every other point r is swept
-    only when its Lipschitz bound from its nearest sampled point s,
+    only when its Lipschitz bound from a swept point s,
     ``(v(s) + |r - s|) * (1 + _LIPSCHITZ_SLACK) + _LIPSCHITZ_FLOOR``, divided
-    by f(r), reaches the sampled maximum at some k. The bound tops r's
-    computed value and division rounds monotonically, so a point that
-    exceeds the sampled maximum is swept. So is one whose running sum
-    overflows: its exact value lies past the overflow threshold that every
-    sampled value stays below, and its sweep raises as a full one would.
+    by f(r), reaches the sampled maximum at some k. s is first the swept
+    point that starts r's stride, then, for the points that bound leaves, a
+    swept point the tree proposes (:func:`neighbors._stride_pruned`). The
+    bound holds for any s, so these choices decide only which points are
+    swept. It tops r's computed value and division rounds monotonically, so
+    a point that exceeds the sampled maximum is swept. So is one whose
+    running sum overflows: its exact value lies past the overflow threshold
+    that every sampled value stays below, and its sweep raises as a full
+    one would.
     """
     # dividing by 1.0 is exact, so the plain maxima come out unchanged
     f = np.ones(ref.shape[0]) if sizes is None else sizes
     sample = ref[::_CERT_STRIDE]
     vals = values_at_scales(index, sample, ks, kind, threads)
     top = {k: (v / f[::_CERT_STRIDE]).max() for k, v in vals.items()}
-    rest = np.flatnonzero(np.arange(ref.shape[0]) % _CERT_STRIDE)
-    if rest.size:
-        gap, near = nearest_cross(metric, ref[rest], sample, threads)
-        reach = np.zeros(rest.size, dtype=bool)
+
+    def reach(rows, near, gap, tree_d):
+        """Whether each row's bound from sample[near] reaches the top."""
+        hit = np.zeros(rows.size, dtype=bool)
         with np.errstate(over="ignore"):  # an infinite bound sweeps its point
             for k, v in vals.items():
-                reach |= (((v[near] + gap) * (1.0 + _LIPSCHITZ_SLACK)
-                           + _LIPSCHITZ_FLOOR) / f[rest] >= top[k])
-        if reach.any():
-            picked = rest[reach]
-            swept = values_at_scales(index, ref[picked], ks, kind, threads)
-            top = {k: max(t, (swept[k] / f[picked]).max()) for k, t in top.items()}
+                hit |= (((v[near] + gap) * (1.0 + _LIPSCHITZ_SLACK)
+                         + _LIPSCHITZ_FLOOR) / f[rows] >= top[k])
+        return hit
+
+    rest = _stride_pruned(_target_index(metric, sample), ref,
+                          np.arange(sample.shape[0]), reach, threads)
+    if rest.size:
+        swept = values_at_scales(index, ref[rest], ks, kind, threads)
+        top = {k: max(t, (swept[k] / f[rest]).max()) for k, t in top.items()}
     return {k: float(t) for k, t in top.items()}
 
 

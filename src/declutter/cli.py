@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import __version__
 from .certify import SamplingCertificate, certify_scales
 from .decluttering import (VICINITY_FACTOR, DeclutterResult, Rejection, _declutter_on,
                            declutter)
-from .evaluation import BOUND_NAMES, BOUNDS, hausdorff, verify_bound
+from .evaluation import BOUND_NAMES, BOUNDS, hausdorff, verify_bounds
 from .figures import write_scatter_svg
 from .geometry import (
     GeometryError,
@@ -292,6 +293,21 @@ def _json_list(value, name: str, n: int | None = None) -> np.ndarray:
     return _row_ids(np.array(value, dtype=np.intp), n, name)
 
 
+# an id as a JSON object key: decimal digits without a sign, space,
+# underscore or leading zero, at most 18 of them
+_ID_KEY = re.compile(r"0|[1-9][0-9]{0,17}")
+
+
+def _json_key_ids(keys: list[str], name: str, n: int) -> list[int]:
+    """keys as ids in 0..n-1; GeometryError naming the first key that is
+    not an id written as ``_ID_KEY`` takes it."""
+    ids = list(map(int, keys)) if all(map(_ID_KEY.fullmatch, keys)) else None
+    if ids is None or max(ids, default=0) >= n:
+        bad = next(key for key in keys if not (_ID_KEY.fullmatch(key) and int(key) < n))
+        raise GeometryError(f"{name} key {bad!r} is not an id in 0..{n - 1}")
+    return ids
+
+
 def _report_result(report) -> tuple[DeclutterResult, float | None]:
     """The declutter result a report holds, and the resampling constant its
     run recorded (None when it ran without --resample-C)."""
@@ -304,11 +320,12 @@ def _report_result(report) -> tuple[DeclutterResult, float | None]:
                                  values=_json_list(data["profile_values"],
                                                    "profile_values"))
     records = data["rejected"]
+    ids = _json_key_ids(list(records), "rejected", prof.n)
     witnesses = _json_list([r["witness"] for r in records.values()],
                            "rejection witnesses", prof.n)
-    rejected = {int(i): Rejection(witness=w,
-                                  distance=_number(r["distance"], "rejection distance"))
-                for (i, r), w in zip(records.items(), witnesses.tolist())}
+    rejected = {i: Rejection(witness=w,
+                             distance=_number(r["distance"], "rejection distance"))
+                for i, r, w in zip(ids, records.values(), witnesses.tolist())}
     result = DeclutterResult(
         kept=_json_list(data["kept_order"], "kept_order", prof.n), rejected=rejected,
         order=_json_list(data["processing_order"], "processing order", prof.n),
@@ -345,7 +362,7 @@ def _trace_from_dir(trace_dir) -> ParfreeTrace:
     return _read_json(os.path.join(trace_dir, "trace.json"), "trace", read)
 
 
-# the eval flag that supplies each verify_bound input named in BOUNDS
+# the eval flag that supplies each verify_bounds input named in BOUNDS
 _EVAL_FLAGS = {"cloud": "--points", "kref": "--reference", "result": "--report",
                "certificate": "--certificates (holding the report's k)",
                "certificates": "--certificates",
@@ -383,17 +400,13 @@ def _cmd_eval(args) -> int:
                                  else certs.get(result.profile.k)),
                     certificates=certs or None, trace=trace,
                     resampled_ids=resampled, C=C, k=args.k, i0=args.i0)
-    rows = []
-    failed = 0
     for name in names:
         missing = [_EVAL_FLAGS[n] for n in BOUNDS[name].needs if supplied[n] is None]
         if missing:
             raise CliError(f"{name} needs {', '.join(missing)}")
-        cert = verify_bound(name, metric=metric, seed=args.seed,
-                            threads=args.threads, **supplied)
-        rows.append(cert)
-        if cert.applicable and not cert.passed:
-            failed += 1
+    rows = verify_bounds(names, metric=metric, seed=args.seed, threads=args.threads,
+                         **supplied)
+    failed = sum(cert.applicable and not cert.passed for cert in rows)
 
     print(f"{'bound':<9} {'status':<16} {'lhs':>14} {'rhs':>14}")
     for cert in rows:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,9 +26,8 @@ from .geometry import (
     _member_ids,
     _positive_finite,
     _positive_int,
-    subset_cloud,
 )
-from .neighbors import build_index, nearest_cross
+from .neighbors import NeighborIndex, _target_index, build_index, nearest_cross
 from .parfree import THEORETICAL_C, ParfreeTrace
 from .robust import DistanceKind, RMS_K, _prefix_values
 
@@ -66,14 +65,27 @@ class BoundCertificate:
 # Hausdorff distances
 # ---------------------------------------------------------------------------
 
+def _metric(metric) -> Metric:
+    """metric, or the Euclidean Metric for None; GeometryError unless it is
+    a Metric."""
+    if metric is None:
+        return Metric()
+    if not isinstance(metric, Metric):
+        raise GeometryError(f"metric must be a Metric, got {metric!r}")
+    return metric
+
+
 def directed_hausdorff(a, b, metric: Metric | None = None,
                        threads: int = 1) -> float:
     """max over a of the distance to the nearest point of b (coordinate
-    rows, or matrix row ids under a precomputed metric)."""
-    d = nearest_cross(metric or Metric(), a, b, threads=threads)[0]
-    if d.size == 0:
-        raise GeometryError("Hausdorff distance needs non-empty sets")
-    return float(d.max())
+    rows, or matrix row ids under a precomputed metric). b may also be a
+    NeighborIndex over them, whose metric is then the one measured (metric
+    must be None or the same)."""
+    if isinstance(b, NeighborIndex):
+        if metric is not None and _metric(metric) is not b.metric:
+            raise GeometryError("metric differs from the index's metric")
+        return b._nearest_max(a, threads)
+    return _target_index(_metric(metric), b)._nearest_max(a, threads)
 
 
 def hausdorff(a, b, metric: Metric | None = None, threads: int = 1) -> float:
@@ -86,16 +98,26 @@ def adaptive_hausdorff(points, kref: GroundTruthRef,
                        metric: Metric | None = None, threads: int = 1) -> float:
     """Hausdorff distance with both directions rescaled by the feature size
     (at the nearest reference point for the output direction)."""
-    metric = metric or Metric()
+    metric = _metric(metric)
+    return _adaptive_hausdorff(points, kref, _target_index(metric, kref.points),
+                               lambda: _target_index(metric, points),
+                               _positive_int(threads, "threads"))
+
+
+def _adaptive_hausdorff(points, kref: GroundTruthRef, ref_index: NeighborIndex,
+                        points_index, threads: int) -> float:
+    """:func:`adaptive_hausdorff` over an index of the reference, and a
+    zero-argument callable that returns an index of the points (called once
+    the points are known to be non-empty)."""
     if not kref.has_feature_sizes:
         raise GeometryError("adaptive Hausdorff needs feature sizes")
     f = kref.feature_sizes
-    d_to_ref, nearest = nearest_cross(metric, points, kref.points, threads=threads)
+    d_to_ref, nearest = ref_index._nearest_rows(points, 1, threads)
     if d_to_ref.size == 0:
         raise GeometryError("adaptive Hausdorff needs a non-empty set")
-    term1 = float((d_to_ref / f[nearest]).max())
-    d_from_ref = nearest_cross(metric, kref.points, points, threads=threads)[0]
-    term2 = float((d_from_ref / f).max())
+    term1 = float((d_to_ref[:, 0] / f[nearest[:, 0]]).max())
+    d_from_ref = points_index()._nearest_rows(kref.points, 1, threads)[0]
+    term2 = float((d_from_ref[:, 0] / f).max())
     return max(term1, term2)
 
 
@@ -124,14 +146,87 @@ class _NotApplicable(Exception):
     """A hypothesis of the bound does not hold; the message names it."""
 
 
+@dataclass
+class _Run:
+    """One evaluation: the :func:`verify_bound` inputs, and the
+    nearest-point quantities that several bounds read, each computed on
+    first use and at most once. They are the kept points, an index over the
+    reference and one over the kept points, and the directed Hausdorff
+    distances between the two sets: thm3.3 and thmD.2 read both, lem3.1 and
+    lem3.2 one each, prop3.4 the kept index, and thm3.7, lem4.4 and thm4.1
+    the reference index."""
+
+    cloud: PointCloud | None = None
+    metric: Metric | None = None
+    kref: GroundTruthRef | None = None
+    certificate: SamplingCertificate | None = None
+    result: DeclutterResult | None = None
+    resampled_ids: object = None
+    trace: ParfreeTrace | None = None
+    certificates: dict[int, SamplingCertificate] | None = None
+    i0: int | None = None
+    C: float | None = None
+    k: int | None = None
+    sample_limit: int = 512
+    seed: int = 0
+    threads: int = 1
+
+    def __post_init__(self):
+        self.metric = _metric(self.metric)
+        if self.cloud is not None:
+            self.cloud.check_metric(self.metric)
+        self.threads = _positive_int(self.threads, "threads")
+        self.sample_limit = _positive_int(self.sample_limit, "sample_limit")
+
+    @cached_property
+    def kept(self) -> np.ndarray:
+        return _members(self.cloud, self.result.kept_ids)
+
+    @cached_property
+    def ref_index(self) -> NeighborIndex:
+        return _target_index(self.metric, self.kref.points)
+
+    @cached_property
+    def kept_index(self) -> NeighborIndex:
+        return _target_index(self.metric, self.kept)
+
+    # the directed passes go through the module's directed_hausdorff, looked
+    # up at call time, so a replaced module attribute (e.g. a profiling
+    # wrapper) is what runs
+    @cached_property
+    def kept_to_ref(self) -> float:
+        return directed_hausdorff(self.kept, self.ref_index, threads=self.threads)
+
+    @cached_property
+    def ref_to_kept(self) -> float:
+        return directed_hausdorff(self.kref.points, self.kept_index,
+                                  threads=self.threads)
+
+    @property
+    def hausdorff(self) -> float:
+        return max(self.kept_to_ref, self.ref_to_kept)
+
+    @cached_property
+    def adaptive_hausdorff(self) -> float:
+        """:func:`adaptive_hausdorff` of the kept points."""
+        return _adaptive_hausdorff(self.kept, self.kref, self.ref_index,
+                                   lambda: self.kept_index, self.threads)
+
+    def hausdorff_to_ref(self, points: np.ndarray) -> float:
+        """The Hausdorff distance between points and the reference."""
+        return max(directed_hausdorff(points, self.ref_index, threads=self.threads),
+                   directed_hausdorff(self.kref.points, points, self.metric,
+                                      self.threads))
+
+
 class _Bound(NamedTuple):
     """One named guarantee: the verify_bound inputs it cannot run without,
-    and its check. ``check(args, inputs)`` records what it used in
+    and its check. ``check(run, inputs)`` records what it used in
     ``inputs``, raises _NotApplicable on a failed hypothesis, and otherwise
     returns (lhs, rhs)."""
 
     needs: tuple[str, ...]
-    check: Callable[[SimpleNamespace, dict], tuple[float, float]]
+    check: Callable[[_Run, dict], tuple[float, float]]
 
 
 def _certificate_gate(cert: SamplingCertificate | None, kind: DistanceKind,
@@ -204,13 +299,13 @@ def _members(cloud: PointCloud, ids) -> np.ndarray:
     return cloud.points[_member_ids(ids, cloud.n)]
 
 
-def _hausdorff_bound(lhs, factor: float, adaptive: bool = False) -> _Bound:
-    """A single-pass bound lhs(kept points, args) <= factor * epsilon_k."""
+def _hausdorff_bound(lhs: str, factor: float, adaptive: bool = False) -> _Bound:
+    """A single-pass bound: the run's quantity named ``lhs`` (one of the
+    kept set's Hausdorff distances) <= factor * epsilon_k."""
     def check(a, inputs):
         _single_pass_inputs(a, inputs)
         _declutter_gate(a, adaptive=adaptive)
-        kept = _members(a.cloud, a.result.kept_ids)
-        return lhs(kept, a), factor * a.certificate.epsilon_k
+        return getattr(a, lhs), factor * a.certificate.epsilon_k
     return _Bound(_SINGLE_PASS, check)
 
 
@@ -224,8 +319,7 @@ def _check_prop34(a, inputs):
     if a.result.kept.size < 2:
         raise _NotApplicable("fewer than two kept points")
     # a kept point's k = 2 row is itself at 0, then its nearest other point
-    kept, metric = subset_cloud(a.cloud, a.metric, a.result.kept_ids)
-    rows = build_index(kept, metric).knn_distance_rows(kept.points, 2, a.threads)
+    rows = a.kept_index.knn_distance_rows(a.kept, 2, a.threads)
     rhs = float(rows[:, 1].min())
     inputs["min_pairwise_kept"] = rhs
     return 2.0 * a.certificate.epsilon_k / c, rhs
@@ -253,8 +347,7 @@ def _check_lem44(a, inputs):
                    "n": a.cloud.n,
                    "n_resampled": int(np.asarray(a.resampled_ids).size)})
     _declutter_gate(a, max_c=2.0)
-    pts = _members(a.cloud, a.resampled_ids)
-    lhs = hausdorff(pts, a.kref.points, a.metric, a.threads)
+    lhs = a.hausdorff_to_ref(_members(a.cloud, a.resampled_ids))
     return lhs, (8.0 * a.C + 7.0) * eps
 
 
@@ -275,8 +368,7 @@ def _check_thm41(a, inputs):
     final_ids = trace.iterations[-1].resampled_ids
     eps0 = certificates[2 ** i0].epsilon_k
     inputs.update({"epsilon_i0": eps0, "n_final": int(final_ids.size)})
-    lhs = hausdorff(_members(a.cloud, final_ids), a.kref.points, a.metric, a.threads)
-    return lhs, PARFREE_FACTOR * eps0
+    return a.hausdorff_to_ref(_members(a.cloud, final_ids)), PARFREE_FACTOR * eps0
 
 
 def _check_lem45(a, inputs):
@@ -315,25 +407,15 @@ def _check_thmD2(a, inputs):
         raise _NotApplicable("bound undefined for triangle relaxation >= 2")
     m = relaxed_bound(cx, 1.0)
     inputs["m"] = m
-    kept = _members(a.cloud, a.result.kept_ids)
-    return hausdorff(kept, a.kref.points, a.metric, a.threads), m * eps
+    return a.hausdorff, m * eps
 
 
-# The lhs functions look hausdorff & co. up at call time, so a replaced
-# module attribute (e.g. a profiling wrapper) is what runs.
 BOUNDS: dict[str, _Bound] = {
-    "thm3.3": _hausdorff_bound(
-        lambda kept, a: hausdorff(kept, a.kref.points, a.metric, a.threads), 7.0),
-    "lem3.1": _hausdorff_bound(
-        lambda kept, a: directed_hausdorff(a.kref.points, kept, a.metric, a.threads),
-        5.0),
-    "lem3.2": _hausdorff_bound(
-        lambda kept, a: directed_hausdorff(kept, a.kref.points, a.metric, a.threads),
-        7.0),
+    "thm3.3": _hausdorff_bound("hausdorff", 7.0),
+    "lem3.1": _hausdorff_bound("ref_to_kept", 5.0),
+    "lem3.2": _hausdorff_bound("kept_to_ref", 7.0),
     "prop3.4": _Bound(_SINGLE_PASS, _check_prop34),
-    "thm3.7": _hausdorff_bound(
-        lambda kept, a: adaptive_hausdorff(kept, a.kref, a.metric, a.threads), 7.0,
-        adaptive=True),
+    "thm3.7": _hausdorff_bound("adaptive_hausdorff", 7.0, adaptive=True),
     "lem4.2": _Bound(("cloud", "k"), _check_lem42),
     "lem4.4": _Bound(_SINGLE_PASS + ("resampled_ids", "C"), _check_lem44),
     "thm4.1": _Bound(("cloud", "kref", "trace", "certificates", "i0"), _check_thm41),
@@ -357,30 +439,28 @@ def verify_bound(bound_name: str, *, cloud: PointCloud | None = None,
                  k: int | None = None,
                  sample_limit: int = 512,
                  seed: int = 0,
-                 threads: int = 1) -> BoundCertificate:
+                 threads: int = 1,
+                 _run: _Run | None = None) -> BoundCertificate:
     """Evaluate one named guarantee; see BOUND_NAMES for the vocabulary and
     BOUNDS for the inputs each one needs.
 
     A certificate that does not fit the run (kind, k, full/weak, adaptive,
     uniformity) makes the result not-applicable, the failed hypothesis in
     ``inputs["reason"]``. thmD.2 reads its triangle relaxation from
-    ``metric.relaxation``."""
-    bound = BOUNDS.get(bound_name)
-    if bound is None:
-        raise GeometryError(f"unknown bound name: {bound_name!r}")
-    threads = _positive_int(threads, "threads")
-    sample_limit = _positive_int(sample_limit, "sample_limit")
-    args = SimpleNamespace(
-        cloud=cloud, metric=metric or Metric(), kref=kref, certificate=certificate,
+    ``metric.relaxation``.
+
+    ``_run`` is the evaluation :func:`verify_bounds` shares between its
+    bounds; the other inputs are then read from it."""
+    bound = _bound(bound_name)
+    run = _run if _run is not None else _Run(
+        cloud=cloud, metric=metric, kref=kref, certificate=certificate,
         result=result, resampled_ids=resampled_ids, trace=trace,
-        certificates=certificates, i0=i0, C=C, k=k,
-        sample_limit=sample_limit, seed=seed, threads=threads)
-    missing = [name for name in bound.needs if getattr(args, name) is None]
-    if missing:
-        raise GeometryError(f"{bound_name} needs {', '.join(missing)}")
+        certificates=certificates, i0=i0, C=C, k=k, sample_limit=sample_limit,
+        seed=seed, threads=threads)
+    _check_needs(bound_name, bound, run)
     inputs: dict = {}
     try:
-        lhs, rhs = bound.check(args, inputs)
+        lhs, rhs = bound.check(run, inputs)
     except _NotApplicable as exc:
         inputs["reason"] = str(exc)
         return BoundCertificate(bound_name=bound_name, lhs=float("nan"),
@@ -389,3 +469,28 @@ def verify_bound(bound_name: str, *, cloud: PointCloud | None = None,
     return BoundCertificate(bound_name=bound_name, lhs=float(lhs), rhs=float(rhs),
                             passed=bool(lhs <= rhs + BOUND_TOLERANCE),
                             applicable=True, inputs=inputs)
+
+
+def verify_bounds(bound_names, **inputs) -> list[BoundCertificate]:
+    """Evaluate named guarantees over one set of :func:`verify_bound`
+    inputs, in order: each certificate is the one :func:`verify_bound`
+    returns, and the quantities the bounds share are computed once. Every
+    name and the inputs it needs are checked before any bound runs."""
+    bounds = [_bound(name) for name in bound_names]
+    run = _Run(**inputs)
+    for name, bound in zip(bound_names, bounds):
+        _check_needs(name, bound, run)
+    # verify_bound is looked up at call time, as directed_hausdorff is
+    return [verify_bound(name, _run=run) for name in bound_names]
+
+
+def _bound(bound_name: str) -> _Bound:
+    if bound_name not in BOUNDS:
+        raise GeometryError(f"unknown bound name: {bound_name!r}")
+    return BOUNDS[bound_name]
+
+
+def _check_needs(bound_name: str, bound: _Bound, run: _Run) -> None:
+    missing = [need for need in bound.needs if getattr(run, need) is None]
+    if missing:
+        raise GeometryError(f"{bound_name} needs {', '.join(missing)}")

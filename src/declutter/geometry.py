@@ -17,6 +17,7 @@ nothing from the package, and :mod:`neighbors` answers every query on it.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -344,8 +345,17 @@ def _number(value, name: str) -> float:
 
 
 def _positive_finite(value, name: str) -> None:
-    """GeometryError naming ``name`` unless value is finite and > 0."""
-    if not (value > 0 and np.isfinite(value)):
+    """GeometryError naming ``name`` unless value is a real number (an int,
+    a float or a numpy scalar of either, never a bool) that is > 0 and
+    finite as a float."""
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, float, np.integer, np.floating))):
+        raise GeometryError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not (value > 0 and finite):
         raise GeometryError(f"{name} must be finite and positive, got {value!r}")
 
 

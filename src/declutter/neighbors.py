@@ -12,11 +12,14 @@ k-prefix is the result, and at k = 1 its ids are the block's argmin. Both
 strategies return identical results, id for id and byte for byte. Ties are
 broken by ascending point id everywhere. :func:`nearest_cross` is the k = 1
 row over an index of the targets, for coordinate rows and matrix ids alike.
-The clearance test (whether the nearest member is at least a radius away)
-asks the tree one bounded question per row block and takes the canonical
-path only for rows within the slack of the radius. Resampling's captured
-mask checks each member against its nearest ball centre and walks balls
-only for the members that check leaves open (:meth:`NeighborIndex._captured`).
+The largest nearest distance (a directed Hausdorff distance) bounds each
+row from a member proposed for it (:func:`_stride_pruned`) and takes the
+canonical path only for the rows that can hold the maximum. The clearance
+test (whether the nearest member is at least a radius away) asks the tree
+one bounded question per row block and takes the canonical path only for
+rows within the slack of the radius. Resampling's captured mask checks each
+member against its nearest ball centre and walks balls only for the members
+that check leaves open (:meth:`NeighborIndex._captured`).
 """
 from __future__ import annotations
 
@@ -60,6 +63,11 @@ _RADIUS_SLACK = 1e-9
 _LIPSCHITZ_SLACK = 1e-6
 _LIPSCHITZ_FLOOR = 2.0 ** -500
 
+# _stride_pruned takes one row in this many as its rows' stride starts; a
+# row's first bound comes from the member proposed for the start of its
+# stride (BENCH_eval_once.json)
+_PRUNE_STRIDE = 16
+
 # the tree answers k-NN queries when k * 2**(d + _TREE_SHIFT) <= n; above
 # that the dense blocks are faster (BENCH_tree_rows.json)
 _TREE_SHIFT = 4
@@ -92,6 +100,57 @@ def _tree_bound(radius, p: int) -> float | None:
         bound = np.float64(radius) * (1.0 + 2 * _RADIUS_SLACK)
         power = bound ** p
     return bound if np.finfo(np.float64).tiny <= power < np.inf else None
+
+
+def _tree_floor(tree_d: np.ndarray) -> float:
+    """A lower bound on the largest canonical nearest distance of the rows
+    whose k = 1 tree distances are ``tree_d`` (-inf without a finite one).
+
+    A member's tree distance is within the slack of its canonical one
+    (``_RADIUS_SLACK``), so a row's canonical nearest distance D is at
+    least t / (1 + slack), t its tree distance. t deflated by four times
+    the slack lies below that by about three times the slack, far more
+    than rounding the factor and the product can move it, and rounding is
+    monotone while D is a float, so the computed value does not exceed D.
+    A tree distance that overflows (inf) bounds nothing."""
+    finite = tree_d[np.isfinite(tree_d)]
+    return float((finite * (1.0 - 4 * _RADIUS_SLACK)).max(initial=-np.inf))
+
+
+def _stride_pruned(index: NeighborIndex, q: np.ndarray, start_ids: np.ndarray,
+                   keep, threads: int) -> np.ndarray:
+    """The ids of the rows of q off the stride (not a multiple of
+    ``_PRUNE_STRIDE``) that ``keep`` leaves, ascending.
+
+    ``keep(rows, ids, gap, tree_d)`` is a mask over rows: whether a row may
+    still matter, given one member of the index per row (ids) and the
+    row's canonical distance to it (gap). It is asked first with the member
+    start_ids names for the start of the row's stride (tree_d None), which
+    costs no query and is near the row where rows near in order are near in
+    space, as in a reference written along the set it samples. The rows it
+    leaves ask the index for their own member (:meth:`NeighborIndex._proposals`,
+    tree_d the tree distances) and are asked again.
+
+    Where rows are in no such order the first question leaves nearly every
+    row, and its paired distances add about a tenth to the tree queries
+    that follow when the index holds few members (BENCH_eval_once.json). So
+    it is first asked of one row in ``_PRUNE_STRIDE`` of them, and of all
+    only when it leaves fewer than half of those.
+    """
+    rows = np.flatnonzero(np.arange(q.shape[0]) % _PRUNE_STRIDE)
+
+    def near_start(rows):
+        ids = start_ids[rows // _PRUNE_STRIDE]
+        gap = paired_distances(index.metric, q[rows], index.cloud.points[ids])
+        return keep(rows, ids, gap, None)
+
+    probe = rows[::_PRUNE_STRIDE]
+    if 2 * np.count_nonzero(near_start(probe)) < probe.size:
+        rows = rows[near_start(rows)]
+    if rows.size:
+        tree_d, ids, gap = index._proposals(q[rows], threads)
+        rows = rows[keep(rows, ids, gap, tree_d)]
+    return rows
 
 
 class NeighborIndex:
@@ -265,6 +324,63 @@ class NeighborIndex:
             if band.size:
                 clear[band] = self._nearest_rows(q[band], 1)[0][:, 0] >= radius
         return clear
+
+    def _nearest_max(self, queries, threads: int = 1) -> float:
+        """The largest distance from a query to its nearest member (a
+        directed Hausdorff distance): the maximum of :meth:`_nearest_rows`
+        at k = 1, byte for byte. GeometryError without queries.
+
+        On the tree path only the rows that can hold the maximum take
+        :meth:`_nearest_rows`. A row's canonical distance to any member
+        bounds its nearest distance from above, the tree distances bound
+        the maximum from below (:func:`_tree_floor`), and a row whose upper
+        bound is below the largest lower bound cannot hold the maximum. The
+        stride starts ask the tree; the other rows are bounded by
+        :func:`_stride_pruned`. The row holding the maximum has every upper
+        bound at or above every lower bound, so it is always left, and the
+        maximum over the rows left is the maximum over all. Dense blocks
+        answer every row where the tree does not serve k = 1.
+        """
+        threads = _positive_int(threads, "threads")
+        q = self.cloud.query_array(queries)
+        if q.shape[0] == 0:
+            raise GeometryError("Hausdorff distance needs non-empty sets")
+        if not self._tree_serves(1):
+            return float(self._nearest_rows(q, 1, threads)[0].max())
+        tree_d, ids, upper = self._proposals(q[::_PRUNE_STRIDE], threads)
+        top = _tree_floor(tree_d)
+
+        def keep(rows, ids, gap, tree_d):
+            nonlocal top
+            if tree_d is not None:
+                top = max(top, _tree_floor(tree_d))
+            return ~(gap < top)
+
+        rows = _stride_pruned(self, q, ids, keep, threads)
+        starts = np.flatnonzero(~(upper < top)) * _PRUNE_STRIDE
+        return float(self._nearest_rows(q[np.concatenate([starts, rows])], 1,
+                                        threads)[0].max())
+
+    def _proposals(self, q: np.ndarray,
+                   threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tree distance, id, canonical distance) of a member near each
+        query row. On the tree path that is the tree's k = 1 answer, which
+        need not be the nearest by (distance, id) where ties or rounding
+        leave a choice; a tree distance that overflows reads inf and its
+        missing member (id n) is read as the last member. On dense blocks it
+        is the nearest by (distance, id), its canonical distance given
+        twice."""
+        if not self._tree_serves(1):
+            dist, ids = self._nearest_rows(q, 1, threads)
+            return dist[:, 0], ids[:, 0], dist[:, 0]
+        tree_d = np.empty(q.shape[0])
+        ids = np.empty(q.shape[0], dtype=np.intp)
+        dist = np.empty(q.shape[0])
+        for sl in row_chunks(q.shape[0], self._row_cells(1)):
+            tree_d[sl], cand = self._tree.query(q[sl], k=1, p=self._p, workers=threads)
+            ids[sl] = np.minimum(cand, self.cloud.n - 1)
+            dist[sl] = paired_distances(self.metric, q[sl], self.cloud.points[ids[sl]])
+        return tree_d, ids, dist
 
     def _ball_rows(self, q: np.ndarray, radii: np.ndarray, k: int,
                    threads: int) -> tuple[np.ndarray, np.ndarray]:
@@ -444,15 +560,20 @@ def build_index(cloud: PointCloud, metric: Metric, strategy: str = AUTO) -> Neig
     return NeighborIndex(cloud, metric, strategy)
 
 
-def nearest_cross(metric: Metric, queries, targets,
-                  threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Per query: (distance to nearest target, its index, ties -> lowest).
-    Queries and targets are coordinate rows, or matrix row ids under a
+def _target_index(metric: Metric, targets) -> NeighborIndex:
+    """An index over targets: coordinate rows, or matrix row ids under a
     precomputed metric (read flat; at least one target)."""
     if metric.kind == PRECOMPUTED:
         n = metric.matrix.shape[0]
         cloud = PointCloud(_member_ids(targets, n), n)
     else:
         cloud = PointCloud.from_coords(np.atleast_2d(targets))
-    dist, ids = build_index(cloud, metric)._nearest_rows(queries, 1, threads)
+    return build_index(cloud, metric)
+
+
+def nearest_cross(metric: Metric, queries, targets,
+                  threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Per query: (distance to nearest target, its index, ties -> lowest).
+    Queries and targets are as :func:`_target_index` takes them."""
+    dist, ids = _target_index(metric, targets)._nearest_rows(queries, 1, threads)
     return dist[:, 0], ids[:, 0]

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import declutter as dc
 from declutter import cli
 from declutter.cli import main
+from declutter.neighbors import NeighborIndex
 
 
 def _write_line_points(path):
@@ -287,17 +288,17 @@ def test_eval_strict_failure_exits_2(tmp_path):
 
 
 def test_eval_seed_reaches_the_bounds(tmp_path, monkeypatch):
-    # lem4.2 and lem4.5 sample with verify_bound's seed
+    # lem4.2 and lem4.5 sample with verify_bounds' seed
     pts = tmp_path / "points.csv"
     _write_line_points(pts)
     seeds = []
-    real = cli.verify_bound
+    real = cli.verify_bounds
 
-    def recorded(name, **kwargs):
+    def recorded(names, **kwargs):
         seeds.append(kwargs.get("seed"))
-        return real(name, **kwargs)
+        return real(names, **kwargs)
 
-    monkeypatch.setattr(cli, "verify_bound", recorded)
+    monkeypatch.setattr(cli, "verify_bounds", recorded)
     for seed in ("0", "5"):
         assert main(["eval", "--points", str(pts), "--bounds", "lem4.2",
                      "--k", "2", "--seed", seed]) == 0
@@ -718,6 +719,51 @@ def test_eval_reads_a_report_exactly_or_exits_1(tmp_path, capsys, field, value,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(report) in err and message in err
+
+
+def test_eval_runs_each_hausdorff_direction_once(tmp_path, capsys, monkeypatch):
+    # thm3.3 and thmD.2 read both directions between the kept set and the
+    # reference, lem3.1 and lem3.2 one each: six directed passes when every
+    # bound made its own
+    pts, ref, certs, report = _certified_artifacts(tmp_path, 4)
+    passes = []
+    real = NeighborIndex._nearest_max
+
+    def counted(index, queries, threads=1):
+        passes.append((len(queries), index.cloud.n))
+        return real(index, queries, threads)
+
+    monkeypatch.setattr(NeighborIndex, "_nearest_max", counted)
+    capsys.readouterr()
+    assert main(["eval", "--points", str(pts), "--reference", str(ref),
+                 "--bounds", "thm3.3,lem3.1,lem3.2,prop3.4,thmD.2",
+                 "--report", str(report), "--certificates", str(certs),
+                 "--strict"]) == 0
+    assert capsys.readouterr().out.count(" pass ") == 5
+    n_kept = len(json.loads(report.read_text())["result"]["kept_order"])
+    n_ref = dc.load_points(ref).shape[0]
+    assert sorted(passes) == sorted([(n_kept, n_ref), (n_ref, n_kept)])
+
+
+@pytest.mark.parametrize("key", ["99999", "-3", " 7", "1_0"])
+def test_eval_refuses_a_rejected_key_that_is_not_an_id(tmp_path, capsys, key):
+    # int() reads each of these keys, and eval --strict used to pass them
+    pts, ref, certs, report = _certified_artifacts(tmp_path, 4)
+    argv = ["eval", "--points", str(pts), "--reference", str(ref),
+            "--bounds", "thm3.3,lem3.1,prop3.4", "--certificates", str(certs),
+            "--strict", "--report", str(report)]
+    assert main(argv) == 0
+    data = json.loads(report.read_text())
+    rejected = data["result"]["rejected"]
+    first = next(iter(rejected))
+    data["result"]["rejected"] = {(key if i == first else i): r
+                                  for i, r in rejected.items()}
+    report.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(report) in err
+    assert f"rejected key {key!r}" in err
 
 
 @pytest.mark.parametrize("value", [

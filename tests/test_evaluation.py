@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import declutter as dc
-from declutter import geometry
+from declutter import evaluation, geometry
 from declutter.neighbors import nearest_cross
 from conftest import noisy_instance, oracle_hausdorff, random_cloud, uniform_instance
 
@@ -99,6 +99,27 @@ def test_declutter_bounds_pass_on_certified_instance():
     got = dc.verify_bound("prop3.4", cloud=cloud, metric=metric, kref=kref,
                           certificate=cert, result=result)
     assert got.applicable and got.passed
+
+
+def test_verify_bounds_calls_the_module_functions_by_name(monkeypatch):
+    # a profiler replaces evaluation.verify_bound and the Hausdorff functions
+    # to time and count the bounds; verify_bounds must run through them,
+    # one verify_bound per name and one directed pass per direction
+    cloud, metric, kref, cert, result = _certified_run(0)
+    names = ["thm3.3", "lem3.1", "lem3.2", "prop3.4"]
+    calls = collections.Counter()
+    for name in ("verify_bound", "directed_hausdorff"):
+        real = getattr(evaluation, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, counted)
+    got = dc.verify_bounds(names, cloud=cloud, metric=metric, kref=kref,
+                           certificate=cert, result=result)
+    assert [c.bound_name for c in got] == names and all(c.passed for c in got)
+    assert calls == {"verify_bound": 4, "directed_hausdorff": 2}
 
 
 def test_bound_certificate_invariant_and_rederivable():
@@ -331,6 +352,67 @@ def test_hausdorff_thread_count_invariance():
     metric = dc.Metric()
     assert dc.hausdorff(A, B, metric, threads=1) == dc.hausdorff(
         A, B, metric, threads=4)
+
+
+@st.composite
+def _grid_sets(draw):
+    """Query and target sets on a small integer grid, so that nearest
+    distances tie (at the maximum too) and points repeat, scaled by a factor
+    at which squares may underflow or sums of squares overflow; the queries
+    are sorted one time in two."""
+    dim = draw(st.integers(1, 3))
+    side = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    # 2**(dim + 4) targets and more put the tree in charge
+    targets = rng.integers(0, side, size=(draw(st.integers(1, 160)), dim))
+    queries = rng.integers(-1, side + 1, size=(draw(st.integers(1, 100)), dim))
+    queries = np.vstack([queries, queries[:draw(st.integers(0, queries.shape[0]))]])
+    if draw(st.booleans()):  # rows near in order are near in space
+        queries = queries[np.lexsort(queries.T)]
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-160, 1e-170, 1e154, 2e307]))
+    metric = dc.Metric(draw(st.sampled_from(["euclidean", "manhattan"])))
+    return queries * scale, targets * scale, metric, draw(st.sampled_from([1, 2]))
+
+
+def test_directed_hausdorff_bytes_equal_the_dense_maximum():
+    # the tree path sends only the rows that can hold the maximum down the
+    # exact path; its answer must be the dense block's, byte for byte
+    overflowed = collections.Counter()
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(case=_grid_sets())
+    def check(case):
+        queries, targets, metric, threads = case
+        want = dc.cross_distances(metric, queries, targets).min(axis=1).max()
+        got = dc.directed_hausdorff(queries, targets, metric, threads)
+        assert np.float64(got).tobytes() == want.tobytes(), (got, want)
+        overflowed[bool(np.isinf(want))] += 1
+
+    check()
+    assert overflowed[True] and overflowed[False]
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, metric: dc.directed_hausdorff(a, a, metric),
+    lambda a, metric: dc.hausdorff(a, a, metric),
+    lambda a, metric: dc.adaptive_hausdorff(
+        a, dc.GroundTruthRef(dc.PointCloud.from_coords(a), np.ones(len(a))), metric),
+], ids=["directed_hausdorff", "hausdorff", "adaptive_hausdorff"])
+@pytest.mark.parametrize("metric", ["euclidean", 2, dc.Metric])
+def test_hausdorff_refuses_a_metric_that_is_not_a_metric(call, metric):
+    # a name used to escape as AttributeError: 'str' object has no attribute 'kind'
+    with pytest.raises(dc.GeometryError, match="metric must be a Metric"):
+        call(np.zeros((3, 2)), metric)
+
+
+@pytest.mark.parametrize("name", ["thm3.3", "prop3.4", "lem4.2"])
+def test_bounds_refuse_a_metric_that_does_not_measure_the_cloud(name):
+    # matrix ids read with a coordinate metric would be 1-D points
+    cloud, metric, kref, cert, result = _certified_run(0)
+    matrix_cloud = dc.PointCloud.matrix_backed(cloud.n)
+    with pytest.raises(dc.GeometryError, match="needs a precomputed metric"):
+        dc.verify_bound(name, cloud=matrix_cloud, metric=metric, kref=kref,
+                        certificate=cert, result=result, k=2)
 
 
 def test_matrix_mode_hausdorff_over_id_sets():

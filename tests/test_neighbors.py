@@ -406,6 +406,59 @@ def test_nearest_cross_on_the_tree_equals_dense(case):
         assert got == block.min(axis=1).max()
 
 
+def test_nearest_max_where_tree_distances_exceed_the_canonical_ones():
+    # in 8-D the tree sums squares in another order than the canonical
+    # kernel, so its distance may exceed the canonical one in the last ulp;
+    # a lone row's lower bound must then still stay at or below its answer
+    rng = np.random.default_rng(5)
+    targets, queries = rng.normal(size=(4096, 8)), rng.normal(size=(200, 8))
+    index = dc.build_index(dc.PointCloud.from_coords(targets), dc.Metric())
+    assert index._tree_serves(1)
+    want = dc.cross_distances(dc.Metric(), queries, targets).min(axis=1)
+    assert np.any(index._tree.query(queries, k=1)[0] > want)
+    for q, w in zip(queries, want):
+        assert np.float64(index._nearest_max(q)).tobytes() == w.tobytes()
+    assert index._nearest_max(queries) == want.max()
+
+
+@pytest.mark.parametrize("order", ["along the circle", "shuffled"])
+def test_nearest_max_asks_the_tree_once_a_row_at_most(order, monkeypatch):
+    # rows in order along the set take their first bound from their stride
+    # start and mostly skip the tree; rows in no order skip that bound after
+    # its probe, and no row asks the tree twice
+    angles = np.linspace(0.0, 2 * np.pi, 8000, endpoint=False)
+    bump = 1.0 + 0.1 * np.exp(-((angles - 1.0) / 0.02) ** 2)  # one far stretch
+    queries = np.c_[np.cos(angles), np.sin(angles)] * bump[:, None]
+    if order == "shuffled":
+        queries = queries[np.random.default_rng(0).permutation(len(queries))]
+    targets = np.c_[np.cos(angles[::20]), np.sin(angles[::20])]
+    index = dc.build_index(dc.PointCloud.from_coords(targets), dc.Metric())
+    asked, first_bound = [], []
+    real_proposals, real_pruned = NeighborIndex._proposals, neighbors._stride_pruned
+
+    def proposals(self, q, threads):
+        asked.append(len(q))
+        return real_proposals(self, q, threads)
+
+    def pruned(index, q, start_ids, keep, threads):
+        def recorded(rows, ids, gap, tree_d):
+            if tree_d is None:
+                first_bound.append(len(rows))
+            return keep(rows, ids, gap, tree_d)
+        return real_pruned(index, q, start_ids, recorded, threads)
+
+    monkeypatch.setattr(NeighborIndex, "_proposals", proposals)
+    monkeypatch.setattr(neighbors, "_stride_pruned", pruned)
+    want = dc.cross_distances(dc.Metric(), queries, targets).min(axis=1).max()
+    assert np.float64(index._nearest_max(queries)).tobytes() == want.tobytes()
+    stride, off = neighbors._PRUNE_STRIDE, len(queries) * 15 // 16
+    probe = -(-off // stride)
+    if order == "shuffled":
+        assert first_bound == [probe] and sum(asked) == len(queries)
+    else:
+        assert first_bound == [probe, off] and sum(asked) < 2 * len(queries) // stride
+
+
 @pytest.mark.parametrize("case", ["grid-euclidean-k3", "grid-manhattan-k3",
                                   "clusters-manhattan-k10"])
 def test_ball_ids_many_on_the_tree_equal_dense(case):

@@ -189,6 +189,27 @@ def test_resample_step_validation():
         dc.resample_step(cloud, metric, np.array([0]), small_prof, 1.0)
 
 
+@pytest.mark.parametrize("C", [True, np.True_, "4", np.array([4.0, 5.0]),
+                               np.array(4.0), None, 4 + 0j],
+                         ids=["True", "np.True_", "str", "array", "0-d array",
+                              "None", "complex"])
+def test_resampling_constant_must_be_a_real_number(C):
+    # True used to run at C = 1.0, and a string or an array escaped as
+    # TypeError or numpy's ambiguous truth value
+    cloud, metric, _, _ = noisy_instance(2, n_max=50)
+    with pytest.raises(dc.GeometryError, match="resampling constant must be a real number"):
+        dc.parfree_declutter(cloud, metric, C=C)
+
+
+def test_resampling_constant_takes_ints_and_numpy_scalars():
+    cloud, metric, _, _ = noisy_instance(2, n_max=50)
+    want = dc.parfree_declutter(cloud, metric, C=4.0)[0]
+    for C in (4, np.int64(4), np.float32(4.0)):
+        assert np.array_equal(dc.parfree_declutter(cloud, metric, C=C)[0], want)
+    with pytest.raises(dc.GeometryError, match="must be finite and positive"):
+        dc.parfree_declutter(cloud, metric, C=10 ** 400)  # beyond the float range
+
+
 def test_strategy_equivalence():
     for seed in range(15):
         cloud, metric, _, _ = noisy_instance(seed + 70, n_max=120)
