@@ -132,7 +132,7 @@ def test_certify_prune(reference, metric, kind):
         ref = grid_reference()
         rest = np.flatnonzero(np.arange(ref.shape[0]) % _PRUNE_STRIDE)
         sample = ref[::_PRUNE_STRIDE]
-        proposed = _target_index(metric, sample)._proposals(ref[rest], 1)[1]
+        proposed = _target_index(metric, sample)._proposals(ref[rest], 1)[1][:, 0]
         assert np.any(proposed != nearest_cross(metric, ref[rest], sample)[1])
     index = build_index(PointCloud.from_coords(cloud), metric)
     full = values_at_scales(index, ref, CERT_KS, kind)
@@ -390,27 +390,30 @@ def greedy_input(name: str, seed: int):
 @pytest.mark.parametrize("seed", range(1, 6))
 @pytest.mark.parametrize("name", GREEDY_KS)
 def test_greedy(name, seed):
-    # the chosen constants, and a tenth of the window and an eighth of the
-    # kept-count threshold, so that the tree answers on small clouds too
-    chosen = {"_WINDOW": decluttering._WINDOW, "_TREE_SHIFT": decluttering._TREE_SHIFT}
-    small = {"_WINDOW": decluttering._WINDOW // 10,
-             "_TREE_SHIFT": decluttering._TREE_SHIFT - 3}
+    # the chosen (window, tree rule shift), and a tenth of the window and an
+    # eighth of the kept-count threshold, so that the tree answers on small
+    # clouds too
+    chosen = (decluttering._WINDOW, neighbors._TREE_SHIFT)
+    small = (decluttering._WINDOW // 10, neighbors._TREE_SHIFT - 3)
     cloud, metric, index, threads = greedy_input(name, seed)
     built = 0
     for k in GREEDY_KS[name]:
         if k > cloud.n:
             continue
         values = profile(cloud, index, k, threads=threads).values
-        want = decluttering._greedy_pass(metric, cloud.points, values, False)
-        for constants in (chosen, small):
-            with mock.patch.multiple(decluttering, **constants):
-                trees, got = recorded_calls(decluttering, "cKDTree", lambda: (
-                    decluttering._greedy_pass(metric, cloud.points, values, True)))
-            assert same_bytes(got, want), (k, constants)
+        want = decluttering._greedy_pass(metric, cloud.points, values, "brute")
+        for window, shift in (chosen, small):
+            with mock.patch.object(decluttering, "_WINDOW", window), \
+                    mock.patch.object(neighbors, "_TREE_SHIFT", shift):
+                # every index the pass builds is a kept set's, with a tree
+                trees, got = recorded_calls(decluttering, "NeighborIndex", lambda: (
+                    decluttering._greedy_pass(metric, cloud.points, values, "kdtree")))
+            assert same_bytes(got, want), (k, window, shift)
             built += len(trees)
     # the pass builds a kept-set tree from _TREE_K * 2**(d + shift) kept points on
-    if cloud.n >= decluttering._TREE_K * 2 ** (cloud.dim + small["_TREE_SHIFT"]):
-        assert built, "the tree pass never built a kept-set tree"
+    with mock.patch.object(neighbors, "_TREE_SHIFT", small[1]):
+        if neighbors._tree_serves(decluttering._TREE_K, cloud.n, cloud.dim):
+            assert built, "the tree pass never built a kept-set tree"
 
 
 # -- resample ---------------------------------------------------------------

@@ -35,6 +35,7 @@ from .geometry import (
     load_ids,
     load_matrix,
     load_points,
+    paired_distances,
     save_ids,
     save_points,
 )
@@ -308,17 +309,25 @@ def _json_key_ids(keys: list[str], name: str, n: int) -> list[int]:
     return ids
 
 
-def _report_result(report) -> tuple[DeclutterResult, float | None]:
+def _report_result(report, cloud: PointCloud,
+                   metric: Metric) -> tuple[DeclutterResult, float | None]:
     """The declutter result a report holds, and the resampling constant its
-    run recorded (None when it ran without --resample-C)."""
+    run recorded (None when it ran without --resample-C). GeometryError
+    unless the result is a run on this cloud (:func:`_check_run_on`)."""
     data = report["result"]
     if data["vicinity_factor"] != VICINITY_FACTOR:
         raise GeometryError(f"the run records vicinity factor {data['vicinity_factor']!r}"
                             f"; declutter runs only at {VICINITY_FACTOR!r}")
+    n = _positive_int(data["n"], "report n")
+    if n != cloud.n:
+        raise GeometryError(f"the report covers n={n} points, not the {cloud.n} "
+                            "of the input")
     prof = RobustDistanceProfile(k=_positive_int(data["k"], "report k"),
                                  kind=parse_kind(data["kind"]),
                                  values=_json_list(data["profile_values"],
                                                    "profile_values"))
+    if prof.n != n:
+        raise GeometryError(f"profile_values holds {prof.n} values for n={n}")
     records = data["rejected"]
     ids = _json_key_ids(list(records), "rejected", prof.n)
     witnesses = _json_list([r["witness"] for r in records.values()],
@@ -330,8 +339,39 @@ def _report_result(report) -> tuple[DeclutterResult, float | None]:
         kept=_json_list(data["kept_order"], "kept_order", prof.n), rejected=rejected,
         order=_json_list(data["processing_order"], "processing order", prof.n),
         profile=prof)
+    _check_run_on(result, cloud, metric)
     recorded = report.get("config", {}).get("resample_C")
     return result, None if recorded is None else _number(recorded, "config resample_C")
+
+
+def _check_run_on(result: DeclutterResult, cloud: PointCloud, metric: Metric) -> None:
+    """GeometryError unless the result's kept and rejected ids partition the
+    cloud's ids, every witness was kept, and every witness distance is, byte
+    for byte, the canonical distance from its point to its witness."""
+    rejected = np.fromiter(result.rejected, dtype=np.intp, count=len(result.rejected))
+    counts = np.bincount(np.concatenate([result.kept, rejected]), minlength=cloud.n)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        raise GeometryError(f"id {bad[0]} is kept or rejected {counts[bad[0]]} times; "
+                            f"kept_order and the rejected keys must partition "
+                            f"0..{cloud.n - 1}")
+    witnesses = np.array([r.witness for r in result.rejected.values()], dtype=np.intp)
+    kept = np.zeros(cloud.n, dtype=bool)
+    kept[result.kept] = True
+    bad = np.flatnonzero(~kept[witnesses])
+    if bad.size:
+        raise GeometryError(f"the witness {witnesses[bad[0]]} of rejected point "
+                            f"{rejected[bad[0]]} was never kept")
+    a, b = cloud.points[rejected], cloud.points[witnesses]
+    canonical = (paired_distances(metric, a, b) if cloud.is_coordinate
+                 else metric.matrix[a, b])
+    recorded = np.array([r.distance for r in result.rejected.values()])
+    bad = np.flatnonzero(recorded.view(np.uint64) != canonical.view(np.uint64))
+    if bad.size:
+        i = bad[0]
+        raise GeometryError(f"the witness distance {float(recorded[i])!r} of rejected "
+                            f"point {rejected[i]} is not its distance "
+                            f"{float(canonical[i])!r} to its witness {witnesses[i]}")
 
 
 def _trace_from_dir(trace_dir) -> ParfreeTrace:
@@ -376,7 +416,8 @@ def _cmd_eval(args) -> int:
     names = [tok for tok in args.bounds.split(",") if tok]
     if not names or not set(names) <= set(BOUND_NAMES):
         raise CliError(f"--bounds takes names from {BOUND_NAMES}, got {args.bounds!r}")
-    result, recorded = (_read_json(args.report, "declutter report", _report_result)
+    result, recorded = (_read_json(args.report, "declutter report",
+                                   lambda doc: _report_result(doc, cloud, metric))
                         if args.report else (None, None))
     C = args.C
     # lem4.4, the one bound that reads C, checks the resampled ids at the

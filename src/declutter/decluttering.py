@@ -18,22 +18,20 @@ the ball, exactly as in a point-by-point scan, and its recorded distance is
 that canonical value. Blocks get fewer rows once the kept set is large, so
 neither dense block exceeds the cell budget of :func:`geometry.row_chunks`.
 
-On the kd-tree strategy with a coordinate cloud, the scan runs in windows of
-W points of the processing order. Once the kept set is large for its
-dimension, a window first asks a kd-tree of the points kept before it, in
-selection order, for each window point's K nearest within the window's last
-(largest) radius, inflated by twice the tree slack. Canonical
-:func:`geometry.paired_distances` decide each candidate, and the lowest
-selection rank among a point's hits is its witness: every kept point inside
-the ball is among the candidates unless the K-th candidate is itself inside
-the inflated ball, and such a row takes the dense compare against that kept
-set instead. So does a window whose bound's p-th power is not a normal float
-(the tree applies the bound to p-th powers). The window's points that no
-earlier kept point hits then run the blocked scan against only the points
-kept inside the window, which all come later in selection order. The witness
-is therefore the same earliest kept point, with the same canonical distance,
-as on the dense scan. The brute strategy and matrix-backed clouds always take
-the dense scan.
+On the kd-tree strategy, the scan runs in windows of W points of the
+processing order. Once an index over the kept set would answer K-NN rows
+from its tree (:func:`neighbors._tree_serves`), a window asks one over the
+points kept before it, whose ids are selection ranks, for each window
+point's K nearest within the window's largest radius
+(:meth:`neighbors.NeighborIndex._proposals`). Canonical distances decide
+each candidate, and the lowest rank among a point's hits is its witness.
+A row the index flags as possibly holding more hits, and every row of a
+window it cannot bound, takes the dense compare against that kept set
+instead. The window's points that no earlier kept point hits then run the
+blocked scan against only the points kept inside the window, which all
+come later in selection order. The witness is therefore the same earliest
+kept point, with the same canonical distance, as on the dense scan. The
+brute strategy and matrix-backed clouds always take the dense scan.
 
 :func:`declutter` is the robust profile at one k followed by that pass;
 :func:`greedy_declutter` runs the pass on a profile the caller already has
@@ -46,13 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import geometry
-from .geometry import (MANHATTAN, GeometryError, Metric, PointCloud, cross_distances,
-                       paired_distances, row_chunks)
-from .neighbors import (_RADIUS_SLACK, _TREE_LAYOUT, _TREE_SHIFT, AUTO, KDTREE, NeighborIndex,
-                        _tree_bound, build_index)
+from .geometry import GeometryError, Metric, PointCloud, _require, cross_distances, row_chunks
+from .neighbors import AUTO, BRUTE, KDTREE, NeighborIndex, _tree_serves, build_index
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, profile
 
 # points per block of the greedy scan, read from BENCH_greedy_blocks.json
@@ -60,10 +55,10 @@ _BLOCK = 64
 
 # the kd-tree pass, read from BENCH_greedy_tree.json: points per window of
 # the processing order and kept-set candidates asked per point. A window asks
-# the tree when an index over the kept set would answer _TREE_K-NN rows from
-# its tree (neighbors._TREE_SHIFT): from 256 kept points in 2-D, twice as
-# many with each further dimension, since a tree query's cost grows with the
-# dimension and the dense compare's does not
+# an index over the kept set when that index would answer _TREE_K-NN rows
+# from its tree (its own rule, neighbors._tree_serves): from 256 kept points
+# in 2-D, twice as many with each further dimension, since a tree query's
+# cost grows with the dimension and the dense compare's does not
 _WINDOW = 1024
 _TREE_K = 4
 
@@ -123,11 +118,11 @@ def _declutter_on(index: NeighborIndex, k: int, kind: DistanceKind,
                   threads: int) -> DeclutterResult:
     """:func:`declutter` over the index's cloud, on an index the caller
     keeps (the CLI resamples on it)."""
-    cloud, metric = index.cloud, index.metric
-    prof = profile(cloud, index, k, kind, threads=threads)
-    if index.strategy == KDTREE:
-        return greedy_declutter(cloud, metric, prof)  # a coordinate cloud
-    return _greedy_result(cloud, metric, prof, tree=False)
+    prof = profile(index.cloud, index, k, kind, threads=threads)
+    if index.strategy == KDTREE:  # auto's choice on a coordinate cloud
+        return greedy_declutter(index.cloud, index.metric, prof)
+    return _result(prof, _greedy_pass(index.metric, index.cloud.points, prof.values,
+                                      BRUTE))
 
 
 def greedy_declutter(cloud: PointCloud, metric: Metric,
@@ -136,39 +131,39 @@ def greedy_declutter(cloud: PointCloud, metric: Metric,
     order of increasing robust distance (ties by id), each kept unless an
     earlier kept point lies in its closed vicinity ball. The strategy is
     resolved as ``auto`` resolves it."""
-    return _greedy_result(cloud, metric, prof, cloud.is_coordinate)
-
-
-def _greedy_result(cloud: PointCloud, metric: Metric, prof: RobustDistanceProfile,
-                   tree: bool) -> DeclutterResult:
-    """:func:`greedy_declutter` with the kept-set tree on or off."""
+    _require(cloud, PointCloud, "cloud")
+    _require(metric, Metric, "metric")
+    _require(prof, RobustDistanceProfile, "prof")
     cloud.check_metric(metric)
     if prof.n != cloud.n:
         raise GeometryError("profile does not cover this cloud")
-    kept, order, dropped, witness, witness_distance = _greedy_pass(
-        metric, cloud.points, prof.values, tree)
+    return _result(prof, _greedy_pass(metric, cloud.points, prof.values, AUTO))
+
+
+def _result(prof: RobustDistanceProfile, passed) -> DeclutterResult:
+    """The :class:`DeclutterResult` of a :func:`_greedy_pass` over prof."""
+    kept, order, dropped, witness, witness_distance = passed
     rejected = {p: Rejection(w, x) for p, w, x in zip(
         dropped.tolist(), witness.tolist(), witness_distance.tolist())}
     return DeclutterResult(kept=kept, rejected=rejected, order=order, profile=prof)
 
 
 def _greedy_pass(metric: Metric, members: np.ndarray, values: np.ndarray,
-                 tree: bool = False):
+                 strategy: str):
     """The greedy pass on arrays: the members' points and robust values, in
-    windows that ask a kd-tree of the kept set when ``tree`` is set (a
-    coordinate cloud). Returns (kept ids in selection order, processing
-    order, dropped ids in processing order, their witnesses, their witness
-    distances)."""
+    windows that ask an index over the kept set on the kd-tree strategy (to
+    which auto resolves on coordinate rows, as for an index). Returns (kept
+    ids in selection order, processing order, dropped ids in processing
+    order, their witnesses, their witness distances)."""
     run = _Pass(metric, members, values)
     n = members.shape[0]
+    tree = strategy == KDTREE or (strategy == AUTO and members.ndim == 2)
     step = _WINDOW if tree else n
     for start in range(0, n, step):
         window = run.order[start:start + step]
         lo = 0  # kept points from rank lo on are compared block by block
-        if tree and _TREE_K * 2 ** (members.shape[1] + _TREE_SHIFT) <= run.m:
-            bound = _tree_bound(run.radii[window[-1]], run.p)
-            if bound is not None:
-                window, lo = run.tree_window(window, bound), run.m
+        if tree and _tree_serves(_TREE_K, run.m, members.shape[1]):
+            window, lo = run.tree_window(window)
         run.blocks(window, lo)
     return run.result()
 
@@ -181,7 +176,6 @@ class _Pass:
     def __init__(self, metric: Metric, members: np.ndarray, values: np.ndarray):
         n = members.shape[0]
         self.metric = metric
-        self.p = 1 if metric.kind == MANHATTAN else 2
         self.members = members
         self.order = np.lexsort((np.arange(n), values))
         # a radius that overflows is infinite, which is the exact decision:
@@ -213,36 +207,29 @@ class _Pass:
             hit[sl] = self.hits(rows[sl], 0)
         return hit
 
-    def tree_window(self, window: np.ndarray, bound: float) -> np.ndarray:
-        """The window's points that no kept point hits, found from a kd-tree
-        of the kept set: per row block one query for each point's
-        ``_TREE_K`` nearest within ``bound``, canonical distances of those
-        candidates, and the dense compare for rows whose last candidate is
-        inside the inflated ball (there may be more hits beyond it)."""
-        m, members, radii = self.m, self.members, self.radii
-        index = cKDTree(self.kept_buf[:m], **_TREE_LAYOUT)
-        hit = np.empty(window.size, dtype=bool)
-        for sl in row_chunks(window.size, _TREE_K * (members.shape[1] + 7)):
-            rows = window[sl]
-            tree_d, cand = index.query(members[rows], k=_TREE_K, p=self.p,
-                                       distance_upper_bound=bound)
-            tree_d, cand = tree_d.reshape(rows.size, -1), cand.reshape(rows.size, -1)
-            r = radii[rows]
-            full = ~(tree_d[:, -1] > r * (1.0 + 2 * _RADIUS_SLACK))
-            found = cand < m  # a missing candidate is reported as id m
-            d = paired_distances(self.metric, members[rows, None, :],
-                                 self.kept_buf[np.where(found, cand, 0)])
-            # candidate ids are selection ranks: the lowest hit is the witness
-            rank = np.where(found & (d <= r[:, None]), cand, m)
-            first = rank.argmin(axis=1)
-            w = rank[np.arange(rows.size), first]
-            out = (w < m) & ~full
-            self.witness[rows[out]] = self.kept[w[out]]
-            self.witness_distance[rows[out]] = d[out, first[out]]
-            if full.any():
-                out[full] = self.full_rows(rows[full])
-            hit[sl] = out
-        return window[~hit]
+    def tree_window(self, window: np.ndarray) -> tuple[np.ndarray, int]:
+        """(the window's points that no kept point hits, m), found from an
+        index over the kept set: each point's ``_TREE_K`` candidates with
+        their canonical distances, and the dense compare for the rows the
+        index flags as possibly holding more hits; (window, 0) when the
+        index cannot bound the window's radii."""
+        m, radii = self.m, self.radii[window]
+        index = NeighborIndex(PointCloud.from_coords(self.kept_buf[:m]), self.metric,
+                              KDTREE)
+        found = index._proposals(self.members[window], 1, _TREE_K, radii)
+        if found is None:
+            return window, 0
+        _, cand, d, more = found
+        # candidate ids are selection ranks: the lowest hit is the witness
+        rank = np.where(d <= radii[:, None], cand, m)
+        first = rank.argmin(axis=1)
+        w = rank[np.arange(window.size), first]
+        hit = (w < m) & ~more
+        self.witness[window[hit]] = self.kept[w[hit]]
+        self.witness_distance[window[hit]] = d[hit, first[hit]]
+        if more.any():
+            hit[more] = self.full_rows(window[more])
+        return window[~hit], m
 
     def blocks(self, window: np.ndarray, lo: int) -> None:
         """Decide the window's points in blocks: against the points kept

@@ -26,6 +26,7 @@ from .geometry import (
     _member_ids,
     _positive_finite,
     _positive_int,
+    _require,
 )
 from .neighbors import NeighborIndex, _target_index, build_index, nearest_cross
 from .parfree import THEORETICAL_C, ParfreeTrace
@@ -68,11 +69,7 @@ class BoundCertificate:
 def _metric(metric) -> Metric:
     """metric, or the Euclidean Metric for None; GeometryError unless it is
     a Metric."""
-    if metric is None:
-        return Metric()
-    if not isinstance(metric, Metric):
-        raise GeometryError(f"metric must be a Metric, got {metric!r}")
-    return metric
+    return Metric() if metric is None else _require(metric, Metric, "metric")
 
 
 def directed_hausdorff(a, b, metric: Metric | None = None,

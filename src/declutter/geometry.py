@@ -328,6 +328,15 @@ def _positive_int(value, name: str, upper: int | None = None) -> int:
     return int(value)
 
 
+def _require(value, cls: type, name: str):
+    """value, or GeometryError naming ``name`` and the expected type unless
+    it is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise GeometryError(f"{name} must be a {cls.__name__}, "
+                            f"got {type(value).__name__}")
+    return value
+
+
 def _flag(value, name: str) -> bool:
     """value, or GeometryError naming ``name`` unless it is a bool (a JSON
     true or false, never a string or a number)."""

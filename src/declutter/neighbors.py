@@ -18,8 +18,10 @@ canonical path only for the rows that can hold the maximum. The clearance
 test (whether the nearest member is at least a radius away) asks the tree
 one bounded question per row block and takes the canonical path only for
 rows within the slack of the radius. Resampling's captured mask checks each
-member against its nearest ball centre and walks balls only for the members
-that check leaves open (:meth:`NeighborIndex._captured`).
+member against a centre proposed by an index over the centres and walks
+balls only for the members that check leaves open (:meth:`_captured`).
+Every kd-tree the library builds is a :class:`NeighborIndex`'s, so its
+layout, :func:`_tree_serves` and the slack live here alone.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from .geometry import (
     PointCloud,
     _member_ids,
     _positive_int,
+    _require,
     cross_distances,
     paired_distances,
     row_chunks,
@@ -88,6 +91,15 @@ _TREE_LAYOUT = {"leafsize": 16, "compact_nodes": False, "balanced_tree": True}
 # faster (BENCH_resample.json; git show bbe28ed:scripts/bench_resample.py)
 _CAPTURE_LOAD = 2
 _CAPTURE_STRIDE = 32
+
+
+def _tree_serves(k: int, n: int, dim: int) -> bool:
+    """Whether a kd-tree index over n points in dim dimensions answers k-NN
+    queries at this k from its tree: when k is small next to n. A dense row
+    costs n cells whatever k is, while a tree query costs about k times a
+    factor that grows up to twofold with each dimension the points fill, so
+    the tree may answer up to a fraction of n that halves per dimension."""
+    return k * 2 ** (dim + _TREE_SHIFT) <= n
 
 
 def _tree_bound(radius, p: int) -> float | None:
@@ -148,7 +160,7 @@ def _stride_pruned(index: NeighborIndex, q: np.ndarray, start_ids: np.ndarray,
     if 2 * np.count_nonzero(near_start(probe)) < probe.size:
         rows = rows[near_start(rows)]
     if rows.size:
-        tree_d, ids, gap = index._proposals(q[rows], threads)
+        tree_d, ids, gap = (a[:, 0] for a in index._proposals(q[rows], threads)[:3])
         rows = rows[keep(rows, ids, gap, tree_d)]
     return rows
 
@@ -169,6 +181,8 @@ class NeighborIndex:
     """
 
     def __init__(self, cloud: PointCloud, metric: Metric, strategy: str = AUTO):
+        _require(cloud, PointCloud, "cloud")
+        _require(metric, Metric, "metric")
         cloud.check_metric(metric)  # so a coordinate cloud has an exact metric
         if strategy == AUTO:
             strategy = KDTREE if cloud.is_coordinate else BRUTE
@@ -187,13 +201,9 @@ class NeighborIndex:
 
     def _tree_serves(self, k: int) -> bool:
         """Whether k-NN queries at this k are answered from the tree: on the
-        kd-tree strategy, when k is small next to the cloud size. A dense row
-        costs n cells whatever k is, while a tree query costs about k times a
-        factor that grows up to twofold with each dimension the points fill,
-        so the tree may answer up to a fraction of n that halves per
-        dimension."""
+        kd-tree strategy, by the module's :func:`_tree_serves` rule."""
         return (self._tree is not None
-                and k * 2 ** (self.cloud.dim + _TREE_SHIFT) <= self.cloud.n)
+                and _tree_serves(k, self.cloud.n, self.cloud.dim))
 
     def _row_cells(self, k: int) -> int:
         """Cells one query row at this k holds while it is answered: a dense
@@ -347,7 +357,8 @@ class NeighborIndex:
             raise GeometryError("Hausdorff distance needs non-empty sets")
         if not self._tree_serves(1):
             return float(self._nearest_rows(q, 1, threads)[0].max())
-        tree_d, ids, upper = self._proposals(q[::_PRUNE_STRIDE], threads)
+        tree_d, ids, upper = (a[:, 0] for a in
+                              self._proposals(q[::_PRUNE_STRIDE], threads)[:3])
         top = _tree_floor(tree_d)
 
         def keep(rows, ids, gap, tree_d):
@@ -361,26 +372,39 @@ class NeighborIndex:
         return float(self._nearest_rows(q[np.concatenate([starts, rows])], 1,
                                         threads)[0].max())
 
-    def _proposals(self, q: np.ndarray,
-                   threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(tree distance, id, canonical distance) of a member near each
-        query row. On the tree path that is the tree's k = 1 answer, which
-        need not be the nearest by (distance, id) where ties or rounding
-        leave a choice; a tree distance that overflows reads inf and its
-        missing member (id n) is read as the last member. On dense blocks it
-        is the nearest by (distance, id), its canonical distance given
-        twice."""
-        if not self._tree_serves(1):
-            dist, ids = self._nearest_rows(q, 1, threads)
-            return dist[:, 0], ids[:, 0], dist[:, 0]
-        tree_d = np.empty(q.shape[0])
-        ids = np.empty(q.shape[0], dtype=np.intp)
-        dist = np.empty(q.shape[0])
-        for sl in row_chunks(q.shape[0], self._row_cells(1)):
-            tree_d[sl], cand = self._tree.query(q[sl], k=1, p=self._p, workers=threads)
-            ids[sl] = np.minimum(cand, self.cloud.n - 1)
-            dist[sl] = paired_distances(self.metric, q[sl], self.cloud.points[ids[sl]])
-        return tree_d, ids, dist
+    def _proposals(self, q: np.ndarray, threads: int, k: int = 1, radii=None):
+        """(tree distances, ids, canonical distances) of k members near each
+        query row, (m, k) arrays, and a mask of the rows that may hold more
+        members inside their radius (every row without ``radii``).
+
+        On the tree path these are the tree's k nearest, which need not be
+        the nearest by (distance, id). With radii the tree looks within the
+        largest, inflated by twice the slack (None when :func:`_tree_bound`
+        refuses it), and a row holds no other member inside its radius
+        unless its k-th tree distance is within the radius inflated the same
+        way. A member not found (beyond the bound, or overflowing) reads
+        tree distance inf and id n, read as the last member. On dense blocks
+        they are the k nearest by (distance, id), canonical distances twice."""
+        if not self._tree_serves(k):
+            dist, ids = self._nearest_rows(q, k, threads)
+            tree_d = dist
+        else:
+            bound = np.inf if radii is None else _tree_bound(radii.max(), self._p)
+            if bound is None:
+                return None
+            tree_d = np.empty((q.shape[0], k))
+            ids = np.empty((q.shape[0], k), dtype=np.intp)
+            dist = np.empty((q.shape[0], k))
+            for sl in row_chunks(q.shape[0], self._row_cells(k)):
+                d, cand = self._tree.query(q[sl], k=k, p=self._p, workers=threads,
+                                           distance_upper_bound=bound)
+                tree_d[sl] = d.reshape(-1, k)
+                ids[sl] = np.minimum(cand, self.cloud.n - 1).reshape(-1, k)
+                dist[sl] = paired_distances(self.metric, q[sl, None, :],
+                                            self.cloud.points[ids[sl]])
+        more = (np.ones(q.shape[0], dtype=bool) if radii is None
+                else ~(tree_d[:, -1] > radii * (1.0 + 2 * _RADIUS_SLACK)))
+        return tree_d, ids, dist, more
 
     def _ball_rows(self, q: np.ndarray, radii: np.ndarray, k: int,
                    threads: int) -> tuple[np.ndarray, np.ndarray]:
@@ -501,31 +525,24 @@ class NeighborIndex:
 
         Dense blocks mark it block by block. On the tree path, when the
         balls hold many candidates per member (:meth:`_ball_load`), it takes
-        two phases. First, one tree over the ball centres gives each member
-        its nearest centre c, and the member is captured when its canonical
-        distance to c is within c's radius. Second, the members that check
-        leaves open go through the ball pass: each ball's candidates from a
-        tree, decided by canonical distances. The first phase marks only
-        true captures and the pass is exact over every other member, so the
-        tree's choice of c decides which members reach the pass, never the
-        mask. When the balls hold few candidates, or most members are left
-        open, the pass runs alone on this index's own tree; otherwise on a
-        tree over the open members.
+        two phases. First, an index over the ball centres proposes a centre
+        c for each member (:meth:`_proposals`), and the member is captured
+        when its canonical distance to c is within c's radius. Second, the
+        members that check leaves open go through the ball pass: each
+        ball's candidates from a tree, decided by canonical distances. The
+        first phase marks only true captures and the pass is exact over
+        every other member, so the choice of c decides which members reach
+        the pass, never the mask. When the balls hold few candidates, or
+        most members are left open, the pass runs alone on this index's own
+        tree; otherwise on a tree over the open members.
         """
         n = self.cloud.n
         captured = np.zeros(n, dtype=bool)
         if self._tree is not None:
             if q.shape[0] and self._ball_load(q, radii) >= _CAPTURE_LOAD * n:
-                centres = cKDTree(q, **_TREE_LAYOUT)
-                for sl in row_chunks(n, self._row_cells(1)):
-                    pts = self.cloud.points[sl]
-                    # a member whose tree distances all overflow gets the
-                    # missing centre m, read as the last one: any centre
-                    # whose ball holds the member is a true capture
-                    near = np.minimum(centres.query(pts, k=1, p=self._p)[1],
-                                      q.shape[0] - 1)
-                    d = paired_distances(self.metric, pts, q[near])
-                    captured[sl] = d <= radii[near]
+                centres = NeighborIndex(PointCloud.from_coords(q), self.metric, KDTREE)
+                _, near, d, _ = centres._proposals(self.cloud.points, 1)
+                captured = d[:, 0] <= radii[near[:, 0]]
             open_ids = np.flatnonzero(~captured)
             if open_ids.size == 0:
                 return captured

@@ -25,10 +25,10 @@ matrix-backed cloud, the input's matrix).
 Resampling marks the captured members on one mask
 (:meth:`neighbors.NeighborIndex._captured`). On the kd-tree path, when the
 balls hold at least two members per member, each member is first checked
-against its nearest kept point, found from a tree over the kept points, and
-only the members that check leaves open walk the balls. The check marks
-only true captures and the ball walk is exact over every other member, so
-the mask is that of walking every ball. A radius C * d_k(q) that overflows
+against a kept point that an index over the kept points proposes as its
+nearest, and only the members that check leaves open walk the balls. The
+check marks only true captures and the ball walk is exact over every other
+member, so the mask is that of walking every ball. A radius C * d_k(q) that overflows
 is infinite, the exact decision, since every finite distance lies inside it.
 """
 from __future__ import annotations
@@ -40,8 +40,8 @@ import numpy as np
 
 from .decluttering import _greedy_pass
 from .geometry import (GeometryError, Metric, PointCloud, _member_ids, _positive_finite,
-                       _positive_int, subset_cloud)
-from .neighbors import AUTO, KDTREE, NeighborIndex, build_index, nearest_cross
+                       _positive_int, _require, subset_cloud)
+from .neighbors import AUTO, NeighborIndex, build_index, nearest_cross
 from .robust import DistanceKind, RMS_K, RobustDistanceProfile, _check_kind, _sweep
 # profile stays a module attribute: perfbench's self-test looks it up here
 from .robust import profile  # noqa: F401
@@ -108,6 +108,9 @@ def resample_step(cloud: PointCloud, metric: Metric, kept_ids,
     """Ids of all cloud members captured by some closed ball
     B(q, C * d_k(q)) with q kept. Kept points capture themselves."""
     _positive_finite(C, "resampling constant")
+    _require(cloud, PointCloud, "cloud")
+    _require(metric, Metric, "metric")
+    _require(prof, RobustDistanceProfile, "prof")
     kept_ids = _member_ids(kept_ids, cloud.n)
     if prof.n != cloud.n:
         raise GeometryError("profile does not cover this cloud")
@@ -184,6 +187,8 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
     Clouds with fewer than 2 points are degenerate (the loop is empty): the
     input comes back unchanged with an empty trace flagged degenerate.
     """
+    _require(cloud, PointCloud, "cloud")
+    _require(metric, Metric, "metric")
     _positive_finite(C, "resampling constant")
     threads = _positive_int(threads, "threads")
     _check_kind(kind)  # a degenerate trace records it without a sweep
@@ -207,7 +212,7 @@ def parfree_declutter(cloud: PointCloud, metric: Metric,
             values, radii = _set_values(index, schedule, kind, threads, shrunk)
         prof = RobustDistanceProfile(k=k_eff, kind=kind, values=values[k_eff])
         kept, _, dropped, witness, _ = _greedy_pass(
-            metric, sub_cloud.points, prof.values, index.strategy == KDTREE)
+            metric, sub_cloud.points, prof.values, index.strategy)
         resampled_local = _resample(index, kept, _ball_radii(C, prof.values[kept]))
         iterations.append(ParfreeIteration(
             i=i,

@@ -766,6 +766,86 @@ def test_eval_refuses_a_rejected_key_that_is_not_an_id(tmp_path, capsys, key):
     assert f"rejected key {key!r}" in err
 
 
+def _one_ulp_farther(result):
+    first = next(iter(result["rejected"].values()))
+    first["distance"] = float(np.nextafter(first["distance"], math.inf))
+
+
+def _rejected_witness(result):
+    first, second = list(result["rejected"])[:2]
+    result["rejected"][first]["witness"] = int(second)
+
+
+def _one_rejection_deleted(result):
+    del result["rejected"][next(iter(result["rejected"]))]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # each used to pass eval --strict
+    pytest.param(lambda r: r.update(n=r["n"] + 1), "the report covers n=129 points, "
+                 "not the 128 of the input", id="n"),
+    pytest.param(lambda r: r["profile_values"].append(1.0),
+                 "profile_values holds 129 values for n=128", id="profile-values"),
+    pytest.param(_one_rejection_deleted, "is kept or rejected 0 times", id="deleted"),
+    pytest.param(lambda r: r["kept_order"].append(int(next(iter(r["rejected"])))),
+                 "is kept or rejected 2 times", id="kept-and-rejected"),
+    pytest.param(_rejected_witness, "was never kept", id="rejected-witness"),
+    pytest.param(_one_ulp_farther, "is not its distance", id="witness-distance"),
+])
+def test_eval_refuses_a_report_that_is_not_a_run_on_the_points(tmp_path, capsys, edit,
+                                                               message):
+    pts, ref, certs, report = _certified_artifacts(tmp_path, 4)
+    argv = ["eval", "--points", str(pts), "--reference", str(ref),
+            "--bounds", "thm3.3,lem3.1,lem3.2,prop3.4", "--certificates", str(certs),
+            "--strict", "--report", str(report)]
+    assert main(argv) == 0
+    data = json.loads(report.read_text())
+    assert len(data["result"]["rejected"]) >= 2  # a witness to edit
+    edit(data["result"])
+    report.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(report) in err and message in err
+
+
+def test_eval_refuses_a_run_on_another_cloud_of_the_same_size(tmp_path, capsys):
+    # a run on the seed-1 cloud, checked against the seed-2 cloud's points
+    # and reference, used to pass all four bounds under --strict
+    gen = {seed: tmp_path / f"gen{seed}" for seed in (1, 2)}
+    for seed, out in gen.items():
+        assert main(["gen", "--shape", "circle", "--n", "400", "--ambient", "40",
+                     "--seed", str(seed), "--out-dir", str(out)]) == 0
+    report, certs = tmp_path / "run" / "report.json", tmp_path / "certs.json"
+    assert main(["declutter", "--points", str(gen[1] / "points.csv"), "--k", "8",
+                 "--out-dir", str(report.parent)]) == 0
+    assert main(["certify", "--points", str(gen[1] / "points.csv"), "--reference",
+                 str(gen[1] / "reference.csv"), "--k", "8", "--out", str(certs)]) == 0
+    argv = ["eval", "--bounds", "thm3.3,lem3.1,lem3.2,prop3.4", "--strict",
+            "--report", str(report), "--certificates", str(certs)]
+    capsys.readouterr()
+    for seed, rc in ((1, 0), (2, 1)):
+        assert main(argv + ["--points", str(gen[seed] / "points.csv"), "--reference",
+                            str(gen[seed] / "reference.csv")]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(report) in err
+    assert "is not its distance" in err
+
+
+def test_witness_distances_on_a_matrix_are_its_entries():
+    pts = np.random.default_rng(3).normal(size=(60, 2))
+    metric = dc.Metric("precomputed", matrix=dc.cross_distances(dc.Metric(), pts, pts))
+    cloud = dc.PointCloud.matrix_backed(60)
+    result = dc.declutter(cloud, metric, 4)
+    assert result.rejected
+    cli._check_run_on(result, cloud, metric)
+    p, r = next(iter(result.rejected.items()))
+    result.rejected[p] = dc.Rejection(r.witness, r.distance * 2.0)
+    with pytest.raises(dc.GeometryError, match="is not its distance"):
+        cli._check_run_on(result, cloud, metric)
+
+
 @pytest.mark.parametrize("value", [
     # each used to end in a traceback from numpy inside evaluation
     3, "0,1", None, {"0": 1}, [None], [{}], [[0, 1]],
@@ -979,7 +1059,9 @@ def test_every_declared_flag_is_read(tmp_path, capsys):
          "--reference", str(ada / "reference.csv"),
          "--features", str(ada / "feature_sizes.csv"), "--k", "4", "--weak",
          "--adaptive"],
-        ["eval", "--points", pts, "--reference", ref, "--bounds",
+        # the report's run measured with Manhattan distances, and eval
+        # checks its witness distances under the metric it is given
+        ["eval", "--points", pts, "--metric", "manhattan", "--reference", ref, "--bounds",
          "thm3.3,lem4.4,lem4.2,lem4.5,thm4.1", "--report", str(run / "report.json"),
          "--certificates", str(certs), "--trace-dir", str(pf),
          "--resampled-ids", str(run / "resampled_ids.csv"), "--k", "4",

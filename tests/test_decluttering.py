@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.spatial import cKDTree
 import declutter as dc
 import declutter.decluttering as decluttering
 import declutter.geometry as geometry
+import declutter.neighbors as neighbors
 from conftest import (dist_euclidean, dist_manhattan, line_cloud, noisy_instance,
                       oracle_declutter, random_cloud)
 
@@ -224,20 +226,6 @@ def test_blocked_pass_matches_oracle(monkeypatch, block):
         assert inside > 0 and contested > 0
 
 
-def _with_constants(run, **values):
-    """run() with the decluttering module's constants set to ``values``; a
-    hypothesis test runs many examples per call, so it cannot use the
-    function-scoped monkeypatch fixture."""
-    saved = {name: getattr(decluttering, name) for name in values}
-    for name, value in values.items():
-        setattr(decluttering, name, value)
-    try:
-        return run()
-    finally:
-        for name, value in saved.items():
-            setattr(decluttering, name, value)
-
-
 @settings(max_examples=80, deadline=None)
 @given(coords=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                        min_size=1, max_size=40),
@@ -255,7 +243,11 @@ def test_block_size_leaves_output_bytes_unchanged(coords, copies, kind, data):
         dist = np.array([r.distance for r in result.rejected.values()])
         return json.dumps(result.to_dict()), dist.tobytes()
 
-    assert _with_constants(outcome, _BLOCK=1) == outcome()
+    # a hypothesis test runs many examples per call, so it patches with a
+    # context manager rather than the function-scoped monkeypatch fixture
+    with mock.patch.object(decluttering, "_BLOCK", 1):
+        blocks_of_one = outcome()
+    assert blocks_of_one == outcome()
 
 
 class _RecordedTree(cKDTree):
@@ -279,15 +271,16 @@ def test_greedy_pass_reads_one_block_at_a_time(monkeypatch, k):
     cloud, metric, _, _ = noisy_instance(202)
     assert cloud.n <= cells  # a single row always fits
     prof = dc.declutter(cloud, metric, k).profile
-    want = decluttering._greedy_result(cloud, metric, prof, tree=False)
+    want = _pass_result(cloud, metric, prof, "brute")
     monkeypatch.setattr(geometry, "_CHUNK_CELLS", cells)
     monkeypatch.setattr(decluttering, "_WINDOW", 32)
-    monkeypatch.setattr(decluttering, "_TREE_SHIFT", 1 - cloud.dim)  # 8 kept
+    monkeypatch.setattr(neighbors, "_TREE_SHIFT", 1 - cloud.dim)  # 8 kept
     monkeypatch.setattr(_RecordedTree, "answers", [])
-    monkeypatch.setattr(decluttering, "cKDTree", _RecordedTree)
+    # the profile is taken, so every tree built from here on is a kept set's
+    monkeypatch.setattr(neighbors, "cKDTree", _RecordedTree)
     shapes, paired = [], []
     original = decluttering.cross_distances
-    original_paired = decluttering.paired_distances
+    original_paired = neighbors.paired_distances
 
     def recorded(metric, queries, targets):
         out = original(metric, queries, targets)
@@ -300,10 +293,10 @@ def test_greedy_pass_reads_one_block_at_a_time(monkeypatch, k):
         return out
 
     monkeypatch.setattr(decluttering, "cross_distances", recorded)
-    monkeypatch.setattr(decluttering, "paired_distances", recorded_paired)
-    for tree in (False, True):
+    monkeypatch.setattr(neighbors, "paired_distances", recorded_paired)
+    for strategy in ("brute", "kdtree"):
         shapes.clear()
-        result = decluttering._greedy_result(cloud, metric, prof, tree)
+        result = _pass_result(cloud, metric, prof, strategy)
         assert result.kept.tolist() == want.kept.tolist()
         assert result.rejected == want.rejected
         if k == 1:
@@ -321,10 +314,16 @@ def _grid_points(coords, copies):
     return np.array(coords + coords[:copies], dtype=float)
 
 
-def _pass_outcome(cloud, metric, prof, tree):
+def _pass_result(cloud, metric, prof, strategy):
+    """The greedy pass over prof on the given strategy, as a result."""
+    return decluttering._result(prof, decluttering._greedy_pass(
+        metric, cloud.points, prof.values, strategy))
+
+
+def _pass_outcome(cloud, metric, prof, strategy):
     """Kept order, processing order, witnesses and witness-distance bytes of
     the pass, and its to_dict() JSON."""
-    result = decluttering._greedy_result(cloud, metric, prof, tree)
+    result = _pass_result(cloud, metric, prof, strategy)
     dist = np.array([r.distance for r in result.rejected.values()])
     return (result.kept.tolist(), result.order.tolist(),
             [r.witness for r in result.rejected.values()], dist.tobytes(),
@@ -341,9 +340,9 @@ def test_tree_pass_equals_the_dense_pass_byte_for_byte(monkeypatch):
     real_full_rows = decluttering._Pass.full_rows
     real_blocks = decluttering._Pass.blocks
 
-    def tree_window(self, window, bound):
+    def tree_window(self, window):
         ran["tree windows"] += 1
-        return real_tree_window(self, window, bound)
+        return real_tree_window(self, window)
 
     def full_rows(self, rows):
         ran["full rows"] += rows.size
@@ -371,9 +370,10 @@ def test_tree_pass_equals_the_dense_pass_byte_for_byte(monkeypatch):
         metric = dc.Metric(kind)
         k = data.draw(st.integers(1, cloud.n))
         prof = dc.profile(cloud, dc.build_index(cloud, metric), k)
-        dense = _pass_outcome(cloud, metric, prof, False)
-        tree = _with_constants(lambda: _pass_outcome(cloud, metric, prof, True),
-                               _WINDOW=window, _TREE_K=candidates, _TREE_SHIFT=shift)
+        dense = _pass_outcome(cloud, metric, prof, "brute")
+        with mock.patch.multiple(decluttering, _WINDOW=window, _TREE_K=candidates), \
+                mock.patch.object(neighbors, "_TREE_SHIFT", shift):
+            tree = _pass_outcome(cloud, metric, prof, "kdtree")
         assert tree == dense
         position = {p: i for i, p in enumerate(dense[1])}
         for p, w in zip(json.loads(dense[4])["rejected"], dense[2]):
@@ -387,22 +387,40 @@ def test_tree_pass_equals_the_dense_pass_byte_for_byte(monkeypatch):
 
 
 def _spied_tree_builds(monkeypatch) -> list:
-    """A list that grows by one per kept-set tree the greedy pass builds."""
+    """A list that grows by one per kept-set tree the greedy pass builds:
+    per index with a tree that the pass builds over its kept set."""
     builds = []
-    real = decluttering.cKDTree
+    real = decluttering.NeighborIndex
 
     def counted(*args, **kwargs):
-        builds.append(1)
-        return real(*args, **kwargs)
+        index = real(*args, **kwargs)
+        if index._tree is not None:
+            builds.append(1)
+        return index
 
-    monkeypatch.setattr(decluttering, "cKDTree", counted)
+    monkeypatch.setattr(decluttering, "NeighborIndex", counted)
     return builds
+
+
+def _spied_tree_windows(monkeypatch) -> list:
+    """A list that grows by one per window the kept-set index answered."""
+    answered = []
+    real = decluttering._Pass.tree_window
+
+    def tree_window(self, window):
+        left, lo = real(self, window)
+        if lo:  # the index answered, and the rest compare from rank lo on
+            answered.append(1)
+        return left, lo
+
+    monkeypatch.setattr(decluttering._Pass, "tree_window", tree_window)
+    return answered
 
 
 def test_brute_and_matrix_backed_clouds_never_build_a_kept_set_tree(monkeypatch):
     # the brute strategy stays an independent oracle of the tree pass
     monkeypatch.setattr(decluttering, "_WINDOW", 8)
-    monkeypatch.setattr(decluttering, "_TREE_SHIFT", -10)  # any kept point
+    monkeypatch.setattr(neighbors, "_TREE_SHIFT", -10)  # any kept point
     builds = _spied_tree_builds(monkeypatch)
     cloud, metric, _, _ = noisy_instance(3)
     m = dc.cross_distances(metric, cloud.coords, cloud.coords)
@@ -434,12 +452,14 @@ def test_brute_and_matrix_backed_clouds_never_build_a_kept_set_tree(monkeypatch)
 ])
 def test_tree_bounds_out_of_normal_range_take_the_dense_compare(monkeypatch, kind,
                                                                 exponent):
-    # every window of these inputs takes the dense compare, and the pass
-    # still returns the dense pass's bytes
+    # the kept-set index answers no window of these inputs, so every window
+    # takes the dense compare, and the pass still returns the dense pass's
+    # bytes
     monkeypatch.setattr(decluttering, "_WINDOW", 4)
     monkeypatch.setattr(decluttering, "_TREE_K", 2)
-    monkeypatch.setattr(decluttering, "_TREE_SHIFT", -3)  # one kept point in 2-D
+    monkeypatch.setattr(neighbors, "_TREE_SHIFT", -3)  # one kept point in 2-D
     builds = _spied_tree_builds(monkeypatch)
+    answered = _spied_tree_windows(monkeypatch)
     grid = [(x, y) for x in range(6) for y in range(5)]
     pts = _grid_points(grid, 7)
     metric = dc.Metric(kind)
@@ -449,16 +469,17 @@ def test_tree_bounds_out_of_normal_range_take_the_dense_compare(monkeypatch, kin
         prof = dc.profile(cloud, dc.build_index(cloud, metric), k)
         if k > 1:  # unscaled, the same input asks the tree
             builds.clear()
-            assert _pass_outcome(cloud, metric, prof, True) == _pass_outcome(
-                cloud, metric, prof, False)
-            assert builds
+            answered.clear()
+            assert _pass_outcome(cloud, metric, prof, "kdtree") == _pass_outcome(
+                cloud, metric, prof, "brute")
+            assert builds and answered
         # the profile scaled too, so its radii are in the scaled range
         prof = dc.RobustDistanceProfile(k=k, kind=prof.kind,
                                         values=prof.values * 2.0 ** exponent)
-        builds.clear()
-        got = _pass_outcome(scaled, metric, prof, True)
-        assert not builds, k
-        assert got == _pass_outcome(scaled, metric, prof, False)
+        answered.clear()
+        got = _pass_outcome(scaled, metric, prof, "kdtree")
+        assert not answered, k
+        assert got == _pass_outcome(scaled, metric, prof, "brute")
 
 
 def test_a_last_candidate_inside_the_slack_band_takes_the_dense_compare(monkeypatch):
@@ -483,10 +504,10 @@ def test_a_last_candidate_inside_the_slack_band_takes_the_dense_compare(monkeypa
                                     values=np.array([0.0, 0.0, canonical[0] / 2]))
     monkeypatch.setattr(decluttering, "_WINDOW", 2)
     monkeypatch.setattr(decluttering, "_TREE_K", 1)
-    monkeypatch.setattr(decluttering, "_TREE_SHIFT", -7)  # two kept points in 8-D
+    monkeypatch.setattr(neighbors, "_TREE_SHIFT", -7)  # two kept points in 8-D
     builds = _spied_tree_builds(monkeypatch)
-    got = _pass_outcome(cloud, metric, prof, True)
-    assert builds and got == _pass_outcome(cloud, metric, prof, False)
+    got = _pass_outcome(cloud, metric, prof, "kdtree")
+    assert builds and got == _pass_outcome(cloud, metric, prof, "brute")
     assert json.loads(got[4])["rejected"] == {"2": {"witness": 0,
                                                     "distance": canonical[0]}}
 

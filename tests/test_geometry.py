@@ -337,3 +337,24 @@ def test_threads_accepts_numpy_integers():
         np.random.default_rng(9).normal(size=(300, 2))), dc.Metric()
     want = dc.declutter(cloud, metric, 4).to_dict()
     assert dc.declutter(cloud, metric, 4, threads=np.int64(2)).to_dict() == want
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cloud, pts, m: dc.build_index(cloud, "manhattan"),
+     "metric must be a Metric, got str"),
+    (lambda cloud, pts, m: dc.declutter(cloud, "euclidean", 4),
+     "metric must be a Metric, got str"),
+    (lambda cloud, pts, m: dc.declutter(pts, m, 4), "cloud must be a PointCloud, got ndarray"),
+    (lambda cloud, pts, m: dc.parfree_declutter(pts, m),
+     "cloud must be a PointCloud, got ndarray"),
+    (lambda cloud, pts, m: dc.greedy_declutter(pts, m, None),
+     "cloud must be a PointCloud, got ndarray"),
+    (lambda cloud, pts, m: dc.resample_step(cloud, m, [0], None, 4.0),
+     "prof must be a RobustDistanceProfile, got NoneType"),
+], ids=["build_index", "declutter-metric", "declutter-cloud", "parfree_declutter",
+        "greedy_declutter", "resample_step"])
+def test_entry_points_name_a_wrong_typed_argument(call, message):
+    # each used to escape as an AttributeError
+    pts = np.random.default_rng(0).normal(size=(20, 2))
+    with pytest.raises(dc.GeometryError, match=message):
+        call(dc.PointCloud.from_coords(pts), pts, dc.Metric())
